@@ -22,17 +22,17 @@ import numpy as np
 
 import mtdgame
 from mtdgame.config import ResolvedConfig, format_config, load_config
-from mtdgame.double_oracle import DoConfig, run_double_oracle
-from mtdgame.env import ADVERSARY, DEFENDER, ConfigError, MtdEnv
+from mtdgame.double_oracle import run_double_oracle
+from mtdgame.env import ADVERSARY, DEFENDER, ConfigError
 from mtdgame.nash import EquilibriumError, build_game, solve_msne
 from mtdgame.policies import (
-    MixedStrategy,
     NoOpPolicy,
     default_adversaries,
     default_defenders,
+    run_episode,
 )
 from mtdgame.qlearn import NumericalError, train_best_response
-from mtdgame.seeds import derive_seed, spawn_rng
+from mtdgame.seeds import derive_seed
 from mtdgame.serialize import (
     PolicyFormatError,
     load_game,
@@ -44,6 +44,7 @@ from mtdgame.serialize import (
     save_learning_curve,
     save_mixture,
     save_policy,
+    save_trace,
 )
 
 EXIT_OK = 0
@@ -100,8 +101,7 @@ def _resolve_policy(spec: str, player: str, rc: ResolvedConfig):
 
 
 def cmd_simulate(args) -> int:
-    rc = load_config(args.config) if args.config else ResolvedConfig(
-        env=_default_env(), train=_default_train(), do=_default_do())
+    rc = _load_rc(args)
     adv = _resolve_policy(args.adv, ADVERSARY, rc)
     deff = _resolve_policy(args.defender, DEFENDER, rc)
     out_dir = Path(args.out) if args.out else None
@@ -109,65 +109,28 @@ def cmd_simulate(args) -> int:
     if out_dir is not None:
         manifest = _Manifest(out_dir, "simulate", args.seed, rc,
                              {"adv": args.adv, "def": args.defender})
-    env = MtdEnv(rc.env)
-    obs_a, obs_d = env.reset(derive_seed(args.seed, "env"))
-    rng_a = spawn_rng(args.seed, "adv")
-    rng_d = spawn_rng(args.seed, "def")
     rows = []
-    g = 1.0
-    ret_a = ret_d = 0.0
-    for t in range(rc.env.horizon):
-        a = adv.act(obs_a, t, rng_a)
-        d = deff.act(obs_d, t, rng_d)
-        out = env.step(a, d)
-        n_adv, n_def, n_down = env.counts()
-        rows.append([t, "" if a is None else a, "" if d is None else d,
-                     repr(out.reward_adv), repr(out.reward_def),
-                     n_adv, n_def, n_down])
-        ret_a += g * out.reward_adv
-        ret_d += g * out.reward_def
-        g *= rc.env.discount
-        obs_a, obs_d = out.obs_adv, out.obs_def
+
+    def record(tau, a, d, out, env):
+        rows.append([tau, "" if a is None else a, "" if d is None else d,
+                     repr(out.reward_adv), repr(out.reward_def), *env.counts()])
+
+    ret_a, ret_d = run_episode(adv, deff, rc.env, args.seed, on_step=record)
     print(f"discounted return: adversary {ret_a:.4f} defender {ret_d:.4f}")
     if out_dir is not None:
-        import csv
         trace = out_dir / "trace.csv"
-        with open(trace, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["tau", "adv_action", "def_action", "reward_adv",
-                        "reward_def", "n_control_adv", "n_control_def", "n_down"])
-            w.writerows(rows)
+        save_trace(rows, trace)
         manifest.finish([trace])
     return EXIT_OK
 
 
-def _default_env():
-    from mtdgame.env import EnvConfig
-    return EnvConfig()
-
-
-def _default_train():
-    from mtdgame.qlearn import TrainConfig
-    return TrainConfig()
-
-
-def _default_do():
-    from mtdgame.config import DoSettings
-    return DoSettings()
-
-
 def _load_rc(args) -> ResolvedConfig:
-    if args.config:
-        rc = load_config(args.config)
-    else:
-        rc = ResolvedConfig(env=_default_env(), train=_default_train(),
-                            do=_default_do())
-    if getattr(args, "t", None):
-        rc = ResolvedConfig(env=replace(rc.env, horizon=args.t),
-                            train=replace(rc.train, horizon=args.t), do=rc.do)
-    if getattr(args, "ne", None):
-        rc = ResolvedConfig(env=rc.env, train=replace(rc.train, episodes=args.ne),
-                            do=rc.do)
+    rc = load_config(args.config) if args.config else ResolvedConfig()
+    if getattr(args, "t", None) is not None:
+        rc = replace(rc, env=replace(rc.env, horizon=args.t),
+                     train=replace(rc.train, horizon=args.t))
+    if getattr(args, "ne", None) is not None:
+        rc = replace(rc, train=replace(rc.train, episodes=args.ne))
     return rc
 
 
@@ -231,11 +194,9 @@ def cmd_solve(args) -> int:
     else:
         advs = default_adversaries(rc.env)
         defs = default_defenders(rc.env)
-    eval_episodes = args.episodes if args.episodes else rc.do.eval_episodes
-    do_cfg = DoConfig(eps_do=rc.do.eps_do, max_iterations=rc.do.max_iterations,
-                      eval_episodes=eval_episodes,
-                      train=replace(rc.train, seed=derive_seed(args.seed, "train")),
-                      seed=args.seed)
+    do_cfg = replace(rc.do, eval_episodes=args.episodes or rc.do.eval_episodes,
+                     train=replace(rc.train, seed=derive_seed(args.seed, "train")),
+                     seed=args.seed)
     state, eq = run_double_oracle(rc.env, advs, defs, do_cfg, jobs=args.jobs)
     pol_dir = out_dir / "policies"
     pol_dir.mkdir(parents=True, exist_ok=True)
@@ -259,6 +220,17 @@ def cmd_solve(args) -> int:
     return EXIT_OK if state.converged else EXIT_NO_CONVERGENCE
 
 
+def _count(raw: str) -> int:
+    """argparse type of the episode, horizon and job count flags."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="mtdgame",
                                  description="Adaptive moving target defense game suite")
@@ -279,17 +251,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("payoff-table", help="evaluate the heuristic grid")
     common(p)
-    p.add_argument("--episodes", type=int, default=50)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--t", type=int, default=None, help="override horizon")
+    p.add_argument("--episodes", type=_count, default=50)
+    p.add_argument("--jobs", type=_count, default=1)
+    p.add_argument("--t", type=_count, default=None, help="override horizon")
     p.set_defaults(func=cmd_payoff_table)
 
     p = sub.add_parser("train-br", help="train a best response to a mixture")
     common(p)
     p.add_argument("--player", choices=["adversary", "defender"], required=True)
     p.add_argument("--opponent", type=str, required=True, help="mixture file")
-    p.add_argument("--ne", type=int, default=None, help="override training episodes")
-    p.add_argument("--t", type=int, default=None, help="override horizon")
+    p.add_argument("--ne", type=_count, default=None, help="override training episodes")
+    p.add_argument("--t", type=_count, default=None, help="override horizon")
     p.set_defaults(func=cmd_train_br)
 
     p = sub.add_parser("nash", help="solve a serialized empirical game")
@@ -300,12 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run the double oracle loop")
     common(p)
-    p.add_argument("--episodes", type=int, default=None,
+    p.add_argument("--episodes", type=_count, default=None,
                    help="override evaluation episodes per payoff cell")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_count, default=1)
     p.add_argument("--init", choices=["heuristics", "noop"], default="heuristics")
-    p.add_argument("--ne", type=int, default=None, help="override training episodes")
-    p.add_argument("--t", type=int, default=None, help="override horizon")
+    p.add_argument("--ne", type=_count, default=None, help="override training episodes")
+    p.add_argument("--t", type=_count, default=None, help="override horizon")
     p.set_defaults(func=cmd_solve)
     return ap
 

@@ -7,10 +7,10 @@ keys override it.  Missing keys keep the baseline defaults.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
+from mtdgame.double_oracle import DoConfig
 from mtdgame.env import ConfigError, EnvConfig
 from mtdgame.qlearn import TrainConfig
 
@@ -21,26 +21,15 @@ UTILITY_ENVIRONMENTS = {
     3: (0.0, 0.0),
 }
 
-ENV_KEYS = ("M", "delta", "nu", "alpha", "c_a", "theta_sl", "theta_th",
-            "w_a", "w_d", "T", "gamma", "utenv", "charge_down_probes")
-TRAIN_KEYS = ("ne", "batch", "learning_rate", "epsilon_fraction", "epsilon_final",
-              "replay_capacity", "optimizer", "target_update")
-DO_KEYS = ("eps_do", "max_iterations", "eval_episodes")
-ALL_KEYS = ENV_KEYS + TRAIN_KEYS + DO_KEYS
-
-
-@dataclass(frozen=True)
-class DoSettings:
-    eps_do: float = 1.0
-    max_iterations: int = 10
-    eval_episodes: int = 50
-
 
 @dataclass(frozen=True)
 class ResolvedConfig:
-    env: EnvConfig
-    train: TrainConfig
-    do: DoSettings
+    """A loaded config file.  `do` holds the solver keys; a run supplies its
+    training settings and seed from `train` and the command line."""
+
+    env: EnvConfig = field(default_factory=EnvConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    do: DoConfig = field(default_factory=DoConfig)
 
 
 def _parse_bool(key: str, raw: str) -> bool:
@@ -66,6 +55,35 @@ def _parse_float(key: str, raw: str) -> float:
         raise ConfigError(f"key {key}: expected a number, got {raw!r}") from None
 
 
+# key -> (section of ResolvedConfig, attributes it sets, parser), in the
+# line order of format_config, which writes the first attribute.
+KEYS = {
+    "M": ("env", ("num_servers",), _parse_int),
+    "delta": ("env", ("downtime",), _parse_int),
+    "nu": ("env", ("miss_prob",), _parse_float),
+    "alpha": ("env", ("probe_gain",), _parse_float),
+    "c_a": ("env", ("probe_cost",), _parse_float),
+    "theta_sl": ("env", ("reward_slope_adv", "reward_slope_def"), _parse_float),
+    "theta_th": ("env", ("reward_thresh_adv", "reward_thresh_def"), _parse_float),
+    "w_a": ("env", ("weight_adv",), _parse_float),
+    "w_d": ("env", ("weight_def",), _parse_float),
+    "T": ("env", ("horizon",), _parse_int),
+    "gamma": ("env", ("discount",), _parse_float),
+    "charge_down_probes": ("env", ("charge_down_probes",), _parse_bool),
+    "ne": ("train", ("episodes",), _parse_int),
+    "batch": ("train", ("batch_size",), _parse_int),
+    "learning_rate": ("train", ("learning_rate",), _parse_float),
+    "epsilon_fraction": ("train", ("epsilon_fraction",), _parse_float),
+    "epsilon_final": ("train", ("epsilon_final",), _parse_float),
+    "replay_capacity": ("train", ("replay_capacity",), _parse_int),
+    "optimizer": ("train", ("optimizer",), lambda key, raw: raw),
+    "target_update": ("train", ("target_update",), _parse_int),
+    "eps_do": ("do", ("eps_do",), _parse_float),
+    "max_iterations": ("do", ("max_iterations",), _parse_int),
+    "eval_episodes": ("do", ("eval_episodes",), _parse_int),
+}
+
+
 def parse_config(text: str) -> ResolvedConfig:
     """Parse config text; blank lines and # comments are ignored."""
     values: dict[str, str] = {}
@@ -77,73 +95,24 @@ def parse_config(text: str) -> ResolvedConfig:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in ALL_KEYS:
+        if key not in KEYS and key != "utenv":
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         values[key] = raw.strip()
 
-    env_kwargs = {}
+    kwargs: dict[str, dict] = {"env": {}, "train": {}, "do": {}}
     if "utenv" in values:
         idx = _parse_int("utenv", values["utenv"])
         if idx not in UTILITY_ENVIRONMENTS:
             raise ConfigError(f"key utenv: must be one of 0..3, got {idx}")
-        env_kwargs["weight_adv"], env_kwargs["weight_def"] = UTILITY_ENVIRONMENTS[idx]
-    simple_env = {
-        "M": ("num_servers", _parse_int),
-        "delta": ("downtime", _parse_int),
-        "nu": ("miss_prob", _parse_float),
-        "alpha": ("probe_gain", _parse_float),
-        "c_a": ("probe_cost", _parse_float),
-        "w_a": ("weight_adv", _parse_float),
-        "w_d": ("weight_def", _parse_float),
-        "T": ("horizon", _parse_int),
-        "gamma": ("discount", _parse_float),
-        "charge_down_probes": ("charge_down_probes", _parse_bool),
-    }
-    for key, (attr, parse) in simple_env.items():
+        kwargs["env"]["weight_adv"], kwargs["env"]["weight_def"] = UTILITY_ENVIRONMENTS[idx]
+    for key, (section, attrs, parse) in KEYS.items():
         if key in values:
-            env_kwargs[attr] = parse(key, values[key])
-    if "theta_sl" in values:
-        slope = _parse_float("theta_sl", values["theta_sl"])
-        env_kwargs["reward_slope_adv"] = slope
-        env_kwargs["reward_slope_def"] = slope
-    if "theta_th" in values:
-        th = _parse_float("theta_th", values["theta_th"])
-        env_kwargs["reward_thresh_adv"] = th
-        env_kwargs["reward_thresh_def"] = th
-    env = EnvConfig(**env_kwargs).validate()
-
-    train_kwargs = {"gamma": env.discount, "horizon": env.horizon}
-    simple_train = {
-        "ne": ("episodes", _parse_int),
-        "batch": ("batch_size", _parse_int),
-        "learning_rate": ("learning_rate", _parse_float),
-        "epsilon_fraction": ("epsilon_fraction", _parse_float),
-        "epsilon_final": ("epsilon_final", _parse_float),
-        "replay_capacity": ("replay_capacity", _parse_int),
-        "target_update": ("target_update", _parse_int),
-    }
-    for key, (attr, parse) in simple_train.items():
-        if key in values:
-            train_kwargs[attr] = parse(key, values[key])
-    if "optimizer" in values:
-        train_kwargs["optimizer"] = values["optimizer"]
-    train = TrainConfig(**train_kwargs).validate()
-
-    do_kwargs = {}
-    if "eps_do" in values:
-        do_kwargs["eps_do"] = _parse_float("eps_do", values["eps_do"])
-    if "max_iterations" in values:
-        do_kwargs["max_iterations"] = _parse_int("max_iterations", values["max_iterations"])
-    if "eval_episodes" in values:
-        do_kwargs["eval_episodes"] = _parse_int("eval_episodes", values["eval_episodes"])
-    do = DoSettings(**do_kwargs)
-    if not (math.isfinite(do.eps_do) and do.eps_do >= 0.0):
-        raise ConfigError(f"eps_do must be finite and >= 0, got {do.eps_do!r}")
-    if do.max_iterations < 0:
-        raise ConfigError("max_iterations must be >= 0")
-    if do.eval_episodes < 1:
-        raise ConfigError("eval_episodes must be >= 1")
-    return ResolvedConfig(env=env, train=train, do=do)
+            value = parse(key, values[key])
+            kwargs[section].update(dict.fromkeys(attrs, value))
+    env = EnvConfig(**kwargs["env"]).validate()
+    train = TrainConfig(**{"gamma": env.discount, "horizon": env.horizon,
+                           **kwargs["train"]}).validate()
+    return ResolvedConfig(env=env, train=train, do=DoConfig(**kwargs["do"]).validate())
 
 
 def load_config(path: str | Path) -> ResolvedConfig:
@@ -153,32 +122,13 @@ def load_config(path: str | Path) -> ResolvedConfig:
     return parse_config(p.read_text(encoding="utf-8"))
 
 
+def _format_value(value) -> str:
+    if isinstance(value, bool):
+        return str(int(value))
+    return value if isinstance(value, str) else repr(value)
+
+
 def format_config(rc: ResolvedConfig) -> str:
     """Render the resolved configuration back to loadable key=value text."""
-    env, train, do = rc.env, rc.train, rc.do
-    lines = [
-        f"M={env.num_servers}",
-        f"delta={env.downtime}",
-        f"nu={env.miss_prob!r}",
-        f"alpha={env.probe_gain!r}",
-        f"c_a={env.probe_cost!r}",
-        f"theta_sl={env.reward_slope_adv!r}",
-        f"theta_th={env.reward_thresh_adv!r}",
-        f"w_a={env.weight_adv!r}",
-        f"w_d={env.weight_def!r}",
-        f"T={env.horizon}",
-        f"gamma={env.discount!r}",
-        f"charge_down_probes={1 if env.charge_down_probes else 0}",
-        f"ne={train.episodes}",
-        f"batch={train.batch_size}",
-        f"learning_rate={train.learning_rate!r}",
-        f"epsilon_fraction={train.epsilon_fraction!r}",
-        f"epsilon_final={train.epsilon_final!r}",
-        f"replay_capacity={train.replay_capacity}",
-        f"optimizer={train.optimizer}",
-        f"target_update={train.target_update}",
-        f"eps_do={do.eps_do!r}",
-        f"max_iterations={do.max_iterations}",
-        f"eval_episodes={do.eval_episodes}",
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key}={_format_value(getattr(getattr(rc, section), attrs[0]))}\n"
+                   for key, (section, attrs, _) in KEYS.items())

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -71,45 +72,29 @@ def build_game(adv_policies: list[PurePolicy], def_policies: list[PurePolicy],
     rows, cols = len(adv_policies), len(def_policies)
     if rows == 0 or cols == 0:
         raise ValueError("both policy sets must be nonempty")
-    u_a = np.empty((rows, cols))
-    u_d = np.empty((rows, cols))
-    s_a = np.empty((rows, cols))
-    s_d = np.empty((rows, cols))
-    pairs = [(i, j) for i in range(rows) for j in range(cols)]
+    cell = partial(_cell, env_cfg=env_cfg, episodes=episodes, seed=seed,
+                   evaluator=evaluator)
+    # one task per cell, in row-major order
+    tasks = ([a for a in adv_policies for _ in def_policies], list(def_policies) * rows)
     if jobs > 1:
-        results = _parallel_cells(adv_policies, def_policies, pairs, env_cfg,
-                                  episodes, seed, evaluator, jobs)
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            cells = list(pool.map(cell, *tasks))
     else:
-        results = {(i, j): _cell(adv_policies[i], def_policies[j], env_cfg,
-                                 episodes, seed, evaluator) for i, j in pairs}
-    for (i, j), pp in results.items():
-        u_a[i, j] = pp.u_adv
-        u_d[i, j] = pp.u_def
-        s_a[i, j] = pp.se_adv
-        s_d[i, j] = pp.se_def
+        cells = list(map(cell, *tasks))
+
+    def matrix(attr):
+        return np.array([getattr(pp, attr) for pp in cells], dtype=float).reshape(rows, cols)
+
     return EmpiricalGame(
         row_labels=tuple(p.label for p in adv_policies),
         col_labels=tuple(p.label for p in def_policies),
-        u_adv=u_a, u_def=u_d, se_adv=s_a, se_def=s_d,
+        u_adv=matrix("u_adv"), u_def=matrix("u_def"),
+        se_adv=matrix("se_adv"), se_def=matrix("se_def"),
         episodes=episodes,
         row_policies=tuple(adv_policies), col_policies=tuple(def_policies),
     )
-
-
-def _parallel_cells(adv_policies, def_policies, pairs, env_cfg, episodes,
-                    seed, evaluator, jobs):
-    from concurrent.futures import ProcessPoolExecutor
-
-    results = {}
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = {
-            pool.submit(_cell, adv_policies[i], def_policies[j], env_cfg,
-                        episodes, seed, evaluator): (i, j)
-            for i, j in pairs
-        }
-        for fut, key in futures.items():
-            results[key] = fut.result()
-    return results
 
 
 def extend_game(game: EmpiricalGame, policy: PurePolicy, env_cfg: EnvConfig,
@@ -117,43 +102,19 @@ def extend_game(game: EmpiricalGame, policy: PurePolicy, env_cfg: EnvConfig,
     """Add one policy, evaluating only the new row or column."""
     if game.row_policies is None or game.col_policies is None:
         raise ValueError("cannot extend a game loaded without policies")
-    if policy.player == ADVERSARY:
-        if policy.label in game.row_labels:
-            raise ValueError(f"duplicate row label {policy.label!r}")
-        new_cells = [_cell(policy, d, env_cfg, game.episodes, seed, evaluator)
-                     for d in game.col_policies]
-        row_a = np.array([[c.u_adv for c in new_cells]])
-        row_d = np.array([[c.u_def for c in new_cells]])
-        row_sa = np.array([[c.se_adv for c in new_cells]])
-        row_sd = np.array([[c.se_def for c in new_cells]])
-        return replace(
-            game,
-            row_labels=game.row_labels + (policy.label,),
-            u_adv=np.vstack([game.u_adv, row_a]),
-            u_def=np.vstack([game.u_def, row_d]),
-            se_adv=np.vstack([game.se_adv, row_sa]),
-            se_def=np.vstack([game.se_def, row_sd]),
-            row_policies=game.row_policies + (policy,),
-        )
-    if policy.player == DEFENDER:
-        if policy.label in game.col_labels:
-            raise ValueError(f"duplicate column label {policy.label!r}")
-        new_cells = [_cell(a, policy, env_cfg, game.episodes, seed, evaluator)
-                     for a in game.row_policies]
-        col_a = np.array([[c.u_adv] for c in new_cells])
-        col_d = np.array([[c.u_def] for c in new_cells])
-        col_sa = np.array([[c.se_adv] for c in new_cells])
-        col_sd = np.array([[c.se_def] for c in new_cells])
-        return replace(
-            game,
-            col_labels=game.col_labels + (policy.label,),
-            u_adv=np.hstack([game.u_adv, col_a]),
-            u_def=np.hstack([game.u_def, col_d]),
-            se_adv=np.hstack([game.se_adv, col_sa]),
-            se_def=np.hstack([game.se_def, col_sd]),
-            col_policies=game.col_policies + (policy,),
-        )
-    raise ValueError(f"unknown player {policy.player!r}")
+    axis = {ADVERSARY: 0, DEFENDER: 1}.get(policy.player)
+    if axis is None:
+        raise ValueError(f"unknown player {policy.player!r}")
+    sets = [game.row_policies, game.col_policies]
+    if policy.label in (game.row_labels, game.col_labels)[axis]:
+        raise ValueError(f"duplicate {('row', 'column')[axis]} label {policy.label!r}")
+    sets[axis] = (policy,)
+    new = build_game(*sets, env_cfg, game.episodes, seed, evaluator=evaluator, jobs=jobs)
+    grown = {name: np.concatenate([getattr(game, name), getattr(new, name)], axis=axis)
+             for name in ("u_adv", "u_def", "se_adv", "se_def")}
+    for name in (("row_labels", "row_policies"), ("col_labels", "col_policies"))[axis]:
+        grown[name] = getattr(game, name) + getattr(new, name)
+    return replace(game, **grown)
 
 
 def mixed_utility(game: EmpiricalGame, sigma_adv: np.ndarray,

@@ -9,7 +9,7 @@ servers would only take them down for nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import Field, dataclass, fields
 
 import numpy as np
 
@@ -27,10 +27,48 @@ class PurePolicy:
         raise NotImplementedError
 
 
+# The heuristic registry, keyed by (player, name) in the order of the
+# default sets.  A heuristic's dataclass fields other than `player` and
+# `label` are the parameters its policy file line carries, and their
+# defaults are the values a line that omits them gets.
+HEURISTICS: dict[tuple[str, str], type[PurePolicy]] = {}
+
+
+def _heuristic(name: str, *players: str):
+    """Class decorator: make a heuristic a dataclass(eq=False), so that it
+    keeps identity equality and hashing, and register it for `players`."""
+    def register(cls):
+        cls = dataclass(eq=False)(cls)
+        for player in players:
+            HEURISTICS[(player, name)] = cls
+        return cls
+
+    return register
+
+
+def heuristic(player: str, name: str, **params) -> PurePolicy:
+    """Build the registered heuristic `name` of `player`; KeyError if none."""
+    cls = HEURISTICS[(player, name)]
+    return cls(player, **params) if cls is NoOpPolicy else cls(**params)
+
+
+def heuristic_name(policy: PurePolicy) -> str | None:
+    """The registry name of a heuristic policy, None for anything else."""
+    for (player, name), cls in HEURISTICS.items():
+        if player == policy.player and isinstance(policy, cls):
+            return name
+    return None
+
+
+def heuristic_params(policy) -> list[Field]:
+    """The parameter fields of a heuristic class or instance, in file order."""
+    return [f for f in fields(policy) if f.name not in ("player", "label")]
+
+
+@_heuristic("noop", ADVERSARY, DEFENDER)
 class NoOpPolicy(PurePolicy):
-    def __init__(self, player: str, label: str = "noop"):
-        self.player = player
-        self.label = label
+    player: str
+    label: str = "noop"
 
     def act(self, obs, tau, rng):
         return None
@@ -47,13 +85,13 @@ def _believed_takeable(obs: Observation) -> np.ndarray:
     return np.flatnonzero((obs.data[:, 0] == 1) & (obs.data[:, 3] == 0))
 
 
+@_heuristic("uniform", ADVERSARY)
 class UniformAdversary(PurePolicy):
     """Every `period` steps, probe a random server believed up and uncontrolled."""
 
-    def __init__(self, period: int = 1, label: str = "uniform"):
-        self.player = ADVERSARY
-        self.period = int(period)
-        self.label = label
+    player = ADVERSARY
+    period: int = 1
+    label: str = "uniform"
 
     def act(self, obs, tau, rng):
         if tau % self.period:
@@ -64,13 +102,13 @@ class UniformAdversary(PurePolicy):
         return _pick(cand, rng)
 
 
+@_heuristic("maxprobe", ADVERSARY)
 class MaxProbeAdversary(PurePolicy):
     """Every `period` steps, probe the most-probed server it does not control."""
 
-    def __init__(self, period: int = 1, label: str = "maxprobe"):
-        self.player = ADVERSARY
-        self.period = int(period)
-        self.label = label
+    player = ADVERSARY
+    period: int = 1
+    label: str = "maxprobe"
 
     def act(self, obs, tau, rng):
         if tau % self.period:
@@ -82,14 +120,14 @@ class MaxProbeAdversary(PurePolicy):
         return _pick(cand[prog == prog.max()], rng)
 
 
+@_heuristic("control_threshold", ADVERSARY)
 class ControlThresholdAdversary(PurePolicy):
     """Probe (most-probed targeting) only while controlling less than a
     threshold fraction of the servers."""
 
-    def __init__(self, threshold: float = 0.5, label: str = "control_threshold"):
-        self.player = ADVERSARY
-        self.threshold = float(threshold)
-        self.label = label
+    player = ADVERSARY
+    threshold: float = 0.5
+    label: str = "control_threshold"
 
     def act(self, obs, tau, rng):
         m = obs.data.shape[0]
@@ -102,13 +140,13 @@ class ControlThresholdAdversary(PurePolicy):
         return _pick(cand[prog == prog.max()], rng)
 
 
+@_heuristic("uniform", DEFENDER)
 class UniformDefender(PurePolicy):
     """Every `period` steps, reimage a random up server."""
 
-    def __init__(self, period: int = 4, label: str = "uniform"):
-        self.player = DEFENDER
-        self.period = int(period)
-        self.label = label
+    player = DEFENDER
+    period: int = 4
+    label: str = "uniform"
 
     def act(self, obs, tau, rng):
         if tau % self.period:
@@ -119,14 +157,14 @@ class UniformDefender(PurePolicy):
         return _pick(cand, rng)
 
 
+@_heuristic("maxprobe", DEFENDER)
 class MaxProbeDefender(PurePolicy):
     """Every `period` steps, reimage the up server with the most observed
     probes, provided anything was probed at all."""
 
-    def __init__(self, period: int = 4, label: str = "maxprobe"):
-        self.player = DEFENDER
-        self.period = int(period)
-        self.label = label
+    player = DEFENDER
+    period: int = 4
+    label: str = "maxprobe"
 
     def act(self, obs, tau, rng):
         if tau % self.period:
@@ -141,6 +179,7 @@ class MaxProbeDefender(PurePolicy):
         return _pick(cand[seen == top], rng)
 
 
+@_heuristic("pcp", DEFENDER)
 class ProbeCountPeriodDefender(PurePolicy):
     """Reimage servers that went quiet after being probed, or were probed
     past a count limit.
@@ -151,11 +190,10 @@ class ProbeCountPeriodDefender(PurePolicy):
     step, chosen uniformly.
     """
 
-    def __init__(self, period: int = 4, probe_limit: int = 7, label: str = "pcp"):
-        self.player = DEFENDER
-        self.period = int(period)
-        self.probe_limit = int(probe_limit)
-        self.label = label
+    player = DEFENDER
+    period: int = 4
+    probe_limit: int = 7
+    label: str = "pcp"
 
     def act(self, obs, tau, rng):
         d = obs.data
@@ -193,19 +231,17 @@ def expected_defender_control(obs: Observation, gain: float,
     return total
 
 
+@_heuristic("control_threshold", DEFENDER)
 class ControlThresholdDefender(PurePolicy):
     """Reimage the most-suspect server when expected control drops below a
     threshold fraction, at most once per `period` steps."""
 
-    def __init__(self, threshold: float = 0.8, period: int = 4,
-                 gain: float = 0.05, literal_exponent: bool = False,
-                 label: str = "control_threshold"):
-        self.player = DEFENDER
-        self.threshold = float(threshold)
-        self.period = int(period)
-        self.gain = float(gain)
-        self.literal_exponent = bool(literal_exponent)
-        self.label = label
+    player = DEFENDER
+    threshold: float = 0.8
+    period: int = 4
+    gain: float = 0.05
+    literal_exponent: bool = False
+    label: str = "control_threshold"
 
     def act(self, obs, tau, rng):
         d = obs.data
@@ -223,28 +259,20 @@ class ControlThresholdDefender(PurePolicy):
         return _pick(cand[seen == seen.max()], rng)
 
 
-def default_adversaries(cfg: EnvConfig, probe_period: int = 1,
-                        threshold: float = 0.5) -> list[PurePolicy]:
-    """The standard adversary heuristic set."""
-    return [
-        NoOpPolicy(ADVERSARY),
-        UniformAdversary(period=probe_period),
-        MaxProbeAdversary(period=probe_period),
-        ControlThresholdAdversary(threshold=threshold),
-    ]
+def _default_set(player: str, **params) -> list[PurePolicy]:
+    return [heuristic(player, name, **params.get(name, {}))
+            for p, name in HEURISTICS if p == player]
 
 
-def default_defenders(cfg: EnvConfig, reimage_period: int = 4,
-                      threshold: float = 0.8, probe_limit: int = 7) -> list[PurePolicy]:
-    """The standard defender heuristic set."""
-    return [
-        NoOpPolicy(DEFENDER),
-        UniformDefender(period=reimage_period),
-        MaxProbeDefender(period=reimage_period),
-        ProbeCountPeriodDefender(period=reimage_period, probe_limit=probe_limit),
-        ControlThresholdDefender(threshold=threshold, period=reimage_period,
-                                 gain=cfg.probe_gain),
-    ]
+def default_adversaries(cfg: EnvConfig) -> list[PurePolicy]:
+    """The standard adversary heuristic set, in registry order."""
+    return _default_set(ADVERSARY)
+
+
+def default_defenders(cfg: EnvConfig) -> list[PurePolicy]:
+    """The standard defender heuristic set, in registry order; the control
+    threshold defender's gain is the environment's probe gain."""
+    return _default_set(DEFENDER, control_threshold={"gain": cfg.probe_gain})
 
 
 @dataclass(frozen=True)
@@ -262,7 +290,9 @@ class MixedStrategy:
         object.__setattr__(self, "weights", np.clip(w, 0.0, None))
 
     def sample(self, rng: np.random.Generator) -> int:
-        return int(np.searchsorted(np.cumsum(self.weights), rng.random(), side="right"))
+        i = int(np.searchsorted(np.cumsum(self.weights), rng.random(), side="right"))
+        # rounding can leave the cumulative sum just short of a draw below 1
+        return i if i < self.weights.size else int(np.flatnonzero(self.weights)[-1])
 
 
 @dataclass(frozen=True)
@@ -277,8 +307,13 @@ class PairPayoff:
 
 
 def run_episode(adv: PurePolicy, deff: PurePolicy, cfg: EnvConfig,
-                seed: int, env: MtdEnv | None = None) -> tuple[float, float]:
-    """One full episode; returns both players' discounted returns."""
+                seed: int, env: MtdEnv | None = None,
+                on_step=None) -> tuple[float, float]:
+    """One full episode; returns both players' discounted returns.
+
+    on_step, if given, is called after every step as
+    on_step(tau, adv_action, def_action, outcome, env).
+    """
     if env is None:
         env = MtdEnv(cfg)
     obs_a, obs_d = env.reset(derive_seed(seed, "env"))
@@ -291,6 +326,8 @@ def run_episode(adv: PurePolicy, deff: PurePolicy, cfg: EnvConfig,
         a = adv.act(obs_a, t, rng_a)
         d = deff.act(obs_d, t, rng_d)
         out = env.step(a, d)
+        if on_step is not None:
+            on_step(t, a, d, out, env)
         ret_a += g * out.reward_adv
         ret_d += g * out.reward_def
         g *= cfg.discount

@@ -198,13 +198,18 @@ class QNetwork:
             out.append(b)
         return out
 
+    @classmethod
+    def from_weights(cls, weights: list[np.ndarray],
+                     biases: list[np.ndarray]) -> "QNetwork":
+        """A network holding the given layers, weights[k] of shape (out, in)."""
+        net = cls.__new__(cls)
+        net.input_dim, net.output_dim = weights[0].shape[1], weights[-1].shape[0]
+        net.weights, net.biases = weights, biases
+        return net
+
     def copy(self) -> "QNetwork":
-        dup = object.__new__(QNetwork)
-        dup.input_dim = self.input_dim
-        dup.output_dim = self.output_dim
-        dup.weights = [w.copy() for w in self.weights]
-        dup.biases = [b.copy() for b in self.biases]
-        return dup
+        return QNetwork.from_weights([w.copy() for w in self.weights],
+                                     [b.copy() for b in self.biases])
 
 
 def loss_and_gradients(net: QNetwork, x: np.ndarray, actions: np.ndarray,

@@ -17,50 +17,40 @@ from mtdgame.double_oracle import DoRecord
 from mtdgame.env import ADVERSARY, DEFENDER, EnvConfig
 from mtdgame.nash import EmpiricalGame, EquilibriumResult
 from mtdgame.policies import (
-    ControlThresholdAdversary,
-    ControlThresholdDefender,
-    MaxProbeAdversary,
-    MaxProbeDefender,
+    HEURISTICS,
     MixedStrategy,
-    NoOpPolicy,
-    ProbeCountPeriodDefender,
     PurePolicy,
-    UniformAdversary,
-    UniformDefender,
+    heuristic,
+    heuristic_name,
+    heuristic_params,
 )
 from mtdgame.qlearn import EpisodeRecord, QNetwork, QNetworkPolicy
 
 MAGIC = "MTDPOLICY"
-FORMAT_VERSION = 1
+# Version 2: network outputs index the canonical server order
+# (qlearn.canonical_input); version 1 networks indexed servers directly.
+FORMAT_VERSION = 2
 
 
 class PolicyFormatError(ValueError):
     pass
 
 
+# Parameter annotation -> (read from a policy file line, write to one); the
+# annotations are strings because policies.py postpones their evaluation.
+_PARAM_TYPES = {
+    "int": (int, lambda v: str(int(v))),
+    "float": (float, lambda v: repr(float(v))),
+    "bool": (lambda raw: bool(int(raw)), lambda v: str(int(v))),
+}
+
+
 def _heuristic_line(policy: PurePolicy) -> str:
-    if isinstance(policy, NoOpPolicy):
-        name, params = "noop", {}
-    elif isinstance(policy, UniformAdversary):
-        name, params = "uniform", {"period": policy.period}
-    elif isinstance(policy, MaxProbeAdversary):
-        name, params = "maxprobe", {"period": policy.period}
-    elif isinstance(policy, ControlThresholdAdversary):
-        name, params = "control_threshold", {"threshold": policy.threshold}
-    elif isinstance(policy, UniformDefender):
-        name, params = "uniform", {"period": policy.period}
-    elif isinstance(policy, MaxProbeDefender):
-        name, params = "maxprobe", {"period": policy.period}
-    elif isinstance(policy, ProbeCountPeriodDefender):
-        name, params = "pcp", {"period": policy.period, "probe_limit": policy.probe_limit}
-    elif isinstance(policy, ControlThresholdDefender):
-        name, params = "control_threshold", {
-            "threshold": policy.threshold, "period": policy.period,
-            "gain": policy.gain, "literal_exponent": int(policy.literal_exponent)}
-    else:
+    name = heuristic_name(policy)
+    if name is None:
         raise PolicyFormatError(f"cannot serialize policy type {type(policy).__name__}")
-    parts = [f"{k}={v!r}" if isinstance(v, float) else f"{k}={v}"
-             for k, v in params.items()]
+    parts = [f"{f.name}={_PARAM_TYPES[f.type][1](getattr(policy, f.name))}"
+             for f in heuristic_params(policy)]
     return " ".join(["heuristic", policy.player, name, *parts])
 
 
@@ -77,24 +67,6 @@ def save_policy(policy: PurePolicy, path: str | Path) -> None:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     else:
         path.write_text(_heuristic_line(policy) + "\n", encoding="utf-8")
-
-
-_HEURISTIC_BUILDERS = {
-    (ADVERSARY, "noop"): lambda p: NoOpPolicy(ADVERSARY),
-    (ADVERSARY, "uniform"): lambda p: UniformAdversary(period=int(p.get("period", 1))),
-    (ADVERSARY, "maxprobe"): lambda p: MaxProbeAdversary(period=int(p.get("period", 1))),
-    (ADVERSARY, "control_threshold"): lambda p: ControlThresholdAdversary(
-        threshold=float(p.get("threshold", 0.5))),
-    (DEFENDER, "noop"): lambda p: NoOpPolicy(DEFENDER),
-    (DEFENDER, "uniform"): lambda p: UniformDefender(period=int(p.get("period", 4))),
-    (DEFENDER, "maxprobe"): lambda p: MaxProbeDefender(period=int(p.get("period", 4))),
-    (DEFENDER, "pcp"): lambda p: ProbeCountPeriodDefender(
-        period=int(p.get("period", 4)), probe_limit=int(p.get("probe_limit", 7))),
-    (DEFENDER, "control_threshold"): lambda p: ControlThresholdDefender(
-        threshold=float(p.get("threshold", 0.8)), period=int(p.get("period", 4)),
-        gain=float(p.get("gain", 0.05)),
-        literal_exponent=bool(int(p.get("literal_exponent", 0)))),
-}
 
 
 def load_policy(path: str | Path, env_cfg: EnvConfig,
@@ -114,16 +86,21 @@ def load_policy(path: str | Path, env_cfg: EnvConfig,
     if len(head) < 3:
         raise PolicyFormatError(f"{path}: malformed heuristic line")
     player, name = head[1], head[2]
+    cls = HEURISTICS.get((player, name))
+    if cls is None:
+        raise PolicyFormatError(f"{path}: unknown heuristic {player}/{name}")
+    types = {f.name: f.type for f in heuristic_params(cls)}
     params = {}
     for tok in head[3:]:
         if "=" not in tok:
             raise PolicyFormatError(f"{path}: malformed parameter {tok!r}")
         k, _, v = tok.partition("=")
-        params[k] = v
-    builder = _HEURISTIC_BUILDERS.get((player, name))
-    if builder is None:
-        raise PolicyFormatError(f"{path}: unknown heuristic {player}/{name}")
-    policy = builder(params)
+        if k in types:
+            try:
+                params[k] = _PARAM_TYPES[types[k]][0](v)
+            except ValueError:
+                raise PolicyFormatError(f"{path}: bad value for {k}: {v!r}") from None
+    policy = heuristic(player, name, **params)
     if label is not None:
         policy.label = label
     return policy
@@ -131,7 +108,8 @@ def load_policy(path: str | Path, env_cfg: EnvConfig,
 
 def _load_qnet(path, lines, env_cfg, label):
     head = lines[0].split()
-    if len(head) != 5 or head[1] != str(FORMAT_VERSION) or head[2] != "qnet":
+    if (len(head) != 5 or head[1] != str(FORMAT_VERSION) or head[2] != "qnet"
+            or not head[4].isdigit()):
         raise PolicyFormatError(f"{path}: bad network header {lines[0]!r}")
     player = head[3]
     if player not in (ADVERSARY, DEFENDER):
@@ -162,12 +140,8 @@ def _load_qnet(path, lines, env_cfg, label):
         raise PolicyFormatError(f"{path}: corrupt network body: {exc}") from None
     if not weights:
         raise PolicyFormatError(f"{path}: network has no layers")
-    net = object.__new__(QNetwork)
-    net.input_dim = weights[0].shape[1]
-    net.output_dim = weights[-1].shape[0]
-    net.weights = weights
-    net.biases = biases
-    return QNetworkPolicy(player, net, env_cfg, label or path.stem)
+    return QNetworkPolicy(player, QNetwork.from_weights(weights, biases), env_cfg,
+                          label or path.stem)
 
 
 def save_mixture(policies: list[PurePolicy], mix: MixedStrategy,
@@ -218,24 +192,23 @@ def load_mixture(path: str | Path, env_cfg: EnvConfig,
     return policies, mix
 
 
-def _writer(fh):
-    return csv.writer(fh, lineterminator="\n")
+def _write_csv(path: str | Path, header: list[str], rows, footer: str = "") -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+        fh.write(footer)
 
 
 GAME_HEADER = ["adv_policy", "def_policy", "u_a", "u_d", "se_a", "se_d"]
 
 
 def save_game(game: EmpiricalGame, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(GAME_HEADER)
-        for i, rl in enumerate(game.row_labels):
-            for j, cl in enumerate(game.col_labels):
-                w.writerow([rl, cl,
-                            repr(float(game.u_adv[i, j])),
-                            repr(float(game.u_def[i, j])),
-                            repr(float(game.se_adv[i, j])),
-                            repr(float(game.se_def[i, j]))])
+    mats = (game.u_adv, game.u_def, game.se_adv, game.se_def)
+    _write_csv(path, GAME_HEADER, (
+        [rl, cl, *(repr(float(mat[i, j])) for mat in mats)]
+        for i, rl in enumerate(game.row_labels)
+        for j, cl in enumerate(game.col_labels)))
 
 
 def load_game(path: str | Path, episodes: int = 0) -> EmpiricalGame:
@@ -274,40 +247,34 @@ def load_game(path: str | Path, episodes: int = 0) -> EmpiricalGame:
 
 def save_equilibrium(result: EquilibriumResult, row_labels, col_labels,
                      path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["player", "policy_label", "probability"])
-        for lab, p in zip(row_labels, result.sigma_adv):
-            w.writerow([ADVERSARY, lab, repr(float(p))])
-        for lab, p in zip(col_labels, result.sigma_def):
-            w.writerow([DEFENDER, lab, repr(float(p))])
-        fh.write(f"# value_a={float(result.value_adv)!r} "
-                 f"value_d={float(result.value_def)!r} "
-                 f"regret_a={float(result.regret_adv)!r} "
-                 f"regret_d={float(result.regret_def)!r} "
-                 f"method={result.method}\n")
+    rows = [[ADVERSARY, lab, repr(float(p))] for lab, p in zip(row_labels, result.sigma_adv)]
+    rows += [[DEFENDER, lab, repr(float(p))] for lab, p in zip(col_labels, result.sigma_def)]
+    _write_csv(path, ["player", "policy_label", "probability"], rows,
+               f"# value_a={float(result.value_adv)!r} "
+               f"value_d={float(result.value_def)!r} "
+               f"regret_a={float(result.regret_adv)!r} "
+               f"regret_d={float(result.regret_def)!r} "
+               f"method={result.method}\n")
 
 
 def save_learning_curve(curve: list[EpisodeRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["step", "episode", "return_discounted", "return_raw"])
-        for rec in curve:
-            w.writerow([rec.end_step, rec.episode,
-                        repr(float(rec.return_discounted)),
-                        repr(float(rec.return_raw))])
+    _write_csv(path, ["step", "episode", "return_discounted", "return_raw"], (
+        [rec.end_step, rec.episode, repr(float(rec.return_discounted)),
+         repr(float(rec.return_raw))] for rec in curve))
 
 
 def save_do_curve(history: list[DoRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["iteration", "value_a", "value_d", "new_policy_player",
-                    "new_policy_payoff", "converged_a", "converged_d"])
-        for rec in history:
-            w.writerow([rec.call, repr(float(rec.value_adv)),
-                        repr(float(rec.value_def)), rec.trained,
-                        repr(float(rec.br_payoff)),
-                        int(rec.converged_adv), int(rec.converged_def)])
+    _write_csv(path, ["iteration", "value_a", "value_d", "new_policy_player",
+                      "new_policy_payoff", "converged_a", "converged_d"], (
+        [rec.call, repr(float(rec.value_adv)), repr(float(rec.value_def)), rec.trained,
+         repr(float(rec.br_payoff)), int(rec.converged_adv), int(rec.converged_def)]
+        for rec in history))
+
+
+def save_trace(rows: list[list], path: str | Path) -> None:
+    """One row per step of a simulated episode, as `cli simulate` records it."""
+    _write_csv(path, ["tau", "adv_action", "def_action", "reward_adv", "reward_def",
+                      "n_control_adv", "n_control_def", "n_down"], rows)
 
 
 def load_do_curve(path: str | Path) -> list[DoRecord]:

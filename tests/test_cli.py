@@ -101,6 +101,35 @@ def test_unknown_config_key(tmp_path, capsys):
     assert "wibble" in capsys.readouterr().err
 
 
+def test_simulate_bad_heuristic_parameter(tmp_path, capsys):
+    pol = tmp_path / "pcp.policy"
+    pol.write_text("heuristic defender pcp period=abc\n", encoding="utf-8")
+    assert main(["simulate", "--def", str(pol)]) == EXIT_CONFIG
+    assert "period" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["payoff-table", "--episodes", "0"],
+    ["payoff-table", "--episodes", "-1"],
+    ["payoff-table", "--jobs", "0"],
+    ["payoff-table", "--jobs", "-3"],
+    ["payoff-table", "--t", "0"],
+    ["train-br", "--player", "adversary", "--opponent", "m.txt", "--ne", "0"],
+    ["train-br", "--player", "adversary", "--opponent", "m.txt", "--t", "-5"],
+    ["solve", "--episodes", "0"],
+    ["solve", "--jobs", "-1"],
+    ["solve", "--ne", "-2"],
+    ["solve", "--t", "0"],
+], ids=" ".join)
+def test_count_flags_below_one_are_usage_errors(argv, tmp_path, capsys):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_payoff_table_writes_default_grid(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "T=50\n")
     out = tmp_path / "table"

@@ -4,12 +4,12 @@ import pytest
 
 from mtdgame.config import (
     UTILITY_ENVIRONMENTS,
-    DoSettings,
     ResolvedConfig,
     format_config,
     load_config,
     parse_config,
 )
+from mtdgame.double_oracle import DoConfig
 from mtdgame.env import ConfigError
 
 
@@ -27,7 +27,7 @@ def test_empty_text_yields_baseline():
     assert rc.train.episodes == 500
     assert rc.train.batch_size == 32
     assert rc.train.learning_rate == 0.0005
-    assert rc.do == DoSettings()
+    assert rc.do == DoConfig()
 
 
 def test_comments_and_blank_lines_ignored():
@@ -102,7 +102,7 @@ def test_training_keys():
 
 def test_solver_keys():
     rc = parse_config("eps_do=0.5\nmax_iterations=4\neval_episodes=12\n")
-    assert rc.do == DoSettings(eps_do=0.5, max_iterations=4, eval_episodes=12)
+    assert rc.do == DoConfig(eps_do=0.5, max_iterations=4, eval_episodes=12)
 
 
 def test_format_round_trip():

@@ -230,6 +230,20 @@ def test_mixture_zero_weight_never_sampled():
     assert {mix.sample(rng) for _ in range(500)} == {1}
 
 
+class _TopDraw:
+    """A generator stub whose every draw is the largest double below 1."""
+
+    def random(self):
+        return 1.0 - 2.0 ** -53
+
+
+def test_mixture_top_draw_stays_in_range():
+    # ten weights of 0.1 sum to 0.9999999999999999 cumulatively
+    assert MixedStrategy(np.full(10, 0.1)).sample(_TopDraw()) == 9
+    # a trailing zero weight is still never drawn
+    assert MixedStrategy(np.append(np.full(10, 0.1), 0.0)).sample(_TopDraw()) == 9
+
+
 # --------------------------------------------------------------- evaluation
 
 

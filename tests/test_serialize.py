@@ -7,6 +7,7 @@ from mtdgame.double_oracle import DoRecord
 from mtdgame.env import ADVERSARY, DEFENDER, EnvConfig
 from mtdgame.nash import EmpiricalGame, solve_msne
 from mtdgame.policies import (
+    HEURISTICS,
     ControlThresholdAdversary,
     ControlThresholdDefender,
     MaxProbeAdversary,
@@ -16,6 +17,9 @@ from mtdgame.policies import (
     ProbeCountPeriodDefender,
     UniformAdversary,
     UniformDefender,
+    default_adversaries,
+    default_defenders,
+    heuristic_params,
 )
 from mtdgame.qlearn import EpisodeRecord, QNetwork, QNetworkPolicy
 from mtdgame.serialize import (
@@ -111,18 +115,68 @@ def test_qnet_server_count_mismatch(baseline, tmp_path):
 @pytest.mark.parametrize("text", [
     "",
     "BOGUS adversary noop\n",
-    "MTDPOLICY 2 qnet adversary 10\n",
-    "MTDPOLICY 1 qnet nobody 10\n",
+    "MTDPOLICY 1 qnet adversary 10\n",
+    "MTDPOLICY 2 qnet nobody 10\n",
     "heuristic adversary\n",
     "heuristic adversary nosuch\n",
     "heuristic defender pcp period\n",
-    "MTDPOLICY 1 qnet adversary 10\n3 50\n1.0 2.0\n",
+    "MTDPOLICY 2 qnet adversary 10\n3 50\n1.0 2.0\n",
+    "heuristic defender pcp period=abc\n",
+    "MTDPOLICY 2 qnet adversary ten\n",
 ])
 def test_malformed_policy_files(text, baseline, tmp_path):
     p = tmp_path / "bad.policy"
     p.write_text(text, encoding="utf-8")
     with pytest.raises(PolicyFormatError):
         load_policy(p, baseline)
+
+
+def test_version_1_network_file_rejected(baseline, tmp_path):
+    # version 1 networks index servers directly, not in canonical order
+    net = QNetwork(5 * baseline.num_servers, baseline.num_servers + 1,
+                   np.random.default_rng(3), hidden=(3,))
+    p = tmp_path / "net.policy"
+    save_policy(QNetworkPolicy(ADVERSARY, net, baseline, "n"), p)
+    head, _, body = p.read_text(encoding="utf-8").partition("\n")
+    assert head.split()[:2] == ["MTDPOLICY", "2"]
+    p.write_text(head.replace("MTDPOLICY 2 ", "MTDPOLICY 1 ", 1) + "\n" + body,
+                 encoding="utf-8")
+    with pytest.raises(PolicyFormatError, match="header"):
+        load_policy(p, baseline)
+
+
+@pytest.mark.parametrize("key", list(HEURISTICS), ids="-".join)
+def test_registry_entry_bare_line_gets_class_defaults(key, baseline, tmp_path):
+    player, name = key
+    cls = HEURISTICS[key]
+    bare = tmp_path / "bare.policy"
+    bare.write_text(f"heuristic {player} {name}\n", encoding="utf-8")
+    loaded = load_policy(bare, baseline)
+    assert type(loaded) is cls
+    assert (loaded.player, loaded.label) == (player, name)
+    params = heuristic_params(cls)
+    assert [getattr(loaded, f.name) for f in params] == [f.default for f in params]
+    first, second = tmp_path / "a.policy", tmp_path / "b.policy"
+    save_policy(loaded, first)
+    save_policy(load_policy(first, baseline), second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_default_sets_follow_registry_order(baseline):
+    for player, defaults in ((ADVERSARY, default_adversaries(baseline)),
+                             (DEFENDER, default_defenders(baseline))):
+        assert [p.label for p in defaults] == [n for pl, n in HEURISTICS if pl == player]
+        assert [type(p) for p in defaults] == [c for (pl, _), c in HEURISTICS.items()
+                                              if pl == player]
+
+
+def test_default_control_threshold_gain_comes_from_config(tmp_path):
+    cfg = EnvConfig(probe_gain=0.1)
+    (ct,) = [p for p in default_defenders(cfg) if p.label == "control_threshold"]
+    assert ct.gain == 0.1
+    bare = tmp_path / "ct.policy"
+    bare.write_text("heuristic defender control_threshold\n", encoding="utf-8")
+    assert load_policy(bare, cfg).gain == 0.05
 
 
 def test_truncated_qnet_body(baseline, tmp_path):

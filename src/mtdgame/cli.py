@@ -3,7 +3,8 @@
 Subcommands: simulate, payoff-table, train-br, nash, solve.  Every run that
 writes artifacts records a manifest first (resolved config, seed, command)
 and finalizes it with timestamps and artifact paths afterwards, so a run
-can be reproduced exactly from its output directory.
+can be reproduced exactly from its output directory.  A run that fails
+after writing its manifest finalizes it with status "error" and the error.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 the double oracle loop stopped without converging.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -74,6 +76,14 @@ class _Manifest:
         out_dir.mkdir(parents=True, exist_ok=True)
         self._write()
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc is not None:
+            self.doc["error"] = f"{exc_type.__name__}: {exc}"
+            self.finish([], "error")
+
     def _write(self):
         self.path.write_text(json.dumps(self.doc, indent=2) + "\n", encoding="utf-8")
 
@@ -105,22 +115,21 @@ def cmd_simulate(args) -> int:
     adv = _resolve_policy(args.adv, ADVERSARY, rc)
     deff = _resolve_policy(args.defender, DEFENDER, rc)
     out_dir = Path(args.out) if args.out else None
-    manifest = None
-    if out_dir is not None:
-        manifest = _Manifest(out_dir, "simulate", args.seed, rc,
-                             {"adv": args.adv, "def": args.defender})
     rows = []
 
     def record(tau, a, d, out, env):
         rows.append([tau, "" if a is None else a, "" if d is None else d,
                      repr(out.reward_adv), repr(out.reward_def), *env.counts()])
 
-    ret_a, ret_d = run_episode(adv, deff, rc.env, args.seed, on_step=record)
-    print(f"discounted return: adversary {ret_a:.4f} defender {ret_d:.4f}")
-    if out_dir is not None:
-        trace = out_dir / "trace.csv"
-        save_trace(rows, trace)
-        manifest.finish([trace])
+    with (nullcontext() if out_dir is None else _Manifest(
+            out_dir, "simulate", args.seed, rc, {"adv": args.adv, "def": args.defender})
+          ) as manifest:
+        ret_a, ret_d = run_episode(adv, deff, rc.env, args.seed, on_step=record)
+        print(f"discounted return: adversary {ret_a:.4f} defender {ret_d:.4f}")
+        if out_dir is not None:
+            trace = out_dir / "trace.csv"
+            save_trace(rows, trace)
+            manifest.finish([trace])
     return EXIT_OK
 
 
@@ -137,14 +146,14 @@ def _load_rc(args) -> ResolvedConfig:
 def cmd_payoff_table(args) -> int:
     rc = _load_rc(args)
     out_dir = Path(args.out)
-    manifest = _Manifest(out_dir, "payoff-table", args.seed, rc,
-                         {"episodes": args.episodes, "jobs": args.jobs})
-    advs = default_adversaries(rc.env)
-    defs = default_defenders(rc.env)
-    game = build_game(advs, defs, rc.env, args.episodes, args.seed, jobs=args.jobs)
-    path = out_dir / "game.csv"
-    save_game(game, path)
-    manifest.finish([path])
+    with _Manifest(out_dir, "payoff-table", args.seed, rc,
+                   {"episodes": args.episodes, "jobs": args.jobs}) as manifest:
+        advs = default_adversaries(rc.env)
+        defs = default_defenders(rc.env)
+        game = build_game(advs, defs, rc.env, args.episodes, args.seed, jobs=args.jobs)
+        path = out_dir / "game.csv"
+        save_game(game, path)
+        manifest.finish([path])
     return EXIT_OK
 
 
@@ -157,16 +166,16 @@ def cmd_train_br(args) -> int:
         raise ConfigError(f"opponent mixture plays {opponents[0].player}, "
                           f"but the {player} needs {opp_side} opponents")
     out_dir = Path(args.out)
-    manifest = _Manifest(out_dir, "train-br", args.seed, rc,
-                         {"player": player, "opponent": str(args.opponent)})
-    tc = replace(rc.train, seed=args.seed)
-    policy, curve = train_best_response(player, opponents, mix, rc.env, tc,
-                                        label=f"{player}_br")
-    pol_path = out_dir / f"{policy.label}.policy"
-    curve_path = out_dir / "learning_curve.csv"
-    save_policy(policy, pol_path)
-    save_learning_curve(curve, curve_path)
-    manifest.finish([pol_path, curve_path])
+    with _Manifest(out_dir, "train-br", args.seed, rc,
+                   {"player": player, "opponent": str(args.opponent)}) as manifest:
+        tc = replace(rc.train, seed=args.seed)
+        policy, curve = train_best_response(player, opponents, mix, rc.env, tc,
+                                            label=f"{player}_br")
+        pol_path = out_dir / f"{policy.label}.policy"
+        curve_path = out_dir / "learning_curve.csv"
+        save_policy(policy, pol_path)
+        save_learning_curve(curve, curve_path)
+        manifest.finish([pol_path, curve_path])
     return EXIT_OK
 
 
@@ -185,9 +194,6 @@ def cmd_nash(args) -> int:
 def cmd_solve(args) -> int:
     rc = _load_rc(args)
     out_dir = Path(args.out)
-    manifest = _Manifest(out_dir, "solve", args.seed, rc,
-                         {"init": args.init, "episodes": args.episodes,
-                          "jobs": args.jobs})
     if args.init == "noop":
         advs = [NoOpPolicy(ADVERSARY)]
         defs = [NoOpPolicy(DEFENDER)]
@@ -197,24 +203,27 @@ def cmd_solve(args) -> int:
     do_cfg = replace(rc.do, eval_episodes=args.episodes or rc.do.eval_episodes,
                      train=replace(rc.train, seed=derive_seed(args.seed, "train")),
                      seed=args.seed)
-    state, eq = run_double_oracle(rc.env, advs, defs, do_cfg, jobs=args.jobs)
-    pol_dir = out_dir / "policies"
-    pol_dir.mkdir(parents=True, exist_ok=True)
-    artifacts = []
-    for policy in [*state.adv_policies, *state.def_policies]:
-        p = pol_dir / f"{policy.player}_{policy.label}.policy"
-        save_policy(policy, p)
-        artifacts.append(p)
-    game_path = out_dir / "game.csv"
-    curve_path = out_dir / "do_curve.csv"
-    eq_path = out_dir / "equilibrium.csv"
-    cfg_path = out_dir / "config.txt"
-    save_game(state.game, game_path)
-    save_do_curve(state.history, curve_path)
-    save_equilibrium(eq, state.game.row_labels, state.game.col_labels, eq_path)
-    cfg_path.write_text(format_config(rc), encoding="utf-8")
-    status = "ok" if state.converged else "not_converged"
-    manifest.finish([game_path, curve_path, eq_path, cfg_path, *artifacts], status)
+    with _Manifest(out_dir, "solve", args.seed, rc,
+                   {"init": args.init, "episodes": args.episodes,
+                    "jobs": args.jobs}) as manifest:
+        state, eq = run_double_oracle(rc.env, advs, defs, do_cfg, jobs=args.jobs)
+        pol_dir = out_dir / "policies"
+        pol_dir.mkdir(parents=True, exist_ok=True)
+        artifacts = []
+        for policy in [*state.adv_policies, *state.def_policies]:
+            p = pol_dir / f"{policy.player}_{policy.label}.policy"
+            save_policy(policy, p)
+            artifacts.append(p)
+        game_path = out_dir / "game.csv"
+        curve_path = out_dir / "do_curve.csv"
+        eq_path = out_dir / "equilibrium.csv"
+        cfg_path = out_dir / "config.txt"
+        save_game(state.game, game_path)
+        save_do_curve(state.history, curve_path)
+        save_equilibrium(eq, state.game.row_labels, state.game.col_labels, eq_path)
+        cfg_path.write_text(format_config(rc), encoding="utf-8")
+        status = "ok" if state.converged else "not_converged"
+        manifest.finish([game_path, curve_path, eq_path, cfg_path, *artifacts], status)
     print(f"oracle calls: {state.oracle_calls}, converged: {state.converged}, "
           f"value: adversary {eq.value_adv:.4f} defender {eq.value_def:.4f}")
     return EXIT_OK if state.converged else EXIT_NO_CONVERGENCE

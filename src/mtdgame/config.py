@@ -77,7 +77,6 @@ KEYS = {
     "epsilon_final": ("train", ("epsilon_final",), _parse_float),
     "replay_capacity": ("train", ("replay_capacity",), _parse_int),
     "optimizer": ("train", ("optimizer",), lambda key, raw: raw),
-    "target_update": ("train", ("target_update",), _parse_int),
     "eps_do": ("do", ("eps_do",), _parse_float),
     "max_iterations": ("do", ("max_iterations",), _parse_int),
     "eval_episodes": ("do", ("eval_episodes",), _parse_int),

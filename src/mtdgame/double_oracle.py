@@ -97,39 +97,28 @@ def run_double_oracle(env_cfg: EnvConfig, initial_adv: list[PurePolicy],
                       derive_seed(do_cfg.seed, "game"), jobs=jobs)
     eq = solve_msne(game)
     history = [DoRecord(0, eq.value_adv, eq.value_def, "", float("nan"), False, False)]
-    calls = 0
-    done = False
     for it in range(1, do_cfg.max_iterations + 1):
-        # defender responds to the adversary's current mixture
-        pol_d = oracle(DEFENDER, adv, MixedStrategy(eq.sigma_adv),
-                       derive_seed(do_cfg.seed, "oracle", it, DEFENDER),
-                       f"def_br_{it:02d}")
-        game = extend_game(game, pol_d, env_cfg, derive_seed(do_cfg.seed, "game"),
-                           jobs=jobs)
-        deff.append(pol_d)
-        calls += 1
-        br_d = float(eq.sigma_adv @ game.u_def[:, -1])
-        conv_d = converged(br_d, eq.value_def, do_cfg.eps_do)
-        eq = solve_msne(game)
-        prev_conv_a = history[-1].converged_adv
-        history.append(DoRecord(calls, eq.value_adv, eq.value_def, DEFENDER,
-                                br_d, prev_conv_a, conv_d))
-
-        # adversary responds to the updated defender mixture
-        pol_a = oracle(ADVERSARY, deff, MixedStrategy(eq.sigma_def),
-                       derive_seed(do_cfg.seed, "oracle", it, ADVERSARY),
-                       f"adv_br_{it:02d}")
-        game = extend_game(game, pol_a, env_cfg, derive_seed(do_cfg.seed, "game"),
-                           jobs=jobs)
-        adv.append(pol_a)
-        calls += 1
-        br_a = float(game.u_adv[-1] @ eq.sigma_def)
-        conv_a = converged(br_a, eq.value_adv, do_cfg.eps_do)
-        eq = solve_msne(game)
-        history.append(DoRecord(calls, eq.value_adv, eq.value_def, ADVERSARY,
-                                br_a, conv_a, conv_d))
-        if conv_a and conv_d:
-            done = True
+        # a defender row carries the adversary flag of the row before it
+        conv = {ADVERSARY: history[-1].converged_adv}
+        for player, own, opponents in ((DEFENDER, deff, adv), (ADVERSARY, adv, deff)):
+            # the player responds to the opponent's current equilibrium mixture
+            opp_sigma = eq.sigma_adv if player == DEFENDER else eq.sigma_def
+            policy = oracle(player, opponents, MixedStrategy(opp_sigma),
+                            derive_seed(do_cfg.seed, "oracle", it, player),
+                            f"{player[:3]}_br_{it:02d}")
+            game = extend_game(game, policy, env_cfg, derive_seed(do_cfg.seed, "game"),
+                               jobs=jobs)
+            own.append(policy)
+            if player == DEFENDER:
+                br, value = float(eq.sigma_adv @ game.u_def[:, -1]), eq.value_def
+            else:
+                br, value = float(game.u_adv[-1] @ eq.sigma_def), eq.value_adv
+            conv[player] = converged(br, value, do_cfg.eps_do)
+            eq = solve_msne(game)
+            history.append(DoRecord(len(history), eq.value_adv, eq.value_def, player,
+                                    br, conv[ADVERSARY], conv[DEFENDER]))
+        if conv[ADVERSARY] and conv[DEFENDER]:
             break
-    state = DoState(adv, deff, game, history, calls, done)
-    return state, eq
+    last = history[-1]
+    return DoState(adv, deff, game, history, len(history) - 1,
+                   last.converged_adv and last.converged_def), eq

@@ -36,7 +36,7 @@ Three rules make the trained response a real best response at desk scale:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,7 +104,6 @@ class TrainConfig:
     horizon: int = 1000
     replay_capacity: int = 5000
     optimizer: str = "adam"         # "adam" or "sgd"
-    target_update: int = 0          # copy period for a frozen target net, 0 = off
     seed: int = 0
 
     @property
@@ -130,8 +129,6 @@ class TrainConfig:
             raise ConfigError("replay_capacity must be at least batch_size")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
-        if self.target_update < 0:
-            raise ConfigError("target_update must be >= 0")
         return self
 
 
@@ -167,124 +164,114 @@ def canonical_input(obs: Observation, cfg: EnvConfig) -> tuple[np.ndarray, np.nd
 
 
 class QNetwork:
-    """Tanh MLP with a linear head, Glorot-uniform initial weights."""
+    """Tanh MLP with a linear head, Glorot-uniform initial weights (zeros
+    without an `rng`).  All parameters live in one vector, `params`, layer by
+    layer, weights (out, in) then biases; `weights[k]` and `biases[k]` are
+    views into it."""
 
     def __init__(self, input_dim: int, output_dim: int,
-                 rng: np.random.Generator, hidden: tuple[int, ...] = (32, 32)):
+                 rng: np.random.Generator | None, hidden: tuple[int, ...] = (32, 32)):
         self.input_dim = input_dim
         self.output_dim = output_dim
-        dims = [input_dim, *hidden, output_dim]
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            bound = math.sqrt(6.0 / (fan_in + fan_out))
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-            self.biases.append(np.zeros(fan_out))
+        self.dims = (input_dim, *hidden, output_dim)
+        self.params = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out
+                                   in zip(self.dims[:-1], self.dims[1:])))
+        views = self.split(self.params)
+        self.weights: list[np.ndarray] = views[0::2]
+        self.biases: list[np.ndarray] = views[1::2]
+        if rng is not None:
+            for w in self.weights:
+                bound = math.sqrt(6.0 / sum(w.shape))
+                w[:] = rng.uniform(-bound, bound, size=w.shape)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Action values; accepts a single vector or a batch of rows."""
+    def split(self, vec: np.ndarray) -> list[np.ndarray]:
+        """Per-array views of a vector laid out like `params`:
+        weights[0], biases[0], weights[1], biases[1], ..."""
+        views = []
+        start = 0
+        for fan_in, fan_out in zip(self.dims[:-1], self.dims[1:]):
+            views.append(vec[start:start + fan_in * fan_out].reshape(fan_out, fan_in))
+            start += fan_in * fan_out
+            views.append(vec[start:start + fan_out])
+            start += fan_out
+        return views
+
+    def parameters(self) -> list[np.ndarray]:
+        return self.split(self.params)
+
+    def forward(self, x: np.ndarray, inputs: list | None = None) -> np.ndarray:
+        """Action values; accepts a single vector or a batch of rows.  A list
+        passed as `inputs` receives each layer's input, for backpropagation."""
         h = np.atleast_2d(x)
         last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if inputs is not None:
+                inputs.append(h)
             h = h @ w.T + b
             if k != last:
                 np.tanh(h, out=h)
         return h[0] if x.ndim == 1 else h
 
-    def parameters(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
-    @classmethod
-    def from_weights(cls, weights: list[np.ndarray],
-                     biases: list[np.ndarray]) -> "QNetwork":
-        """A network holding the given layers, weights[k] of shape (out, in)."""
-        net = cls.__new__(cls)
-        net.input_dim, net.output_dim = weights[0].shape[1], weights[-1].shape[0]
-        net.weights, net.biases = weights, biases
-        return net
-
-    def copy(self) -> "QNetwork":
-        return QNetwork.from_weights([w.copy() for w in self.weights],
-                                     [b.copy() for b in self.biases])
-
 
 def loss_and_gradients(net: QNetwork, x: np.ndarray, actions: np.ndarray,
-                       targets: np.ndarray) -> tuple[float, list[np.ndarray]]:
-    """Mean squared error on the taken actions' values, with its gradients.
+                       targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean squared error on the taken actions' values, with its gradient.
 
-    Only the chosen action's output contributes per sample; the returned
-    list matches net.parameters() order.
+    Only the chosen action's output contributes per sample; the gradient is
+    one vector laid out like net.params.
     """
     batch = x.shape[0]
-    # forward, keeping each layer's input
-    inputs = []
-    h = x
-    last = len(net.weights) - 1
-    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        inputs.append(h)
-        h = h @ w.T + b
-        if k != last:
-            np.tanh(h, out=h)
+    inputs: list[np.ndarray] = []
+    q = net.forward(x, inputs)
     rows = np.arange(batch)
-    diff = h[rows, actions] - targets
+    diff = q[rows, actions] - targets
     loss = float(diff @ diff) / batch
     # backward, from the linear head down to the first layer
-    dz = np.zeros_like(h)
+    dz = np.zeros_like(q)
     dz[rows, actions] = 2.0 * diff / batch
-    grads: list[np.ndarray] = []
-    for k in range(last, -1, -1):
-        grads += [dz.sum(axis=0), dz.T @ inputs[k]]
+    grad = np.empty_like(net.params)
+    views = net.split(grad)
+    for k in range(len(inputs) - 1, -1, -1):
+        np.sum(dz, axis=0, out=views[2 * k + 1])
+        np.matmul(dz.T, inputs[k], out=views[2 * k])
         if k:
             below = inputs[k]
             dz = (dz @ net.weights[k]) * (1.0 - below * below)
-    grads.reverse()
-    return loss, grads
+    return loss, grad
 
 
 class AdamOptimizer:
-    """Adam over all parameters at once.
+    """Adam over a flat parameter vector, updated in place.
 
-    The moments and the step live in flat vectors, one entry per scalar
-    parameter, so each update is a few whole-vector operations instead of
-    several per parameter array.  Every entry sees the same arithmetic in
-    the same order as an update array by array, so results are identical.
+    The moments and the step are flat vectors too, so each update is a few
+    whole-vector operations.  Every entry sees the same arithmetic in the
+    same order as an update array by array, so results are identical.
     """
 
-    def __init__(self, params: list[np.ndarray], learning_rate: float,
+    def __init__(self, params: np.ndarray, learning_rate: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.params = params
         self.lr = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        size = sum(p.size for p in params)
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
-        self._step = np.empty(size)
-        self._denom = np.empty(size)
-        # per-parameter views of the step vector, in params order
-        self._step_views = []
-        start = 0
-        for p in params:
-            self._step_views.append(self._step[start:start + p.size].reshape(p.shape))
-            start += p.size
+        self.m = np.zeros(params.size)
+        self.v = np.zeros(params.size)
+        self._step = np.empty(params.size)
+        self._denom = np.empty(params.size)
 
-    def apply(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def apply(self, grad: np.ndarray) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        g = np.concatenate([x.ravel() for x in grads])
         m, v, step, denom = self.m, self.v, self._step, self._denom
         m *= self.beta1
-        m += (1.0 - self.beta1) * g
+        m += (1.0 - self.beta1) * grad
         v *= self.beta2
-        g *= g
-        g *= 1.0 - self.beta2
-        v += g
+        np.multiply(grad, grad, out=denom)
+        denom *= 1.0 - self.beta2
+        v += denom
         # step = lr * (m / b1c) / (sqrt(v / b2c) + eps)
         np.divide(m, b1c, out=step)
         step *= self.lr
@@ -292,20 +279,19 @@ class AdamOptimizer:
         np.sqrt(denom, out=denom)
         denom += self.eps
         step /= denom
-        for p, d in zip(params, self._step_views):
-            p -= d
+        self.params -= step
 
 
 class SgdOptimizer:
-    def __init__(self, params: list[np.ndarray], learning_rate: float):
+    def __init__(self, params: np.ndarray, learning_rate: float):
+        self.params = params
         self.lr = learning_rate
 
-    def apply(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        for p, g in zip(params, grads):
-            p -= self.lr * g
+    def apply(self, grad: np.ndarray) -> None:
+        self.params -= self.lr * grad
 
 
-def make_optimizer(tc: TrainConfig, params: list[np.ndarray]):
+def make_optimizer(tc: TrainConfig, params: np.ndarray):
     if tc.optimizer == "sgd":
         return SgdOptimizer(params, tc.learning_rate)
     return AdamOptimizer(params, tc.learning_rate)
@@ -322,27 +308,24 @@ class ReplayBuffer:
         self.next_obs = np.empty((capacity, obs_dim))
         self.actions = np.empty(capacity, dtype=np.int64)
         self.rewards = np.empty(capacity)
-        self.truncated = np.empty(capacity, dtype=bool)
         self.size = 0
         self._pos = 0
 
     def __len__(self) -> int:
         return self.size
 
-    def push(self, obs, action, next_obs, reward, truncated) -> None:
+    def push(self, obs, action, next_obs, reward) -> None:
         i = self._pos
         self.obs[i] = obs
         self.actions[i] = action
         self.next_obs[i] = next_obs
         self.rewards[i] = reward
-        self.truncated[i] = truncated
         self._pos = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
     def sample(self, batch: int, rng: np.random.Generator):
         idx = rng.integers(self.size, size=batch)
-        return (self.obs[idx], self.actions[idx], self.next_obs[idx],
-                self.rewards[idx], self.truncated[idx])
+        return self.obs[idx], self.actions[idx], self.next_obs[idx], self.rewards[idx]
 
 
 def epsilon_value(tc: TrainConfig, step: int) -> float:
@@ -371,34 +354,26 @@ class RewardCenter:
 
 
 def td_targets(net: QNetwork, next_obs: np.ndarray, rewards: np.ndarray,
-               gamma: float, truncated: np.ndarray | None = None) -> np.ndarray:
-    """One-step targets r + gamma * max_a' Q(s', a').
-
-    Time-limit truncation does not zero the bootstrap: the game would have
-    continued, the episode merely stopped being recorded.
-    """
+               gamma: float) -> np.ndarray:
+    """One-step targets r + gamma * max_a' Q(s', a'), bootstrapped also at
+    an episode's last step (see the module docstring)."""
     q_next = net.forward(np.atleast_2d(next_obs))
     return rewards + gamma * q_next.max(axis=1)
 
 
 def train_step(net: QNetwork, optimizer, batch, gamma: float,
-               target_net: QNetwork | None = None,
-               center: RewardCenter | None = None) -> float:
+               center: RewardCenter) -> float:
     """One gradient update; returns the pre-update loss.
 
-    With a reward center, targets use r - center.value and the center then
-    follows the batch's mean TD error.
+    Targets use r - center.value, and the center then follows the batch's
+    mean TD error.
     """
-    obs, actions, next_obs, rewards, truncated = batch
-    bootstrap_net = target_net if target_net is not None else net
-    if center is not None:
-        rewards = rewards - center.value
-    y = td_targets(bootstrap_net, next_obs, rewards, gamma, truncated)
-    loss, grads = loss_and_gradients(net, obs, actions, y)
-    if center is not None:
-        # the output-bias gradient sums to 2 * mean(Q(s, a) - y)
-        center.value -= 0.5 * center.step * float(grads[-1].sum())
-    optimizer.apply(net.parameters(), grads)
+    obs, actions, next_obs, rewards = batch
+    y = td_targets(net, next_obs, rewards - center.value, gamma)
+    loss, grad = loss_and_gradients(net, obs, actions, y)
+    # the output-bias gradient, the tail of grad, sums to 2 * mean(Q(s, a) - y)
+    center.value -= 0.5 * center.step * float(grad[-net.output_dim:].sum())
+    optimizer.apply(grad)
     return loss
 
 
@@ -424,12 +399,6 @@ class EpisodeRecord:
     end_step: int
     return_discounted: float
     return_raw: float
-
-
-def _check_finite(net: QNetwork, episode: int) -> None:
-    for p in net.parameters():
-        if not np.isfinite(p).all():
-            raise NumericalError(f"non-finite network parameters after episode {episode}")
 
 
 def train_best_response(player: str, opponents: list[PurePolicy],
@@ -459,8 +428,7 @@ def train_best_response(player: str, opponents: list[PurePolicy],
     n_actions = m + 1
 
     net = QNetwork(obs_dim, n_actions, spawn_rng(tc.seed, "init"))
-    target = net.copy() if tc.target_update else None
-    optimizer = make_optimizer(tc, net.parameters())
+    optimizer = make_optimizer(tc, net.params)
     buf = ReplayBuffer(tc.replay_capacity, obs_dim)
     center = RewardCenter(_CENTER_STEP)
     explore_rng = spawn_rng(tc.seed, "explore")
@@ -493,22 +461,21 @@ def train_best_response(player: str, opponents: list[PurePolicy],
                 out = env.step(opp_action, my_action)
                 r, my_next, opp_next = out.reward_def, out.obs_def, out.obs_adv
             x_next, next_order = canonical_input(my_next, env_cfg)
-            buf.push(x, a_idx, x_next, r, out.done)
+            buf.push(x, a_idx, x_next, r)
             optimizer.lr = learning_rate_value(tc, gstep)
             center.step = _CENTER_STEP * (optimizer.lr / tc.learning_rate)
             if len(buf) >= tc.batch_size:
                 loss = train_step(net, optimizer, buf.sample(tc.batch_size, replay_rng),
-                                  tc.gamma, target, center)
+                                  tc.gamma, center)
                 if not math.isfinite(loss):
                     raise NumericalError(f"non-finite loss at step {gstep}")
-                if target is not None and tc.target_update and gstep % tc.target_update == 0:
-                    target = net.copy()
             disc += g * r
             raw += r
             g *= tc.gamma
             gstep += 1
             x, order = x_next, next_order
             opp_obs = opp_next
-        _check_finite(net, ep)
+        if not np.isfinite(net.params).all():
+            raise NumericalError(f"non-finite network parameters after episode {ep}")
         curve.append(EpisodeRecord(ep, gstep, disc, raw))
     return QNetworkPolicy(player, net, env_cfg, label), curve

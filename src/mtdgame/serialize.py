@@ -95,11 +95,14 @@ def load_policy(path: str | Path, env_cfg: EnvConfig,
         if "=" not in tok:
             raise PolicyFormatError(f"{path}: malformed parameter {tok!r}")
         k, _, v = tok.partition("=")
-        if k in types:
-            try:
-                params[k] = _PARAM_TYPES[types[k]][0](v)
-            except ValueError:
-                raise PolicyFormatError(f"{path}: bad value for {k}: {v!r}") from None
+        if k not in types:
+            raise PolicyFormatError(f"{path}: {player}/{name} has no parameter {k!r}")
+        try:
+            params[k] = _PARAM_TYPES[types[k]][0](v)
+        except ValueError:
+            raise PolicyFormatError(f"{path}: bad value for {k}: {v!r}") from None
+    if params.get("period", 1) < 1:
+        raise PolicyFormatError(f"{path}: period must be >= 1, got {params['period']}")
     policy = heuristic(player, name, **params)
     if label is not None:
         policy.label = label
@@ -118,8 +121,8 @@ def _load_qnet(path, lines, env_cfg, label):
     if m != env_cfg.num_servers:
         raise PolicyFormatError(
             f"{path}: policy is for {m} servers, config has {env_cfg.num_servers}")
-    weights = []
-    biases = []
+    dims = []      # layer widths, input first
+    values = []    # weights and biases, in QNetwork.params order
     pos = 1
     try:
         while pos < len(lines) and lines[pos].strip():
@@ -127,21 +130,24 @@ def _load_qnet(path, lines, env_cfg, label):
             pos += 1
             w = np.array([[float(t) for t in lines[pos + r].split()]
                           for r in range(rows)])
-            if w.shape != (rows, cols):
+            if not dims:
+                dims.append(cols)
+            if w.shape != (rows, cols) or cols != dims[-1]:
                 raise PolicyFormatError(f"{path}: layer shape mismatch")
             pos += rows
             b = np.array([float(t) for t in lines[pos].split()])
             if b.shape != (rows,):
                 raise PolicyFormatError(f"{path}: bias shape mismatch")
             pos += 1
-            weights.append(w)
-            biases.append(b)
+            dims.append(rows)
+            values += [w.ravel(), b]
     except (ValueError, IndexError) as exc:
         raise PolicyFormatError(f"{path}: corrupt network body: {exc}") from None
-    if not weights:
+    if not dims:
         raise PolicyFormatError(f"{path}: network has no layers")
-    return QNetworkPolicy(player, QNetwork.from_weights(weights, biases), env_cfg,
-                          label or path.stem)
+    net = QNetwork(dims[0], dims[-1], None, tuple(dims[1:-1]))
+    net.params[:] = np.concatenate(values)
+    return QNetworkPolicy(player, net, env_cfg, label or path.stem)
 
 
 def save_mixture(policies: list[PurePolicy], mix: MixedStrategy,

@@ -78,6 +78,7 @@ GRID_REFERENCE = {
 }
 
 
+@pytest.mark.slow
 def test_c2_heuristic_grid_reproduction():
     t0 = time.monotonic()
     game = build_game(default_adversaries(BASE), default_defenders(BASE),
@@ -162,7 +163,8 @@ def test_c4_gradient_check_against_finite_differences():
         x = rng.normal(size=(8, 10))
         actions = rng.integers(0, 3, size=8)
         targets = rng.normal(size=8) * 5.0
-        _, grads = loss_and_gradients(net, x, actions, targets)
+        _, grad = loss_and_gradients(net, x, actions, targets)
+        grads = net.split(grad)
         params = net.parameters()
         for _ in range(12):
             k = rng.integers(len(params))
@@ -244,6 +246,7 @@ def best_response_payoff(player: str) -> float:
     return pay.u_def
 
 
+@pytest.mark.slow
 def test_c6a_adversary_best_response_floor():
     t0 = time.monotonic()
     value = best_response_payoff(ADVERSARY)
@@ -253,6 +256,7 @@ def test_c6a_adversary_best_response_floor():
         f"trained adversary reaches {value:.4f} vs idle defender, floor is 74.0")
 
 
+@pytest.mark.slow
 def test_c6b_defender_best_response_floor():
     t0 = time.monotonic()
     value = best_response_payoff(DEFENDER)
@@ -290,6 +294,7 @@ def check_noise_tolerant_monotonicity(state):
                 f"call {cur.call}: adversary value fell past slack after its own oracle"
 
 
+@pytest.mark.slow
 def test_c7_double_oracle_desk_run():
     results = {}
     for init in ("heuristics", "noop"):

@@ -177,6 +177,21 @@ def test_train_br_writes_policy_and_curve(tmp_path, capsys):
     assert doc["artifacts"] == ["adversary_br.policy", "learning_curve.csv"]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the run diverges on purpose
+def test_failed_run_finalizes_manifest_as_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "T=50\nlearning_rate=1e30\noptimizer=sgd\n")
+    out = tmp_path / "br"
+    rc = main(["train-br", "--config", cfg, "--player", "adversary",
+               "--opponent", opponent_mixture(tmp_path, DEFENDER),
+               "--ne", "1", "--out", str(out)])
+    assert rc == EXIT_NUMERICAL
+    doc = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert doc["status"] == "error"
+    assert doc["error"].startswith("NumericalError: non-finite")
+    assert doc["finished_utc"] is not None
+    assert doc["artifacts"] == []
+
+
 def test_train_br_side_mismatch(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "T=50\n")
     rc = main(["train-br", "--config", cfg, "--player", "defender",

@@ -92,12 +92,11 @@ def test_bad_inputs_rejected(text):
 
 def test_training_keys():
     rc = parse_config("ne=40\nbatch=16\nlearning_rate=0.001\nepsilon_fraction=0.3\n"
-                      "epsilon_final=0.05\nreplay_capacity=512\noptimizer=sgd\n"
-                      "target_update=250\n")
+                      "epsilon_final=0.05\nreplay_capacity=512\noptimizer=sgd\n")
     t = rc.train
     assert (t.episodes, t.batch_size, t.learning_rate) == (40, 16, 0.001)
     assert (t.epsilon_fraction, t.epsilon_final) == (0.3, 0.05)
-    assert (t.replay_capacity, t.optimizer, t.target_update) == (512, "sgd", 250)
+    assert (t.replay_capacity, t.optimizer) == (512, "sgd")
 
 
 def test_solver_keys():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from mtdgame.env import ADVERSARY, DEFENDER, ConfigError
-from mtdgame.policies import MixedStrategy, NoOpPolicy, UniformAdversary
+from mtdgame.nash import EmpiricalGame, solve_msne
+from mtdgame.policies import MixedStrategy, NoOpPolicy, UniformAdversary, heuristic
 from mtdgame.qlearn import QNetworkPolicy, TrainConfig
 from mtdgame.double_oracle import DoConfig, DoRecord, converged, dqn_oracle, run_double_oracle
 
@@ -141,6 +142,57 @@ def test_loop_is_deterministic(short):
         return [(r.call, r.value_adv, r.value_def, r.trained) for r in state.history]
 
     assert run() == run()
+
+
+def test_history_rows_pin_every_field(short):
+    """Two iterations with scripted responses: every field of every row is
+    rederived from the final game's leading blocks, and a defender row carries
+    the adversary flag of the row before it."""
+    script = {"def_br_01": "pcp", "adv_br_01": "noop",
+              "def_br_02": "uniform", "adv_br_02": "maxprobe"}
+
+    def scripted_oracle(player, opponents, mix, seed, label):
+        policy = heuristic(player, script[label])
+        policy.label = label
+        return policy
+
+    state, eq = run_double_oracle(short, [UniformAdversary()], [NoOpPolicy(DEFENDER)],
+                                  tiny_do(), oracle=scripted_oracle)
+    game = state.game
+
+    def solve_block(rows, cols):
+        block = EmpiricalGame(game.row_labels[:rows], game.col_labels[:cols],
+                              *(getattr(game, name)[:rows, :cols].copy()
+                                for name in ("u_adv", "u_def", "se_adv", "se_def")),
+                              game.episodes)
+        return solve_msne(block)
+
+    # (restricted game size after the row, player trained) for each row
+    steps = [((1, 1), ""), ((1, 2), DEFENDER), ((2, 2), ADVERSARY),
+             ((2, 3), DEFENDER), ((3, 3), ADVERSARY)]
+    flags = [(False, False), (False, False), (True, False), (True, True), (True, True)]
+    assert state.converged and state.oracle_calls == 4
+    assert len(state.history) == len(steps)
+    for call, (row, ((r, c), trained), (conv_a, conv_d)) in enumerate(
+            zip(state.history, steps, flags)):
+        now = solve_block(r, c)
+        assert (row.call, row.trained) == (call, trained)
+        assert (row.value_adv, row.value_def) == pytest.approx(
+            (now.value_adv, now.value_def), rel=1e-12)
+        assert (row.converged_adv, row.converged_def) == (conv_a, conv_d)
+        if trained == DEFENDER:
+            before = solve_block(r, c - 1)
+            br = float(before.sigma_adv @ game.u_def[:r, c - 1])
+            assert conv_d == (br <= before.value_def + 1.0)
+        elif trained == ADVERSARY:
+            before = solve_block(r - 1, c)
+            br = float(game.u_adv[r - 1, :c] @ before.sigma_def)
+            assert conv_a == (br <= before.value_adv + 1.0)
+        else:
+            br = float("nan")
+        assert row.br_payoff == pytest.approx(br, rel=1e-12, nan_ok=True)
+    assert (eq.value_adv, eq.value_def) == (state.history[-1].value_adv,
+                                            state.history[-1].value_def)
 
 
 def test_full_loop_with_learned_oracles(short):

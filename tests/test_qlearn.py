@@ -154,13 +154,6 @@ def test_forward_batch_consistent_with_single():
         np.testing.assert_allclose(batch[i], net.forward(xs[i]), atol=1e-12)
 
 
-def test_network_copy_is_independent():
-    net = toy_net()
-    dup = net.copy()
-    dup.weights[0][:] = 0.0
-    assert net.weights[0].any()
-
-
 # ---------------------------------------------------------------- gradients
 
 
@@ -171,7 +164,8 @@ def check_against_finite_differences(hidden, seed):
     x = rng.normal(size=(8, 6))
     actions = rng.integers(4, size=8)
     targets = rng.normal(size=8)
-    loss, grads = loss_and_gradients(net, x, actions, targets)
+    loss, grad = loss_and_gradients(net, x, actions, targets)
+    grads = net.split(grad)
     params = net.parameters()
     # the loss is read off the output layer, one gradient per parameter
     q = net.forward(x)[np.arange(8), actions]
@@ -214,11 +208,9 @@ def test_perfect_predictions_leave_parameters_untouched():
     actions = np.array([0, 1, 2, 0])
     targets = net.forward(x)[np.arange(4), actions]
     before = [p.copy() for p in net.parameters()]
-    opt = AdamOptimizer(net.parameters(), 0.1)
-    batch = (x, actions, x, targets, np.zeros(4, dtype=bool))
+    opt = AdamOptimizer(net.params, 0.1)
     # gamma 0 with targets equal to current predictions: zero gradient
-    loss = train_step(net, opt, (x, actions, x, targets - 0.0, np.zeros(4, dtype=bool)), 0.0)
-    del batch
+    loss = train_step(net, opt, (x, actions, x, targets), 0.0, RewardCenter(0.0))
     assert loss == pytest.approx(0.0, abs=1e-18)
     for p, b in zip(net.parameters(), before):
         np.testing.assert_array_equal(p, b)
@@ -230,8 +222,8 @@ def test_perfect_predictions_leave_parameters_untouched():
 def test_adam_first_step_matches_formula():
     p = np.array([1.0, -2.0])
     g = np.array([0.5, -1.5])
-    opt = AdamOptimizer([p], learning_rate=0.1)
-    opt.apply([p], [g.copy()])
+    opt = AdamOptimizer(p, learning_rate=0.1)
+    opt.apply(g.copy())
     expect = np.array([1.0, -2.0]) - 0.1 * g / (np.abs(g) + 1e-8)
     np.testing.assert_allclose(p, expect, atol=1e-9)
 
@@ -245,11 +237,11 @@ def test_adam_matches_array_by_array_reference():
     ref = [p.copy() for p in params]
     m = [np.zeros_like(p) for p in ref]
     v = [np.zeros_like(p) for p in ref]
-    opt = AdamOptimizer(params, 0.01)
+    opt = AdamOptimizer(net.params, 0.01)
     for t in range(1, 21):
         grads = [rng.normal(size=p.shape) for p in params]
         opt.lr = 0.01 / t
-        opt.apply(params, grads)
+        opt.apply(np.concatenate([g.ravel() for g in grads]))
         b1c, b2c = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
         for p, g, mk, vk in zip(ref, grads, m, v):
             mk *= 0.9
@@ -263,7 +255,7 @@ def test_adam_matches_array_by_array_reference():
 
 def test_sgd_step():
     p = np.array([1.0])
-    SgdOptimizer([p], 0.5).apply([p], [np.array([2.0])])
+    SgdOptimizer(p, 0.5).apply(np.array([2.0]))
     assert p[0] == pytest.approx(0.0, abs=1e-15)
 
 
@@ -273,7 +265,7 @@ def test_sgd_step():
 def test_replay_overwrites_oldest():
     buf = ReplayBuffer(3, obs_dim=1)
     for k in range(5):
-        buf.push(np.array([float(k)]), k, np.array([0.0]), 0.0, False)
+        buf.push(np.array([float(k)]), k, np.array([0.0]), 0.0)
     assert len(buf) == 3
     seen = set()
     rng = np.random.default_rng(0)
@@ -285,10 +277,10 @@ def test_replay_overwrites_oldest():
 
 def test_replay_sampling_uses_replacement():
     buf = ReplayBuffer(8, obs_dim=1)
-    buf.push(np.array([1.0]), 0, np.array([0.0]), 0.5, True)
-    obs, actions, next_obs, rewards, truncated = buf.sample(6, np.random.default_rng(1))
+    buf.push(np.array([1.0]), 0, np.array([0.0]), 0.5)
+    obs, actions, next_obs, rewards = buf.sample(6, np.random.default_rng(1))
     assert obs.shape == (6, 1)
-    assert truncated.all() and (rewards == 0.5).all()
+    assert (rewards == 0.5).all()
 
 
 def test_replay_rejects_zero_capacity():
@@ -342,8 +334,7 @@ def test_td_targets_hand_value():
 def test_td_targets_bootstrap_survives_truncation():
     net = zeroed(toy_net(input_dim=2, output_dim=2, hidden=(2,)))
     net.biases[-1][:] = [1.0, 0.0]
-    y = td_targets(net, np.zeros((1, 2)), np.array([0.0]), 0.9,
-                   truncated=np.array([True]))
+    y = td_targets(net, np.zeros((1, 2)), np.array([0.0]), 0.9)
     assert y[0] == pytest.approx(0.9, abs=1e-12)
 
 
@@ -354,9 +345,8 @@ def test_train_step_centers_rewards_hand_value():
     net = zeroed(toy_net(input_dim=2, output_dim=2, hidden=(2,)))
     net.biases[-1][:] = [0.0, 2.0]  # constant q-values (0, 2)
     center = RewardCenter(step=0.1, value=0.3)
-    batch = (np.zeros((1, 2)), np.array([0]), np.zeros((1, 2)), np.array([0.5]),
-             np.zeros(1, dtype=bool))
-    loss = train_step(net, SgdOptimizer(net.parameters(), 0.0), batch, 0.99,
+    batch = (np.zeros((1, 2)), np.array([0]), np.zeros((1, 2)), np.array([0.5]))
+    loss = train_step(net, SgdOptimizer(net.params, 0.0), batch, 0.99,
                       center=center)
     # target (0.5 - 0.3) + 0.99 * 2 = 2.18 against a prediction of 0
     assert loss == pytest.approx(2.18 ** 2, abs=1e-12)
@@ -366,27 +356,27 @@ def test_train_step_centers_rewards_hand_value():
 
 def test_train_step_reports_pre_update_loss():
     net = toy_net()
-    opt = SgdOptimizer(net.parameters(), 0.01)
+    opt = SgdOptimizer(net.params, 0.01)
     rng = np.random.default_rng(4)
     x = rng.normal(size=(8, 4))
-    batch = (x, rng.integers(3, size=8), x.copy(), rng.normal(size=8),
-             np.zeros(8, dtype=bool))
+    batch = (x, rng.integers(3, size=8), x.copy(), rng.normal(size=8))
     q = net.forward(x)
     y = td_targets(net, x, batch[3], 0.9)
     diff = q[np.arange(8), batch[1]] - y
     expect = float(diff @ diff) / 8
-    assert train_step(net, opt, batch, 0.9) == pytest.approx(expect, rel=1e-12)
+    assert train_step(net, opt, batch, 0.9, RewardCenter(0.0)) == pytest.approx(
+        expect, rel=1e-12)
 
 
 def test_repeated_batch_drives_loss_down():
     net = toy_net(input_dim=4, output_dim=3)
-    opt = AdamOptimizer(net.parameters(), 0.005)
+    opt = AdamOptimizer(net.params, 0.005)
     rng = np.random.default_rng(5)
     x = rng.normal(size=(16, 4))
     actions = rng.integers(3, size=16)
     rewards = rng.normal(size=16)
-    batch = (x, actions, x.copy(), rewards, np.zeros(16, dtype=bool))
-    losses = [train_step(net, opt, batch, 0.0) for _ in range(1000)]
+    batch = (x, actions, x.copy(), rewards)
+    losses = [train_step(net, opt, batch, 0.0, RewardCenter(0.0)) for _ in range(1000)]
     warm = losses[100:]
     assert all(b <= a + 1e-9 for a, b in zip(warm, warm[1:]))
     assert losses[-1] < losses[0] * 0.01
@@ -436,7 +426,6 @@ def test_greedy_policy_maps_through_canonical_order():
     dict(horizon=0),
     dict(replay_capacity=4, batch_size=8),
     dict(optimizer="rmsprop"),
-    dict(target_update=-1),
 ])
 def test_train_config_validation(bad):
     with pytest.raises(ConfigError):
@@ -475,12 +464,6 @@ def test_training_is_deterministic(short):
     assert c1 == c2
     for a, b in zip(p1.net.parameters(), p2.net.parameters()):
         np.testing.assert_array_equal(a, b)
-
-
-def test_training_with_target_network_runs(short):
-    train_best_response(
-        DEFENDER, [NoOpPolicy(ADVERSARY)], MixedStrategy(np.array([1.0])),
-        short, small_tc(target_update=25))
 
 
 def test_forced_full_exploration_matches_random_play(short):

@@ -123,6 +123,8 @@ def test_qnet_server_count_mismatch(baseline, tmp_path):
     "MTDPOLICY 2 qnet adversary 10\n3 50\n1.0 2.0\n",
     "heuristic defender pcp period=abc\n",
     "MTDPOLICY 2 qnet adversary ten\n",
+    "heuristic defender pcp perod=8\n",
+    "heuristic adversary uniform period=0\n",
 ])
 def test_malformed_policy_files(text, baseline, tmp_path):
     p = tmp_path / "bad.policy"
@@ -142,6 +144,22 @@ def test_version_1_network_file_rejected(baseline, tmp_path):
     p.write_text(head.replace("MTDPOLICY 2 ", "MTDPOLICY 1 ", 1) + "\n" + body,
                  encoding="utf-8")
     with pytest.raises(PolicyFormatError, match="header"):
+        load_policy(p, baseline)
+
+
+def test_network_layers_must_chain(baseline, tmp_path):
+    # a second layer taking 4 inputs after a first layer with 3 outputs
+    net = QNetwork(5 * baseline.num_servers, baseline.num_servers + 1,
+                   np.random.default_rng(3), hidden=(3,))
+    p = tmp_path / "net.policy"
+    save_policy(QNetworkPolicy(ADVERSARY, net, baseline, "n"), p)
+    lines = p.read_text(encoding="utf-8").splitlines()
+    second = lines.index("11 3")
+    lines[second] = "11 4"
+    for r in range(second + 1, second + 12):
+        lines[r] += " 0.0"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(PolicyFormatError, match="shape"):
         load_policy(p, baseline)
 
 

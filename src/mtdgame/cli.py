@@ -24,7 +24,7 @@ import numpy as np
 
 import mtdgame
 from mtdgame.config import ResolvedConfig, format_config, load_config
-from mtdgame.double_oracle import run_double_oracle
+from mtdgame.double_oracle import dqn_oracle, run_double_oracle
 from mtdgame.env import ADVERSARY, DEFENDER, ConfigError
 from mtdgame.nash import EquilibriumError, build_game, solve_msne
 from mtdgame.policies import (
@@ -34,7 +34,6 @@ from mtdgame.policies import (
     run_episode,
 )
 from mtdgame.qlearn import NumericalError, train_best_response
-from mtdgame.seeds import derive_seed
 from mtdgame.serialize import (
     PolicyFormatError,
     load_game,
@@ -136,8 +135,7 @@ def cmd_simulate(args) -> int:
 def _load_rc(args) -> ResolvedConfig:
     rc = load_config(args.config) if args.config else ResolvedConfig()
     if getattr(args, "t", None) is not None:
-        rc = replace(rc, env=replace(rc.env, horizon=args.t),
-                     train=replace(rc.train, horizon=args.t))
+        rc = replace(rc, env=replace(rc.env, horizon=args.t))
     if getattr(args, "ne", None) is not None:
         rc = replace(rc, train=replace(rc.train, episodes=args.ne))
     return rc
@@ -161,10 +159,6 @@ def cmd_train_br(args) -> int:
     rc = _load_rc(args)
     player = ADVERSARY if args.player == "adversary" else DEFENDER
     opponents, mix = load_mixture(args.opponent, rc.env)
-    opp_side = DEFENDER if player == ADVERSARY else ADVERSARY
-    if opponents[0].player != opp_side:
-        raise ConfigError(f"opponent mixture plays {opponents[0].player}, "
-                          f"but the {player} needs {opp_side} opponents")
     out_dir = Path(args.out)
     with _Manifest(out_dir, "train-br", args.seed, rc,
                    {"player": player, "opponent": str(args.opponent)}) as manifest:
@@ -201,12 +195,12 @@ def cmd_solve(args) -> int:
         advs = default_adversaries(rc.env)
         defs = default_defenders(rc.env)
     do_cfg = replace(rc.do, eval_episodes=args.episodes or rc.do.eval_episodes,
-                     train=replace(rc.train, seed=derive_seed(args.seed, "train")),
                      seed=args.seed)
     with _Manifest(out_dir, "solve", args.seed, rc,
                    {"init": args.init, "episodes": args.episodes,
                     "jobs": args.jobs}) as manifest:
-        state, eq = run_double_oracle(rc.env, advs, defs, do_cfg, jobs=args.jobs)
+        state, eq = run_double_oracle(rc.env, advs, defs, do_cfg,
+                                      dqn_oracle(rc.env, rc.train), jobs=args.jobs)
         pol_dir = out_dir / "policies"
         pol_dir.mkdir(parents=True, exist_ok=True)
         artifacts = []
@@ -229,15 +223,20 @@ def cmd_solve(args) -> int:
     return EXIT_OK if state.converged else EXIT_NO_CONVERGENCE
 
 
-def _count(raw: str) -> int:
-    """argparse type of the episode, horizon and job count flags."""
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _at_least(parse, low):
+    """argparse type: parse(raw), which must be >= low (so never nan)."""
+    def check(raw: str):
+        try:
+            value = parse(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {parse.__name__}, got {raw!r}") from None
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return check
+
+
+_count = _at_least(int, 1)  # episode, horizon and job counts
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nash", help="solve a serialized empirical game")
     p.add_argument("--game", type=str, required=True)
     p.add_argument("--out", type=str, required=True)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_at_least(float, 0.0), default=None)
     p.set_defaults(func=cmd_nash)
 
     p = sub.add_parser("solve", help="run the double oracle loop")
@@ -295,7 +294,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, PolicyFormatError, FileNotFoundError) as exc:
+    except (ConfigError, PolicyFormatError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericalError, EquilibriumError, np.linalg.LinAlgError) as exc:

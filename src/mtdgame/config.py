@@ -24,8 +24,8 @@ UTILITY_ENVIRONMENTS = {
 
 @dataclass(frozen=True)
 class ResolvedConfig:
-    """A loaded config file.  `do` holds the solver keys; a run supplies its
-    training settings and seed from `train` and the command line."""
+    """A loaded config file.  Training runs for `env.horizon` steps per
+    episode and discounts by `env.discount`; a run supplies the seeds."""
 
     env: EnvConfig = field(default_factory=EnvConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -109,9 +109,8 @@ def parse_config(text: str) -> ResolvedConfig:
             value = parse(key, values[key])
             kwargs[section].update(dict.fromkeys(attrs, value))
     env = EnvConfig(**kwargs["env"]).validate()
-    train = TrainConfig(**{"gamma": env.discount, "horizon": env.horizon,
-                           **kwargs["train"]}).validate()
-    return ResolvedConfig(env=env, train=train, do=DoConfig(**kwargs["do"]).validate())
+    return ResolvedConfig(env=env, train=TrainConfig(**kwargs["train"]).validate(),
+                          do=DoConfig(**kwargs["do"]).validate())
 
 
 def load_config(path: str | Path) -> ResolvedConfig:

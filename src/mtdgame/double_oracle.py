@@ -12,7 +12,7 @@ more than eps_do.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class DoConfig:
     eps_do: float = 1.0          # payoff-units slack for "no improvement"
     max_iterations: int = 10     # oracle-call pairs; 0 solves the initial game only
     eval_episodes: int = 50      # Monte-Carlo episodes per payoff cell
-    train: TrainConfig = field(default_factory=TrainConfig)
     seed: int = 0
 
     def validate(self) -> "DoConfig":
@@ -38,7 +37,6 @@ class DoConfig:
             raise ConfigError("max_iterations must be >= 0")
         if self.eval_episodes < 1:
             raise ConfigError("eval_episodes must be >= 1")
-        self.train.validate()
         return self
 
 
@@ -71,7 +69,8 @@ def converged(br_payoff: float, eq_value: float, eps_do: float) -> bool:
 
 
 def dqn_oracle(env_cfg: EnvConfig, tc: TrainConfig):
-    """Default best-response oracle backed by Q-learning."""
+    """Best-response oracle that trains a Q-network with tc on each call."""
+    tc = tc.validate()
 
     def oracle(player: str, opponents: list[PurePolicy], mix: MixedStrategy,
                seed: int, label: str) -> PurePolicy:
@@ -84,13 +83,11 @@ def dqn_oracle(env_cfg: EnvConfig, tc: TrainConfig):
 
 def run_double_oracle(env_cfg: EnvConfig, initial_adv: list[PurePolicy],
                       initial_def: list[PurePolicy], do_cfg: DoConfig,
-                      oracle=None, jobs: int = 1,
-                      ) -> tuple[DoState, EquilibriumResult]:
-    """Run the loop and return the final state and equilibrium."""
+                      oracle, jobs: int = 1) -> tuple[DoState, EquilibriumResult]:
+    """Run the loop and return the final state and equilibrium.  `oracle`, e.g.
+    `dqn_oracle`, maps (player, opponents, mix, seed, label) to a new policy."""
     do_cfg = do_cfg.validate()
     env_cfg = env_cfg.validate()
-    if oracle is None:
-        oracle = dqn_oracle(env_cfg, do_cfg.train)
     adv = list(initial_adv)
     deff = list(initial_def)
     game = build_game(adv, deff, env_cfg, do_cfg.eval_episodes,

@@ -93,26 +93,18 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Best-response training hyperparameters."""
+    """Best-response training hyperparameters; EnvConfig sets horizon and discount."""
 
-    gamma: float = 0.99
     epsilon_fraction: float = 0.2   # fraction of total steps spent decaying
     epsilon_final: float = 0.02
     learning_rate: float = 0.0005   # initial step size, decays linearly to 0
     batch_size: int = 32
     episodes: int = 500
-    horizon: int = 1000
     replay_capacity: int = 5000
     optimizer: str = "adam"         # "adam" or "sgd"
     seed: int = 0
 
-    @property
-    def total_steps(self) -> int:
-        return self.episodes * self.horizon
-
     def validate(self) -> "TrainConfig":
-        if not 0.0 <= self.gamma < 1.0:
-            raise ConfigError(f"gamma must lie in [0, 1), got {self.gamma!r}")
         if not 0.0 < self.epsilon_fraction <= 1.0:
             raise ConfigError(f"epsilon_fraction must lie in (0, 1], got {self.epsilon_fraction!r}")
         if not 0.0 <= self.epsilon_final <= 1.0:
@@ -123,8 +115,6 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size!r}")
         if self.episodes < 1:
             raise ConfigError(f"episodes must be >= 1, got {self.episodes!r}")
-        if self.horizon < 1:
-            raise ConfigError(f"horizon must be >= 1, got {self.horizon!r}")
         if self.replay_capacity < self.batch_size:
             raise ConfigError("replay_capacity must be at least batch_size")
         if self.optimizer not in ("adam", "sgd"):
@@ -291,12 +281,6 @@ class SgdOptimizer:
         self.params -= self.lr * grad
 
 
-def make_optimizer(tc: TrainConfig, params: np.ndarray):
-    if tc.optimizer == "sgd":
-        return SgdOptimizer(params, tc.learning_rate)
-    return AdamOptimizer(params, tc.learning_rate)
-
-
 class ReplayBuffer:
     """Fixed-capacity FIFO of transitions with uniform sampling."""
 
@@ -328,17 +312,17 @@ class ReplayBuffer:
         return self.obs[idx], self.actions[idx], self.next_obs[idx], self.rewards[idx]
 
 
-def epsilon_value(tc: TrainConfig, step: int) -> float:
-    """Linear decay from 1 to epsilon_final over the first fraction of steps."""
-    decay_steps = tc.epsilon_fraction * tc.total_steps
+def epsilon_value(tc: TrainConfig, step: int, total_steps: int) -> float:
+    """Linear decay from 1 to epsilon_final over the first fraction of total_steps."""
+    decay_steps = tc.epsilon_fraction * total_steps
     if step >= decay_steps:
         return tc.epsilon_final
     return 1.0 + (tc.epsilon_final - 1.0) * (step / decay_steps)
 
 
-def learning_rate_value(tc: TrainConfig, step: int) -> float:
-    """Linear decay from learning_rate at step 0 towards 0 at the last step."""
-    return tc.learning_rate * (1.0 - step / tc.total_steps)
+def learning_rate_value(tc: TrainConfig, step: int, total_steps: int) -> float:
+    """Linear decay from learning_rate at step 0 towards 0 at step total_steps."""
+    return tc.learning_rate * (1.0 - step / total_steps)
 
 
 @dataclass
@@ -407,6 +391,7 @@ def train_best_response(player: str, opponents: list[PurePolicy],
                         ) -> tuple[QNetworkPolicy, list[EpisodeRecord]]:
     """Train a Q-network for one player against a frozen opponent mixture.
 
+    Episodes last env_cfg.horizon steps, discounted by env_cfg.discount.
     The opponent's pure policy is drawn once per episode.  Returns the
     greedy policy over the final network and the per-episode learning curve.
     """
@@ -417,18 +402,17 @@ def train_best_response(player: str, opponents: list[PurePolicy],
     opp_side = DEFENDER if player == ADVERSARY else ADVERSARY
     for p in opponents:
         if p.player != opp_side:
-            raise ValueError(f"opponent {p.label} plays {p.player}, expected {opp_side}")
+            raise ConfigError(f"opponent {p.label} plays {p.player}, expected {opp_side}")
     tc = tc.validate()
     env_cfg = env_cfg.validate()
-    if tc.horizon > env_cfg.horizon:
-        raise ConfigError(
-            f"training horizon {tc.horizon} exceeds the environment's {env_cfg.horizon}")
+    total_steps = tc.episodes * env_cfg.horizon
     m = env_cfg.num_servers
     obs_dim = 5 * m
     n_actions = m + 1
 
     net = QNetwork(obs_dim, n_actions, spawn_rng(tc.seed, "init"))
-    optimizer = make_optimizer(tc, net.params)
+    optimizer = (SgdOptimizer if tc.optimizer == "sgd" else AdamOptimizer)(
+        net.params, tc.learning_rate)
     buf = ReplayBuffer(tc.replay_capacity, obs_dim)
     center = RewardCenter(_CENTER_STEP)
     explore_rng = spawn_rng(tc.seed, "explore")
@@ -447,8 +431,8 @@ def train_best_response(player: str, opponents: list[PurePolicy],
         disc = 0.0
         raw = 0.0
         g = 1.0
-        for t in range(tc.horizon):
-            if explore_rng.random() < epsilon_value(tc, gstep):
+        for t in range(env_cfg.horizon):
+            if explore_rng.random() < epsilon_value(tc, gstep, total_steps):
                 a_idx = int(explore_rng.integers(n_actions))
             else:
                 a_idx = int(np.argmax(net.forward(x)))
@@ -462,16 +446,16 @@ def train_best_response(player: str, opponents: list[PurePolicy],
                 r, my_next, opp_next = out.reward_def, out.obs_def, out.obs_adv
             x_next, next_order = canonical_input(my_next, env_cfg)
             buf.push(x, a_idx, x_next, r)
-            optimizer.lr = learning_rate_value(tc, gstep)
+            optimizer.lr = learning_rate_value(tc, gstep, total_steps)
             center.step = _CENTER_STEP * (optimizer.lr / tc.learning_rate)
             if len(buf) >= tc.batch_size:
                 loss = train_step(net, optimizer, buf.sample(tc.batch_size, replay_rng),
-                                  tc.gamma, center)
+                                  env_cfg.discount, center)
                 if not math.isfinite(loss):
                     raise NumericalError(f"non-finite loss at step {gstep}")
             disc += g * r
             raw += r
-            g *= tc.gamma
+            g *= env_cfg.discount
             gstep += 1
             x, order = x_next, next_order
             opp_obs = opp_next

@@ -9,6 +9,7 @@ fixed newline to make reruns byte-identical.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -36,11 +37,18 @@ class PolicyFormatError(ValueError):
     pass
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
 # Parameter annotation -> (read from a policy file line, write to one); the
 # annotations are strings because policies.py postpones their evaluation.
 _PARAM_TYPES = {
     "int": (int, lambda v: str(int(v))),
-    "float": (float, lambda v: repr(float(v))),
+    "float": (_finite, lambda v: repr(float(v))),
     "bool": (lambda raw: bool(int(raw)), lambda v: str(int(v))),
 }
 
@@ -121,7 +129,7 @@ def _load_qnet(path, lines, env_cfg, label):
     if m != env_cfg.num_servers:
         raise PolicyFormatError(
             f"{path}: policy is for {m} servers, config has {env_cfg.num_servers}")
-    dims = []      # layer widths, input first
+    dims = [5 * m]  # layer widths, starting with the observation's
     values = []    # weights and biases, in QNetwork.params order
     pos = 1
     try:
@@ -130,8 +138,6 @@ def _load_qnet(path, lines, env_cfg, label):
             pos += 1
             w = np.array([[float(t) for t in lines[pos + r].split()]
                           for r in range(rows)])
-            if not dims:
-                dims.append(cols)
             if w.shape != (rows, cols) or cols != dims[-1]:
                 raise PolicyFormatError(f"{path}: layer shape mismatch")
             pos += rows
@@ -143,16 +149,18 @@ def _load_qnet(path, lines, env_cfg, label):
             values += [w.ravel(), b]
     except (ValueError, IndexError) as exc:
         raise PolicyFormatError(f"{path}: corrupt network body: {exc}") from None
-    if not dims:
+    if len(dims) == 1:
         raise PolicyFormatError(f"{path}: network has no layers")
+    if dims[-1] != m + 1:
+        raise PolicyFormatError(f"{path}: {dims[-1]} outputs, {m} servers need {m + 1}")
     net = QNetwork(dims[0], dims[-1], None, tuple(dims[1:-1]))
     net.params[:] = np.concatenate(values)
     return QNetworkPolicy(player, net, env_cfg, label or path.stem)
 
 
 def save_mixture(policies: list[PurePolicy], mix: MixedStrategy,
-                 directory: str | Path, mixture_name: str = "mixture.txt") -> Path:
-    """Write each policy beside a weights file referencing them by filename."""
+                 directory: str | Path) -> Path:
+    """Write each policy beside mixture.txt, which references them by filename."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     lines = []
@@ -160,7 +168,7 @@ def save_mixture(policies: list[PurePolicy], mix: MixedStrategy,
         fname = f"{policy.label}.policy"
         save_policy(policy, directory / fname)
         lines.append(f"{float(w)!r} {fname}")
-    out = directory / mixture_name
+    out = directory / "mixture.txt"
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return out
 
@@ -236,7 +244,10 @@ def load_game(path: str | Path, episodes: int = 0) -> EmpiricalGame:
                 rows.append(rl)
             if cl not in cols:
                 cols.append(cl)
-            cells[(rl, cl)] = tuple(float(v) for v in rec[2:])
+            try:
+                cells[(rl, cl)] = tuple(_finite(v) for v in rec[2:])
+            except ValueError:
+                raise PolicyFormatError(f"{path}: bad cell in row {rec}") from None
     if not cells:
         raise PolicyFormatError(f"{path}: empty game")
     u_a = np.empty((len(rows), len(cols)))

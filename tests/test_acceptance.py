@@ -15,7 +15,7 @@ import pytest
 
 from mtdgame.cli import main
 from mtdgame.env import ADVERSARY, DEFENDER, EnvConfig, MtdEnv
-from mtdgame.double_oracle import DoConfig, run_double_oracle
+from mtdgame.double_oracle import DoConfig, dqn_oracle, run_double_oracle
 from mtdgame.nash import EmpiricalGame, build_game, solve_msne
 from mtdgame.policies import (
     MixedStrategy,
@@ -266,8 +266,7 @@ def test_c6b_defender_best_response_floor():
         f"trained defender reaches {value:.4f} vs idle adversary, floor is 97.0")
 
 
-DESK_DO = DoConfig(eps_do=1.0, max_iterations=5, eval_episodes=20,
-                   train=TrainConfig(episodes=30, seed=0), seed=0)
+DESK_DO = DoConfig(eps_do=1.0, max_iterations=5, eval_episodes=20, seed=0)
 
 
 def run_desk_do(init: str):
@@ -277,7 +276,8 @@ def run_desk_do(init: str):
     else:
         advs = default_adversaries(BASE)
         defs = default_defenders(BASE)
-    return run_double_oracle(BASE, advs, defs, DESK_DO)
+    return run_double_oracle(BASE, advs, defs, DESK_DO,
+                             dqn_oracle(BASE, TrainConfig(episodes=30)))
 
 
 def check_noise_tolerant_monotonicity(state):

@@ -240,6 +240,38 @@ def test_nash_zero_tolerance_failure(tmp_path, capsys):
     assert rc == EXIT_NUMERICAL
 
 
+@pytest.mark.parametrize("cell", ["abc", "nan"])
+def test_nash_bad_game_cell(cell, tmp_path, capsys):
+    game = tmp_path / "game.csv"
+    game.write_text(f"adv_policy,def_policy,u_a,u_d,se_a,se_d\nr,c,1.0,{cell},0.0,0.0\n",
+                    encoding="utf-8")
+    assert main(["nash", "--game", str(game), "--out", str(tmp_path / "eq")]) == EXIT_CONFIG
+    assert "bad cell" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_nash_bad_tolerance_is_usage_error(tol, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["nash", "--game", "g.csv", "--out", str(tmp_path / "eq"), "--tol", tol])
+    assert exc.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--adv", "{d}"],
+    ["simulate", "--config", "{d}"],
+    ["nash", "--game", "{d}", "--out", "{d}/eq"],
+    ["train-br", "--player", "adversary", "--opponent", "{d}", "--out", "{d}/br"],
+    ["train-br", "--player", "adversary", "--opponent", "{d}/mix.txt", "--out", "{d}/br"],
+], ids=" ".join)
+def test_directory_given_for_a_file(argv, tmp_path, capsys):
+    # mix.txt names a directory where a policy file belongs
+    (tmp_path / "mix.txt").write_text("1.0 sub\n", encoding="utf-8")
+    (tmp_path / "sub").mkdir()
+    assert main([a.format(d=tmp_path) for a in argv]) == EXIT_CONFIG
+    assert "directory" in capsys.readouterr().err
+
+
 SOLVE_CFG = "T=50\nne=1\nmax_iterations=1\neval_episodes=2\neps_do=1.0\n"
 
 

@@ -60,8 +60,8 @@ def test_theta_keys_set_both_players():
 
 def test_horizon_and_discount_flow_into_training():
     rc = parse_config("T=500\ngamma=0.9\n")
-    assert rc.train.horizon == 500
-    assert rc.train.gamma == 0.9
+    assert rc.env.horizon == 500
+    assert rc.env.discount == 0.9
 
 
 def test_boolean_parsing():

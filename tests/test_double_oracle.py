@@ -24,8 +24,7 @@ def uniform_adv_oracle(player, opponents, mix, seed, label):
 
 
 def tiny_do(**kw):
-    base = dict(eps_do=1.0, max_iterations=3, eval_episodes=2,
-                train=TrainConfig(episodes=1, horizon=50), seed=0)
+    base = dict(eps_do=1.0, max_iterations=3, eval_episodes=2, seed=0)
     base.update(kw)
     return DoConfig(**base)
 
@@ -40,7 +39,7 @@ def test_converged_threshold():
     assert converged(40.0, 50.0, 1.0)  # a worse response never blocks
 
 
-def test_do_config_validation():
+def test_do_config_validation(short):
     with pytest.raises(ConfigError):
         tiny_do(eps_do=math.inf).validate()
     with pytest.raises(ConfigError):
@@ -50,7 +49,7 @@ def test_do_config_validation():
     with pytest.raises(ConfigError):
         tiny_do(eval_episodes=0).validate()
     with pytest.raises(ConfigError):
-        tiny_do(train=TrainConfig(batch_size=0)).validate()
+        dqn_oracle(short, TrainConfig(batch_size=0))
     tiny_do().validate()
 
 
@@ -196,10 +195,9 @@ def test_history_rows_pin_every_field(short):
 
 
 def test_full_loop_with_learned_oracles(short):
-    cfg = tiny_do(max_iterations=1, train=TrainConfig(
-        episodes=1, horizon=50, batch_size=8, replay_capacity=32))
+    oracle = dqn_oracle(short, TrainConfig(episodes=1, batch_size=8, replay_capacity=32))
     state, eq = run_double_oracle(short, [NoOpPolicy(ADVERSARY)],
-                                  [NoOpPolicy(DEFENDER)], cfg)
+                                  [NoOpPolicy(DEFENDER)], tiny_do(max_iterations=1), oracle)
     assert state.oracle_calls == 2
     assert isinstance(state.def_policies[-1], QNetworkPolicy)
     assert isinstance(state.adv_policies[-1], QNetworkPolicy)
@@ -208,7 +206,7 @@ def test_full_loop_with_learned_oracles(short):
 
 
 def test_dqn_oracle_threads_seed_and_label(short):
-    tc = TrainConfig(episodes=1, horizon=50, batch_size=8, replay_capacity=32)
+    tc = TrainConfig(episodes=1, batch_size=8, replay_capacity=32)
     oracle = dqn_oracle(short, tc)
     pol = oracle(ADVERSARY, [NoOpPolicy(DEFENDER)],
                  MixedStrategy(np.array([1.0])), seed=7, label="probe")

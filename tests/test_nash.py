@@ -161,6 +161,17 @@ def test_zero_tolerance_raises_on_irrational_equilibrium():
         solve_msne(g, tol=0.0)
 
 
+def test_zero_tolerance_falls_back_to_support_enumeration():
+    # Lemke-Howson ends on a mixed equilibrium with regret 4.4e-16; only the
+    # fallback finds the exact pure one (row 0, column 1)
+    u = [[2, 0], [-2, 0]]
+    res = solve_msne(game_of(u, -np.asarray(u)), tol=0.0)
+    assert res.method == "support_enumeration"
+    assert res.sigma_adv.tolist() == [1.0, 0.0]
+    assert res.sigma_def.tolist() == [0.0, 1.0]
+    assert res.regret_adv == 0.0 and res.regret_def == 0.0
+
+
 def test_random_bimatrices_pass_independent_regret_check():
     rng = np.random.default_rng(2024)
     for _ in range(100):

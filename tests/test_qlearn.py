@@ -292,26 +292,28 @@ def test_replay_rejects_zero_capacity():
 
 
 def test_epsilon_schedule_endpoints_and_midpoint():
-    tc = TrainConfig(episodes=500, horizon=1000)
-    assert epsilon_value(tc, 0) == pytest.approx(1.0)
-    assert epsilon_value(tc, 50_000) == pytest.approx(0.51)
-    assert epsilon_value(tc, 100_000) == pytest.approx(0.02)
-    assert epsilon_value(tc, 400_000) == pytest.approx(0.02)
+    tc = TrainConfig(episodes=500)
+    total = 500 * 1000
+    assert epsilon_value(tc, 0, total) == pytest.approx(1.0)
+    assert epsilon_value(tc, 50_000, total) == pytest.approx(0.51)
+    assert epsilon_value(tc, 100_000, total) == pytest.approx(0.02)
+    assert epsilon_value(tc, 400_000, total) == pytest.approx(0.02)
 
 
 def test_epsilon_schedule_is_linear():
-    tc = TrainConfig(episodes=10, horizon=100, epsilon_fraction=0.5)
+    tc = TrainConfig(episodes=10, epsilon_fraction=0.5)
     decay = 500
     for step in (0, 100, 250, 499):
         expect = 1.0 + (0.02 - 1.0) * step / decay
-        assert epsilon_value(tc, step) == pytest.approx(expect)
+        assert epsilon_value(tc, step, 10 * 100) == pytest.approx(expect)
 
 
 def test_learning_rate_decays_linearly_to_zero():
-    tc = TrainConfig(episodes=10, horizon=100, learning_rate=0.002)
-    assert learning_rate_value(tc, 0) == pytest.approx(0.002)
-    assert learning_rate_value(tc, 500) == pytest.approx(0.001)
-    assert learning_rate_value(tc, 999) == pytest.approx(0.002e-3)
+    tc = TrainConfig(episodes=10, learning_rate=0.002)
+    total = 10 * 100
+    assert learning_rate_value(tc, 0, total) == pytest.approx(0.002)
+    assert learning_rate_value(tc, 500, total) == pytest.approx(0.001)
+    assert learning_rate_value(tc, 999, total) == pytest.approx(0.002e-3)
 
 
 # ------------------------------------------------------------------ targets
@@ -417,13 +419,11 @@ def test_greedy_policy_maps_through_canonical_order():
 
 
 @pytest.mark.parametrize("bad", [
-    dict(gamma=1.0),
     dict(epsilon_fraction=0.0),
     dict(epsilon_final=1.5),
     dict(learning_rate=0.0),
     dict(batch_size=0),
     dict(episodes=0),
-    dict(horizon=0),
     dict(replay_capacity=4, batch_size=8),
     dict(optimizer="rmsprop"),
 ])
@@ -436,7 +436,7 @@ def test_train_config_validation(bad):
 
 
 def small_tc(**kw):
-    base = dict(episodes=2, horizon=50, batch_size=8, replay_capacity=64, seed=0)
+    base = dict(episodes=2, batch_size=8, replay_capacity=64, seed=0)
     base.update(kw)
     return TrainConfig(**base)
 
@@ -469,7 +469,7 @@ def test_training_is_deterministic(short):
 def test_forced_full_exploration_matches_random_play(short):
     """With exploration pinned at 1 the behaviour policy is uniform over
     the M+1 actions, whatever the network says."""
-    tc = small_tc(episodes=6, horizon=50, epsilon_final=1.0)
+    tc = small_tc(episodes=6, epsilon_final=1.0)
     _, curve = train_best_response(
         ADVERSARY, [NoOpPolicy(DEFENDER)], MixedStrategy(np.array([1.0])),
         short, tc)
@@ -486,16 +486,9 @@ def test_forced_full_exploration_matches_random_play(short):
             a = int(rng.integers(11))
             out = env.step(None if a == 10 else a, None)
             disc += g * out.reward_adv
-            g *= tc.gamma
+            g *= cfg.discount
         refs.append(disc)
     assert got == pytest.approx(np.mean(refs), abs=3.0)
-
-
-def test_training_rejects_horizon_longer_than_episode(short):
-    with pytest.raises(ConfigError):
-        train_best_response(ADVERSARY, [NoOpPolicy(DEFENDER)],
-                            MixedStrategy(np.array([1.0])), short,
-                            small_tc(horizon=short.horizon + 1))
 
 
 def test_training_validates_opponents(short):
@@ -523,8 +516,8 @@ def test_training_opponent_mixture_is_used(short):
                 seen.append(self.label)
             return None
 
-    tc = small_tc(episodes=12, horizon=10)
+    tc = small_tc(episodes=12)
     train_best_response(ADVERSARY, [Spy("a"), Spy("b")],
-                        MixedStrategy(np.array([0.5, 0.5])), short, tc)
+                        MixedStrategy(np.array([0.5, 0.5])), replace(short, horizon=10), tc)
     assert set(seen) == {"a", "b"}
     assert len(seen) == 12

@@ -125,6 +125,8 @@ def test_qnet_server_count_mismatch(baseline, tmp_path):
     "MTDPOLICY 2 qnet adversary ten\n",
     "heuristic defender pcp perod=8\n",
     "heuristic adversary uniform period=0\n",
+    "heuristic adversary control_threshold threshold=nan\n",
+    "heuristic defender control_threshold gain=inf\n",
 ])
 def test_malformed_policy_files(text, baseline, tmp_path):
     p = tmp_path / "bad.policy"
@@ -161,6 +163,13 @@ def test_network_layers_must_chain(baseline, tmp_path):
     p.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(PolicyFormatError, match="shape"):
         load_policy(p, baseline)
+    # the first layer must take 5 * M inputs and the last give M + 1 outputs
+    m = baseline.num_servers
+    for dims, match in (((5 * m - 1, m + 1), "shape"), ((5 * m, m - 3), "outputs")):
+        net = QNetwork(*dims, np.random.default_rng(3), hidden=(3,))
+        save_policy(QNetworkPolicy(ADVERSARY, net, baseline, "n"), p)
+        with pytest.raises(PolicyFormatError, match=match):
+            load_policy(p, baseline)
 
 
 @pytest.mark.parametrize("key", list(HEURISTICS), ids="-".join)

@@ -14,7 +14,6 @@ from mtdgame.env import (
     ConfigError,
     EnvConfig,
     MtdEnv,
-    Observation,
     StepOutcome,
     compromise_probability,
     logistic,

@@ -13,6 +13,7 @@ from pathlib import Path
 from mtdgame.double_oracle import DoConfig
 from mtdgame.env import ConfigError, EnvConfig
 from mtdgame.qlearn import TrainConfig
+from mtdgame.serialize import parse_finite
 
 UTILITY_ENVIRONMENTS = {
     0: (1.0, 1.0),
@@ -50,9 +51,9 @@ def _parse_int(key: str, raw: str) -> int:
 
 def _parse_float(key: str, raw: str) -> float:
     try:
-        return float(raw)
+        return parse_finite(raw)
     except ValueError:
-        raise ConfigError(f"key {key}: expected a number, got {raw!r}") from None
+        raise ConfigError(f"key {key}: expected a finite number, got {raw!r}") from None
 
 
 # key -> (section of ResolvedConfig, attributes it sets, parser), in the

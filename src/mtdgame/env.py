@@ -9,8 +9,14 @@ exactly `downtime` reward evaluations and comes back clean.
 
 Step resolution order is fixed and documented here because both players act
 at once: (1) the adversary's probe resolves, (2) the defender's reimage
-resolves, (3) servers whose downtime has elapsed come back up, (4) the
-clock advances, (5) rewards are computed on the post-transition state.
+resolves, (3) the clock advances, which brings back up every server whose
+downtime has elapsed, (4) rewards are computed on the post-transition state.
+
+Observations are (num_servers, 5) int64 matrices, one row per server; the
+COL_* constants name each player's columns.  The adversary's status,
+time_to_up and progress columns reflect only what it has learned: a reimage
+of a server it did not control and never probed afterwards leaves those
+fields stale.
 """
 
 from __future__ import annotations
@@ -115,59 +121,11 @@ def utility(player: str, n_control: int, n_down: int, cfg: EnvConfig) -> float:
 
 
 @dataclass
-class Observation:
-    """One player's view: an integer matrix with one row per server.
-
-    Column meaning depends on the player, see the COL_* constants.  The
-    adversary's status, time_to_up and progress columns reflect only what it
-    has learned: a reimage of a server it did not control and never probed
-    afterwards leaves those fields stale.
-    """
-
-    player: str
-    data: np.ndarray  # (num_servers, 5) int64
-
-    @property
-    def status(self) -> np.ndarray:
-        return self.data[:, COL_STATUS]
-
-    @property
-    def time_to_up(self) -> np.ndarray:
-        return self.data[:, COL_TIME_TO_UP]
-
-    @property
-    def progress(self) -> np.ndarray:
-        return self.data[:, COL_PROGRESS]
-
-    @property
-    def control(self) -> np.ndarray:
-        if self.player != ADVERSARY:
-            raise AttributeError("control column exists only in the adversary view")
-        return self.data[:, COL_CONTROL]
-
-    @property
-    def since_probe(self) -> np.ndarray:
-        col = COL_ADV_SINCE_PROBE if self.player == ADVERSARY else COL_DEF_SINCE_PROBE
-        return self.data[:, col]
-
-    @property
-    def since_reimage(self) -> np.ndarray:
-        if self.player != DEFENDER:
-            raise AttributeError("since_reimage column exists only in the defender view")
-        return self.data[:, COL_DEF_SINCE_REIMAGE]
-
-    def flatten(self) -> np.ndarray:
-        """Server-major vector of length 5 * num_servers."""
-        return self.data.reshape(-1)
-
-
-@dataclass
 class StepOutcome:
-    obs_adv: Observation
-    obs_def: Observation
+    obs_adv: np.ndarray
+    obs_def: np.ndarray
     reward_adv: float
     reward_def: float
-    done: bool
 
 
 class MtdEnv:
@@ -183,7 +141,7 @@ class MtdEnv:
         self.tau = 0
         self._ready = False
 
-    def reset(self, seed) -> tuple[Observation, Observation]:
+    def reset(self, seed) -> tuple[np.ndarray, np.ndarray]:
         """Start a fresh episode: all servers up, clean, and unprobed."""
         m = self.cfg.num_servers
         self.rng = np.random.default_rng(seed)
@@ -191,11 +149,11 @@ class MtdEnv:
         # true state
         self.probes = [0] * m            # probes since last reimage
         self.adv_owned = [False] * m
-        self.down_since = [None] * m     # clock at which downtime began, None if up
+        self.up_at = [0] * m             # the server is down while tau < up_at
         # adversary memory
         self.adv_progress = [0] * m      # own probe count since last known reimage
         self.adv_last_probe = [0] * m
-        self.adv_known_down = [None] * m  # down_since value the adversary learned, if any
+        self.adv_up_at = [0] * m         # up_at as the adversary last learned it
         # defender memory
         self.def_probes_seen = [0] * m
         self.def_last_probe = [0] * m
@@ -208,9 +166,11 @@ class MtdEnv:
         return self.tau >= self.cfg.horizon
 
     def counts(self) -> tuple[int, int, int]:
-        """(adversary-controlled up, defender-controlled up, down)."""
-        n_down = sum(1 for d in self.down_since if d is not None)
-        n_adv = sum(1 for i, o in enumerate(self.adv_owned) if o and self.down_since[i] is None)
+        """(adversary-controlled up, defender-controlled up, down).  A
+        controlled server is always up: a reimage ends control."""
+        tau = self.tau
+        n_down = sum(1 for u in self.up_at if tau < u)
+        n_adv = sum(self.adv_owned)
         return n_adv, self.cfg.num_servers - n_adv - n_down, n_down
 
     def step(self, adv_target: int | None, def_target: int | None) -> StepOutcome:
@@ -230,7 +190,7 @@ class MtdEnv:
         probed_up = False
         if adv_target is not None:
             i = int(adv_target)
-            if self.down_since[i] is None:
+            if self.up_at[i] <= clock:
                 probed_up = True
                 # The probe being resolved already counts toward rho when the
                 # success formula is applied, so the k-th probe of a clean
@@ -247,36 +207,32 @@ class MtdEnv:
             else:
                 # Probing a down server changes nothing but teaches the
                 # adversary the true status and wipes its stale progress count.
-                self.adv_known_down[i] = self.down_since[i]
+                self.adv_up_at[i] = self.up_at[i]
                 self.adv_progress[i] = 0
                 self.adv_last_probe[i] = resolve
 
-        # 2) defender reimage (a down target is a silent no-op)
+        # 2) defender reimage (a down target is a silent no-op); the server
+        # is down for exactly cfg.downtime reward evaluations, at clocks
+        # resolve .. resolve + downtime - 1
         if def_target is not None:
             i = int(def_target)
-            if self.down_since[i] is None:
+            if self.up_at[i] <= clock:
+                up_at = resolve + cfg.downtime
                 if self.adv_owned[i]:
                     # Losing a compromised server is always noticed.
                     self.adv_owned[i] = False
-                    self.adv_known_down[i] = resolve
+                    self.adv_up_at[i] = up_at
                     self.adv_progress[i] = 0
                 self.probes[i] = 0
-                self.down_since[i] = resolve
+                self.up_at[i] = up_at
                 self.def_probes_seen[i] = 0
                 self.def_last_probe[i] = resolve
                 self.def_last_reimage[i] = resolve
 
-        # 3) elapsed downtimes; a server is down for exactly cfg.downtime
-        # reward evaluations (clocks down_since .. down_since + downtime - 1)
-        for i in range(m):
-            ds = self.down_since[i]
-            if ds is not None and resolve - ds >= cfg.downtime:
-                self.down_since[i] = None
-
-        # 4) advance the clock
+        # 3) advance the clock
         self.tau = resolve
 
-        # 5) rewards on the post-transition state
+        # 4) rewards on the post-transition state
         n_adv, n_def, n_down = self.counts()
         u_a = utility(ADVERSARY, n_adv, n_down, cfg)
         u_d = utility(DEFENDER, n_def, n_down, cfg)
@@ -288,49 +244,21 @@ class MtdEnv:
             obs_def=self.observe(DEFENDER),
             reward_adv=u_a - cost,
             reward_def=u_d,
-            done=self.done,
         )
 
-    def observe(self, player: str) -> Observation:
+    def observe(self, player: str) -> np.ndarray:
         if not self._ready:
             raise RuntimeError("call reset() first")
-        cfg = self.cfg
-        m = cfg.num_servers
-        dt = cfg.downtime
         tau = self.tau
-        rows = np.empty((m, 5), dtype=np.int64)
         if player == ADVERSARY:
-            known = self.adv_known_down
-            prog = self.adv_progress
-            last = self.adv_last_probe
-            owned = self.adv_owned
-            for i in range(m):
-                k = known[i]
-                if k is not None and tau - k < dt:
-                    rows[i, COL_STATUS] = 0
-                    rows[i, COL_TIME_TO_UP] = dt - (tau - k)
-                else:
-                    rows[i, COL_STATUS] = 1
-                    rows[i, COL_TIME_TO_UP] = 0
-                rows[i, COL_PROGRESS] = prog[i]
-                rows[i, COL_CONTROL] = 1 if owned[i] else 0
-                rows[i, COL_ADV_SINCE_PROBE] = tau - last[i]
+            up_at, progress, last = self.adv_up_at, self.adv_progress, self.adv_last_probe
+            col3 = self.adv_owned
         elif player == DEFENDER:
-            down = self.down_since
-            seen = self.def_probes_seen
-            lastp = self.def_last_probe
-            lastr = self.def_last_reimage
-            for i in range(m):
-                ds = down[i]
-                if ds is None:
-                    rows[i, COL_STATUS] = 1
-                    rows[i, COL_TIME_TO_UP] = 0
-                else:
-                    rows[i, COL_STATUS] = 0
-                    rows[i, COL_TIME_TO_UP] = dt - (tau - ds)
-                rows[i, COL_PROGRESS] = seen[i]
-                rows[i, COL_DEF_SINCE_PROBE] = tau - lastp[i]
-                rows[i, COL_DEF_SINCE_REIMAGE] = tau - lastr[i]
+            up_at, progress, last = self.up_at, self.def_probes_seen, self.def_last_reimage
+            col3 = [tau - t for t in self.def_last_probe]
         else:
             raise ValueError(f"unknown player {player!r}")
-        return Observation(player=player, data=rows)
+        rows = []
+        for u, p, c, t in zip(up_at, progress, col3, last):
+            rows += (0, u - tau, p, c, tau - t) if tau < u else (1, 0, p, c, tau - t)
+        return np.array(rows, dtype=np.int64).reshape(-1, 5)

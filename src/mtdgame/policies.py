@@ -13,7 +13,17 @@ from dataclasses import Field, dataclass, fields
 
 import numpy as np
 
-from mtdgame.env import ADVERSARY, DEFENDER, EnvConfig, MtdEnv, Observation
+from mtdgame.env import (
+    ADVERSARY,
+    COL_CONTROL,
+    COL_DEF_SINCE_PROBE,
+    COL_DEF_SINCE_REIMAGE,
+    COL_PROGRESS,
+    COL_STATUS,
+    DEFENDER,
+    EnvConfig,
+    MtdEnv,
+)
 from mtdgame.seeds import derive_seed, spawn_rng
 
 
@@ -23,7 +33,7 @@ class PurePolicy:
     player: str
     label: str
 
-    def act(self, obs: Observation, tau: int, rng: np.random.Generator) -> int | None:
+    def act(self, obs: np.ndarray, tau: int, rng: np.random.Generator) -> int | None:
         raise NotImplementedError
 
 
@@ -74,15 +84,23 @@ class NoOpPolicy(PurePolicy):
         return None
 
 
-def _pick(candidates: np.ndarray, rng: np.random.Generator) -> int:
+def _pick(candidates: np.ndarray, rng: np.random.Generator,
+          score: np.ndarray | None = None) -> int | None:
+    """A uniformly drawn candidate, None if there is none.  With `score`
+    (one value per candidate) the draw is among the top scorers only.
+    Nothing is drawn from `rng` for zero or one candidate."""
+    if candidates.size == 0:
+        return None
+    if score is not None:
+        candidates = candidates[score == score.max()]
     if candidates.size == 1:
         return int(candidates[0])
     return int(candidates[rng.integers(candidates.size)])
 
 
-def _believed_takeable(obs: Observation) -> np.ndarray:
+def _believed_takeable(obs: np.ndarray) -> np.ndarray:
     # servers the adversary thinks are up and does not control
-    return np.flatnonzero((obs.data[:, 0] == 1) & (obs.data[:, 3] == 0))
+    return np.flatnonzero((obs[:, COL_STATUS] == 1) & (obs[:, COL_CONTROL] == 0))
 
 
 @_heuristic("uniform", ADVERSARY)
@@ -96,10 +114,7 @@ class UniformAdversary(PurePolicy):
     def act(self, obs, tau, rng):
         if tau % self.period:
             return None
-        cand = _believed_takeable(obs)
-        if cand.size == 0:
-            return None
-        return _pick(cand, rng)
+        return _pick(_believed_takeable(obs), rng)
 
 
 @_heuristic("maxprobe", ADVERSARY)
@@ -114,10 +129,7 @@ class MaxProbeAdversary(PurePolicy):
         if tau % self.period:
             return None
         cand = _believed_takeable(obs)
-        if cand.size == 0:
-            return None
-        prog = obs.data[cand, 2]
-        return _pick(cand[prog == prog.max()], rng)
+        return _pick(cand, rng, obs[cand, COL_PROGRESS])
 
 
 @_heuristic("control_threshold", ADVERSARY)
@@ -130,14 +142,10 @@ class ControlThresholdAdversary(PurePolicy):
     label: str = "control_threshold"
 
     def act(self, obs, tau, rng):
-        m = obs.data.shape[0]
-        if obs.data[:, 3].sum() / m >= self.threshold:
+        if obs[:, COL_CONTROL].sum() / obs.shape[0] >= self.threshold:
             return None
         cand = _believed_takeable(obs)
-        if cand.size == 0:
-            return None
-        prog = obs.data[cand, 2]
-        return _pick(cand[prog == prog.max()], rng)
+        return _pick(cand, rng, obs[cand, COL_PROGRESS])
 
 
 @_heuristic("uniform", DEFENDER)
@@ -151,10 +159,7 @@ class UniformDefender(PurePolicy):
     def act(self, obs, tau, rng):
         if tau % self.period:
             return None
-        cand = np.flatnonzero(obs.data[:, 0] == 1)
-        if cand.size == 0:
-            return None
-        return _pick(cand, rng)
+        return _pick(np.flatnonzero(obs[:, COL_STATUS] == 1), rng)
 
 
 @_heuristic("maxprobe", DEFENDER)
@@ -169,14 +174,8 @@ class MaxProbeDefender(PurePolicy):
     def act(self, obs, tau, rng):
         if tau % self.period:
             return None
-        cand = np.flatnonzero(obs.data[:, 0] == 1)
-        if cand.size == 0:
-            return None
-        seen = obs.data[cand, 2]
-        top = seen.max()
-        if top == 0:
-            return None
-        return _pick(cand[seen == top], rng)
+        cand = np.flatnonzero((obs[:, COL_STATUS] == 1) & (obs[:, COL_PROGRESS] > 0))
+        return _pick(cand, rng, obs[cand, COL_PROGRESS])
 
 
 @_heuristic("pcp", DEFENDER)
@@ -196,17 +195,14 @@ class ProbeCountPeriodDefender(PurePolicy):
     label: str = "pcp"
 
     def act(self, obs, tau, rng):
-        d = obs.data
-        quiet = (d[:, 0] == 1) & (d[:, 2] >= 1) & (
-            (d[:, 3] >= self.period) | (d[:, 2] > self.probe_limit)
+        seen = obs[:, COL_PROGRESS]
+        quiet = (obs[:, COL_STATUS] == 1) & (seen >= 1) & (
+            (obs[:, COL_DEF_SINCE_PROBE] >= self.period) | (seen > self.probe_limit)
         )
-        cand = np.flatnonzero(quiet)
-        if cand.size == 0:
-            return None
-        return _pick(cand, rng)
+        return _pick(np.flatnonzero(quiet), rng)
 
 
-def expected_defender_control(obs: Observation, gain: float,
+def expected_defender_control(obs: np.ndarray, gain: float,
                               literal_exponent: bool = False) -> float:
     """Defender's estimate of how many up servers it still controls.
 
@@ -216,12 +212,10 @@ def expected_defender_control(obs: Observation, gain: float,
     the last probe is counted as the (k+1)-th instead.  Down servers are
     excluded, they count for nobody.
     """
-    d = obs.data
     total = 0.0
-    for i in range(d.shape[0]):
-        if d[i, 0] != 1:
+    for status, k in obs[:, [COL_STATUS, COL_PROGRESS]].tolist():
+        if status != 1:
             continue
-        k = int(d[i, 2])
         if k == 0:
             p = 0.0
         else:
@@ -244,19 +238,14 @@ class ControlThresholdDefender(PurePolicy):
     label: str = "control_threshold"
 
     def act(self, obs, tau, rng):
-        d = obs.data
         # time since this defender's most recent reimage anywhere
-        if d[:, 4].min() < self.period:
+        if obs[:, COL_DEF_SINCE_REIMAGE].min() < self.period:
             return None
-        m = d.shape[0]
         expected = expected_defender_control(obs, self.gain, self.literal_exponent)
-        if expected > m * self.threshold:
+        if expected > obs.shape[0] * self.threshold:
             return None
-        cand = np.flatnonzero(d[:, 0] == 1)
-        if cand.size == 0:
-            return None
-        seen = d[cand, 2]
-        return _pick(cand[seen == seen.max()], rng)
+        cand = np.flatnonzero(obs[:, COL_STATUS] == 1)
+        return _pick(cand, rng, obs[cand, COL_PROGRESS])
 
 
 def _default_set(player: str, **params) -> list[PurePolicy]:

@@ -53,7 +53,6 @@ from mtdgame.env import (
     ConfigError,
     EnvConfig,
     MtdEnv,
-    Observation,
 )
 from mtdgame.policies import MixedStrategy, PurePolicy
 from mtdgame.seeds import derive_seed, spawn_rng
@@ -122,33 +121,33 @@ class TrainConfig:
         return self
 
 
-def network_input(obs: Observation, cfg: EnvConfig) -> np.ndarray:
-    """Normalize an observation into the network's input vector.
+def network_input(player: str, obs: np.ndarray, cfg: EnvConfig) -> np.ndarray:
+    """Normalize one player's observation into the network's input vector.
 
-    Pure function of the observation and config: statuses and control flags
-    stay 0/1, time_to_up is divided by the downtime, probe counts by 30 and
-    elapsed times by 100, both clamped to 1.
+    Pure function of its arguments: statuses and control flags stay 0/1,
+    time_to_up is divided by the downtime, probe counts by 30 and elapsed
+    times by 100, both clamped to 1.
     """
-    x = obs.data.astype(np.float64)
-    x[:, 1] /= cfg.downtime
-    np.minimum(x[:, 2] / _PROGRESS_SCALE, 1.0, out=x[:, 2])
-    if obs.player == ADVERSARY:
-        np.minimum(x[:, 4] / _ELAPSED_SCALE, 1.0, out=x[:, 4])
-    else:
-        np.minimum(x[:, 3] / _ELAPSED_SCALE, 1.0, out=x[:, 3])
-        np.minimum(x[:, 4] / _ELAPSED_SCALE, 1.0, out=x[:, 4])
+    x = obs.astype(np.float64)
+    x[:, COL_TIME_TO_UP] /= cfg.downtime
+    np.minimum(x[:, COL_PROGRESS] / _PROGRESS_SCALE, 1.0, out=x[:, COL_PROGRESS])
+    elapsed = ((COL_ADV_SINCE_PROBE,) if player == ADVERSARY
+               else (COL_DEF_SINCE_PROBE, COL_DEF_SINCE_REIMAGE))
+    for col in elapsed:
+        np.minimum(x[:, col] / _ELAPSED_SCALE, 1.0, out=x[:, col])
     return x.reshape(-1)
 
 
-def canonical_input(obs: Observation, cfg: EnvConfig) -> tuple[np.ndarray, np.ndarray]:
+def canonical_input(player: str, obs: np.ndarray,
+                    cfg: EnvConfig) -> tuple[np.ndarray, np.ndarray]:
     """The network input with its server rows in canonical order, and the order.
 
     Rows of `network_input` are sorted by the player's keys (`_ADV_ORDER`
     or `_DEF_ORDER`); ties keep server index order.  Row k of the result is
     server `order[k]`, so the network's action k means server `order[k]`.
     """
-    rows = network_input(obs, cfg).reshape(cfg.num_servers, -1)
-    cols, signs = _SORT_PLANS[obs.player]
+    rows = network_input(player, obs, cfg).reshape(cfg.num_servers, -1)
+    cols, signs = _SORT_PLANS[player]
     order = np.lexsort(rows.T[cols] * signs)
     return rows[order].reshape(-1), order
 
@@ -372,7 +371,7 @@ class QNetworkPolicy(PurePolicy):
         self.label = label
 
     def act(self, obs, tau, rng):
-        x, order = canonical_input(obs, self.cfg)
+        x, order = canonical_input(self.player, obs, self.cfg)
         a = int(np.argmax(self.net.forward(x)))
         return None if a == self.cfg.num_servers else int(order[a])
 
@@ -427,7 +426,7 @@ def train_best_response(player: str, opponents: list[PurePolicy],
         opponent = opponents[opponent_mix.sample(mix_rng)]
         opp_rng = spawn_rng(tc.seed, "opp", ep)
         my_obs, opp_obs = (obs_a, obs_d) if player == ADVERSARY else (obs_d, obs_a)
-        x, order = canonical_input(my_obs, env_cfg)
+        x, order = canonical_input(player, my_obs, env_cfg)
         disc = 0.0
         raw = 0.0
         g = 1.0
@@ -444,7 +443,7 @@ def train_best_response(player: str, opponents: list[PurePolicy],
             else:
                 out = env.step(opp_action, my_action)
                 r, my_next, opp_next = out.reward_def, out.obs_def, out.obs_adv
-            x_next, next_order = canonical_input(my_next, env_cfg)
+            x_next, next_order = canonical_input(player, my_next, env_cfg)
             buf.push(x, a_idx, x_next, r)
             optimizer.lr = learning_rate_value(tc, gstep, total_steps)
             center.step = _CENTER_STEP * (optimizer.lr / tc.learning_rate)

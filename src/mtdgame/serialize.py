@@ -37,7 +37,7 @@ class PolicyFormatError(ValueError):
     pass
 
 
-def _finite(raw: str) -> float:
+def parse_finite(raw: str) -> float:
     value = float(raw)
     if not math.isfinite(value):
         raise ValueError(f"not a finite number: {raw!r}")
@@ -48,7 +48,7 @@ def _finite(raw: str) -> float:
 # annotations are strings because policies.py postpones their evaluation.
 _PARAM_TYPES = {
     "int": (int, lambda v: str(int(v))),
-    "float": (_finite, lambda v: repr(float(v))),
+    "float": (parse_finite, lambda v: repr(float(v))),
     "bool": (lambda raw: bool(int(raw)), lambda v: str(int(v))),
 }
 
@@ -245,7 +245,7 @@ def load_game(path: str | Path, episodes: int = 0) -> EmpiricalGame:
             if cl not in cols:
                 cols.append(cl)
             try:
-                cells[(rl, cl)] = tuple(_finite(v) for v in rec[2:])
+                cells[(rl, cl)] = tuple(parse_finite(v) for v in rec[2:])
             except ValueError:
                 raise PolicyFormatError(f"{path}: bad cell in row {rec}") from None
     if not cells:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from mtdgame.cli import main
-from mtdgame.env import ADVERSARY, DEFENDER, EnvConfig, MtdEnv
+from mtdgame.env import ADVERSARY, COL_CONTROL, COL_STATUS, DEFENDER, EnvConfig, MtdEnv
 from mtdgame.double_oracle import DoConfig, dqn_oracle, run_double_oracle
 from mtdgame.nash import EmpiricalGame, build_game, solve_msne
 from mtdgame.policies import (
@@ -200,7 +200,7 @@ def test_c5_environment_invariant_fuzz():
     while steps_left > 0:
         obs_a, obs_d = env.reset(derive_seed(2024, "fuzz", ep))
         ep += 1
-        prev_status = obs_d.status.copy()
+        prev_status = obs_d[:, COL_STATUS].copy()
         down_start = np.full(m, -1)
         acts = rng.integers(0, m + 1, size=(min(cfg.horizon, steps_left), 2))
         for t in range(acts.shape[0]):
@@ -208,8 +208,8 @@ def test_c5_environment_invariant_fuzz():
             d = None if acts[t, 1] == m else int(acts[t, 1])
             out = env.step(a, d)
             steps_left -= 1
-            status = out.obs_def.status
-            control = out.obs_adv.control
+            status = out.obs_def[:, COL_STATUS]
+            control = out.obs_adv[:, COL_CONTROL]
             n_a, n_d, n_dn = env.counts()
             if (n_a + n_d + n_dn != m
                     or n_dn != int((status == 0).sum())

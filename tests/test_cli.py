@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -99,6 +100,25 @@ def test_unknown_config_key(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "wibble=1\n")
     assert main(["simulate", "--config", cfg]) == EXIT_CONFIG
     assert "wibble" in capsys.readouterr().err
+
+
+def test_simulate_non_finite_config_value(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "theta_th=nan\n")
+    assert main(["simulate", "--config", cfg]) == EXIT_CONFIG
+    assert "theta_th" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,artifact,digest", [
+    (["payoff-table", "--episodes", "2", "--t", "200", "--seed", "123"], "game.csv",
+     "694eb3695e7742edf480ad31885936c6ed8fc7d7827c11802fc99fe74dbd91ec"),
+    (["simulate", "--adv", "maxprobe", "--def", "pcp", "--seed", "3"], "trace.csv",
+     "9d8351cd55b637429f2fb63c27cf7f735e4cb471a20ea3a740ae1baff522d24d"),
+], ids=["payoff-table", "simulate"])
+def test_heuristic_outputs_are_pinned(argv, artifact, digest, tmp_path, capsys):
+    """Heuristic-only runs involve no BLAS, so their bytes are fixed."""
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256((out / artifact).read_bytes()).hexdigest() == digest
 
 
 def test_simulate_bad_heuristic_parameter(tmp_path, capsys):

@@ -90,6 +90,13 @@ def test_bad_inputs_rejected(text):
         parse_config(text)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["c_a", "theta_sl", "theta_th", "learning_rate"])
+def test_non_finite_numbers_rejected(key, value):
+    with pytest.raises(ConfigError, match=f"key {key}: expected a finite number"):
+        parse_config(f"{key}={value}\n")
+
+
 def test_training_keys():
     rc = parse_config("ne=40\nbatch=16\nlearning_rate=0.001\nepsilon_fraction=0.3\n"
                       "epsilon_final=0.05\nreplay_capacity=512\noptimizer=sgd\n")

@@ -130,18 +130,18 @@ def test_reset_all_servers_clean_and_up(baseline):
     env = MtdEnv(baseline)
     obs_a, obs_d = env.reset(3)
     assert env.counts() == (0, 10, 0)
-    np.testing.assert_array_equal(obs_d.status, np.ones(10, dtype=np.int64))
-    np.testing.assert_array_equal(obs_d.time_to_up, np.zeros(10, dtype=np.int64))
-    np.testing.assert_array_equal(obs_d.progress, np.zeros(10, dtype=np.int64))
-    np.testing.assert_array_equal(obs_a.status, np.ones(10, dtype=np.int64))
-    np.testing.assert_array_equal(obs_a.control, np.zeros(10, dtype=np.int64))
+    np.testing.assert_array_equal(obs_d[:, COL_STATUS], np.ones(10, dtype=np.int64))
+    np.testing.assert_array_equal(obs_d[:, COL_TIME_TO_UP], np.zeros(10, dtype=np.int64))
+    np.testing.assert_array_equal(obs_d[:, COL_PROGRESS], np.zeros(10, dtype=np.int64))
+    np.testing.assert_array_equal(obs_a[:, COL_STATUS], np.ones(10, dtype=np.int64))
+    np.testing.assert_array_equal(obs_a[:, COL_CONTROL], np.zeros(10, dtype=np.int64))
 
 
 def test_reset_same_seed_bitwise_identical(baseline):
     a1, d1 = MtdEnv(baseline).reset(11)
     a2, d2 = MtdEnv(baseline).reset(11)
-    np.testing.assert_array_equal(a1.data, a2.data)
-    np.testing.assert_array_equal(d1.data, d2.data)
+    np.testing.assert_array_equal(a1, a2)
+    np.testing.assert_array_equal(d1, d2)
 
 
 def test_step_requires_reset(baseline):
@@ -153,8 +153,8 @@ def test_step_requires_reset(baseline):
 def test_episode_ends_at_horizon(short):
     env = fresh(short)
     for _ in range(short.horizon):
-        out = env.step(None, None)
-    assert out.done
+        env.step(None, None)
+    assert env.done
     with pytest.raises(RuntimeError):
         env.step(None, None)
 
@@ -184,12 +184,12 @@ def test_successful_probe_flips_control(baseline):
     env = fresh(cfg)
     out = env.step(0, None)
     assert env.counts() == (1, 9, 0)
-    assert out.obs_adv.control[0] == 1
-    assert out.obs_adv.progress[0] == 1
+    assert out.obs_adv[0, COL_CONTROL] == 1
+    assert out.obs_adv[0, COL_PROGRESS] == 1
     assert env.probes[0] == 1
     # the defender saw the probe (miss_prob 0) but not the compromise
-    assert out.obs_def.progress[0] == 1
-    assert out.obs_def.status[0] == 1
+    assert out.obs_def[0, COL_PROGRESS] == 1
+    assert out.obs_def[0, COL_STATUS] == 1
 
 
 def test_failed_probe_still_counts(baseline):
@@ -198,8 +198,8 @@ def test_failed_probe_still_counts(baseline):
     for k in range(1, 4):
         out = env.step(2, None)
         assert env.probes[2] == k
-        assert out.obs_adv.control[2] == 0
-        assert out.obs_def.progress[2] == k
+        assert out.obs_adv[2, COL_CONTROL] == 0
+        assert out.obs_def[2, COL_PROGRESS] == k
     assert env.counts() == (0, 10, 0)
 
 
@@ -253,7 +253,7 @@ def test_reimage_downtime_is_exact(baseline):
         out = env.step(None, None)
     assert down_evals == baseline.downtime
     assert env.counts() == (0, 10, 0)
-    assert out.obs_def.status[0] == 1
+    assert out.obs_def[0, COL_STATUS] == 1
 
 
 def test_downtime_reward_drop(baseline):
@@ -261,7 +261,7 @@ def test_downtime_reward_drop(baseline):
     out = env.step(None, 0)
     # defender availability drops to 9/10 servers for the down window
     assert out.reward_def == pytest.approx(logistic(0.9, 5.0, 0.2), abs=1e-9)
-    assert out.obs_def.time_to_up[0] == baseline.downtime
+    assert out.obs_def[0, COL_TIME_TO_UP] == baseline.downtime
 
 
 def test_reimage_compromised_server_notifies_adversary(baseline):
@@ -270,28 +270,28 @@ def test_reimage_compromised_server_notifies_adversary(baseline):
     env.step(0, None)
     out = env.step(None, 0)
     assert env.counts() == (0, 9, 1)
-    assert out.obs_adv.control[0] == 0
-    assert out.obs_adv.progress[0] == 0
-    assert out.obs_adv.status[0] == 0
-    assert out.obs_adv.time_to_up[0] == baseline.downtime
+    assert out.obs_adv[0, COL_CONTROL] == 0
+    assert out.obs_adv[0, COL_PROGRESS] == 0
+    assert out.obs_adv[0, COL_STATUS] == 0
+    assert out.obs_adv[0, COL_TIME_TO_UP] == baseline.downtime
 
 
 def test_reimage_clean_unprobed_server_is_invisible_to_adversary(baseline):
     env = fresh(baseline)
     out = env.step(None, 3)
     # defender sees the downtime, the adversary's view of 3 is stale
-    assert out.obs_def.status[3] == 0
-    assert out.obs_adv.status[3] == 1
-    assert out.obs_adv.time_to_up[3] == 0
+    assert out.obs_def[3, COL_STATUS] == 0
+    assert out.obs_adv[3, COL_STATUS] == 1
+    assert out.obs_adv[3, COL_TIME_TO_UP] == 0
 
 
 def test_probing_a_down_server_teaches_status(baseline):
     env = fresh(baseline)
     env.step(None, 0)           # down at clock 1
     out = env.step(0, None)     # probe at clock 2
-    assert out.obs_adv.status[0] == 0
-    assert out.obs_adv.time_to_up[0] == baseline.downtime - 1
-    assert out.obs_adv.progress[0] == 0
+    assert out.obs_adv[0, COL_STATUS] == 0
+    assert out.obs_adv[0, COL_TIME_TO_UP] == baseline.downtime - 1
+    assert out.obs_adv[0, COL_PROGRESS] == 0
     # true probe count unchanged by a probe that bounced off a down server
     assert env.probes[0] == 0
 
@@ -304,15 +304,15 @@ def test_reimage_resets_probe_count(baseline):
     assert env.probes[5] == 4
     out = env.step(None, 5)
     assert env.probes[5] == 0
-    assert out.obs_def.progress[5] == 0
+    assert out.obs_def[5, COL_PROGRESS] == 0
 
 
 def test_reimaging_a_down_server_is_a_noop(baseline):
     env = fresh(baseline)
     env.step(None, 0)
-    first_down = env.down_since[0]
+    first_up = env.up_at[0]
     env.step(None, 0)  # already down; must not extend the window
-    assert env.down_since[0] == first_down
+    assert env.up_at[0] == first_up
 
 
 def test_defender_observed_probes_track_truth_when_never_missed(baseline):
@@ -323,7 +323,7 @@ def test_defender_observed_probes_track_truth_when_never_missed(baseline):
         target = int(rng.integers(0, 10))
         out = env.step(target, None)
         np.testing.assert_array_equal(
-            out.obs_def.progress, np.array(env.probes, dtype=np.int64))
+            out.obs_def[:, COL_PROGRESS], np.array(env.probes, dtype=np.int64))
 
 
 def test_missed_probes_undercount(baseline):
@@ -332,7 +332,7 @@ def test_missed_probes_undercount(baseline):
     for _ in range(10):
         out = env.step(7, None)
     assert env.probes[7] == 10
-    assert out.obs_def.progress[7] == 0
+    assert out.obs_def[7, COL_PROGRESS] == 0
 
 
 def test_conservation_under_random_play(baseline):
@@ -369,12 +369,8 @@ def test_observation_views_expose_player_columns(baseline):
     env = fresh(baseline)
     obs_a = env.observe(ADVERSARY)
     obs_d = env.observe(DEFENDER)
-    assert obs_a.data.shape == (10, 5)
-    assert obs_d.data.shape == (10, 5)
-    with pytest.raises(AttributeError):
-        obs_d.control
-    with pytest.raises(AttributeError):
-        obs_a.since_reimage
-    assert obs_a.flatten().shape == (50,)
+    assert obs_a.shape == (10, 5)
+    assert obs_d.shape == (10, 5)
+    assert obs_a.dtype == obs_d.dtype == np.int64
     with pytest.raises(ValueError):
         env.observe("nobody")

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mtdgame.env import ADVERSARY, DEFENDER, EnvConfig, Observation
+from mtdgame.env import ADVERSARY, DEFENDER, EnvConfig
 from mtdgame.policies import (
     ControlThresholdAdversary,
     ControlThresholdDefender,
@@ -25,8 +25,8 @@ from mtdgame.policies import (
 )
 
 
-def obs_of(player: str, rows: list[list[int]]) -> Observation:
-    return Observation(player=player, data=np.array(rows, dtype=np.int64))
+def obs_of(rows: list[list[int]]) -> np.ndarray:
+    return np.array(rows, dtype=np.int64)
 
 
 def adv_row(status=1, ttu=0, progress=0, control=0, since_probe=0):
@@ -46,20 +46,20 @@ def draws(policy, obs, tau, n=400, seed=3):
 
 
 def test_noop_never_acts():
-    obs = obs_of(ADVERSARY, [adv_row() for _ in range(4)])
+    obs = obs_of([adv_row() for _ in range(4)])
     pol = NoOpPolicy(ADVERSARY)
     assert draws(pol, obs, 0, n=10) == [None] * 10
 
 
 def test_uniform_adversary_targets_takeable_servers():
     rows = [adv_row(), adv_row(control=1), adv_row(status=0, ttu=3), adv_row()]
-    obs = obs_of(ADVERSARY, rows)
+    obs = obs_of(rows)
     got = set(draws(UniformAdversary(), obs, 0))
     assert got == {0, 3}  # controlled and down servers are never probed
 
 
 def test_uniform_adversary_period_gate():
-    obs = obs_of(ADVERSARY, [adv_row()])
+    obs = obs_of([adv_row()])
     pol = UniformAdversary(period=3)
     assert pol.act(obs, 1, np.random.default_rng(0)) is None
     assert pol.act(obs, 2, np.random.default_rng(0)) is None
@@ -67,14 +67,14 @@ def test_uniform_adversary_period_gate():
 
 
 def test_uniform_adversary_idles_when_nothing_takeable():
-    obs = obs_of(ADVERSARY, [adv_row(control=1), adv_row(status=0)])
+    obs = obs_of([adv_row(control=1), adv_row(status=0)])
     assert UniformAdversary().act(obs, 0, np.random.default_rng(0)) is None
 
 
 def test_maxprobe_adversary_breaks_ties_uniformly():
     rows = [adv_row(progress=3), adv_row(progress=9), adv_row(progress=9),
             adv_row(progress=0)]
-    obs = obs_of(ADVERSARY, rows)
+    obs = obs_of(rows)
     got = draws(MaxProbeAdversary(), obs, 0)
     assert set(got) == {1, 2}
     share = got.count(1) / len(got)
@@ -83,14 +83,14 @@ def test_maxprobe_adversary_breaks_ties_uniformly():
 
 def test_maxprobe_adversary_skips_controlled_leader():
     rows = [adv_row(progress=9, control=1), adv_row(progress=2), adv_row(progress=5)]
-    obs = obs_of(ADVERSARY, rows)
+    obs = obs_of(rows)
     assert set(draws(MaxProbeAdversary(), obs, 0)) == {2}
 
 
 def test_control_threshold_adversary_idles_at_threshold():
     # six of ten controlled, threshold one half: stop probing
     rows = [adv_row(control=1) for _ in range(6)] + [adv_row() for _ in range(4)]
-    obs = obs_of(ADVERSARY, rows)
+    obs = obs_of(rows)
     pol = ControlThresholdAdversary(threshold=0.5)
     assert pol.act(obs, 0, np.random.default_rng(0)) is None
 
@@ -98,7 +98,7 @@ def test_control_threshold_adversary_idles_at_threshold():
 def test_control_threshold_adversary_probes_below_threshold():
     rows = [adv_row(control=1) for _ in range(4)] + [
         adv_row(progress=6), adv_row(progress=1)] + [adv_row() for _ in range(4)]
-    obs = obs_of(ADVERSARY, rows)
+    obs = obs_of(rows)
     got = set(draws(ControlThresholdAdversary(threshold=0.5), obs, 0))
     assert got == {4}  # most-probed uncontrolled server
 
@@ -108,7 +108,7 @@ def test_control_threshold_adversary_probes_below_threshold():
 
 def test_uniform_defender_reimages_only_up_servers():
     rows = [def_row(), def_row(status=0, ttu=2), def_row()]
-    obs = obs_of(DEFENDER, rows)
+    obs = obs_of(rows)
     assert set(draws(UniformDefender(period=4), obs, 0)) == {0, 2}
     assert UniformDefender(period=4).act(obs, 2, np.random.default_rng(0)) is None
 
@@ -116,7 +116,7 @@ def test_uniform_defender_reimages_only_up_servers():
 def test_maxprobe_defender_tie_break():
     rows = [def_row(progress=3), def_row(progress=9), def_row(progress=9),
             def_row(progress=0)]
-    obs = obs_of(DEFENDER, rows)
+    obs = obs_of(rows)
     got = draws(MaxProbeDefender(period=4), obs, 0)
     assert set(got) == {1, 2}
     share = got.count(1) / len(got)
@@ -124,12 +124,12 @@ def test_maxprobe_defender_tie_break():
 
 
 def test_maxprobe_defender_never_fires_unprobed():
-    obs = obs_of(DEFENDER, [def_row() for _ in range(5)])
+    obs = obs_of([def_row() for _ in range(5)])
     assert MaxProbeDefender(period=4).act(obs, 0, np.random.default_rng(0)) is None
 
 
 def test_maxprobe_defender_period_gate():
-    obs = obs_of(DEFENDER, [def_row(progress=2)])
+    obs = obs_of([def_row(progress=2)])
     pol = MaxProbeDefender(period=4)
     assert pol.act(obs, 3, np.random.default_rng(0)) is None
     assert pol.act(obs, 4, np.random.default_rng(0)) == 0
@@ -143,24 +143,24 @@ def test_pcp_defender_selects_quiet_or_overprobed():
         def_row(progress=0, since_probe=9),    # never probed: keep
         def_row(status=0, progress=5, since_probe=6),  # down: keep
     ]
-    obs = obs_of(DEFENDER, rows)
+    obs = obs_of(rows)
     got = set(draws(ProbeCountPeriodDefender(period=4, probe_limit=7), obs, 1))
     assert got == {1, 2}
 
 
 def test_pcp_defender_idles_with_no_candidates():
-    obs = obs_of(DEFENDER, [def_row(progress=1, since_probe=1)])
+    obs = obs_of([def_row(progress=1, since_probe=1)])
     assert ProbeCountPeriodDefender(period=4, probe_limit=7).act(
         obs, 5, np.random.default_rng(0)) is None
 
 
 def test_expected_control_unprobed_fleet():
-    obs = obs_of(DEFENDER, [def_row() for _ in range(10)])
+    obs = obs_of([def_row() for _ in range(10)])
     assert expected_defender_control(obs, 0.05) == pytest.approx(10.0, abs=1e-12)
 
 
 def test_expected_control_single_probed_server():
-    obs = obs_of(DEFENDER, [def_row(progress=4)])
+    obs = obs_of([def_row(progress=4)])
     assert expected_defender_control(obs, 0.05) == pytest.approx(0.818731, abs=1e-6)
     literal = math.exp(-0.05 * 5)
     assert expected_defender_control(obs, 0.05, literal_exponent=True) == pytest.approx(
@@ -169,7 +169,7 @@ def test_expected_control_single_probed_server():
 
 def test_expected_control_excludes_down_servers():
     rows = [def_row(status=0, ttu=4)] + [def_row() for _ in range(9)]
-    obs = obs_of(DEFENDER, rows)
+    obs = obs_of(rows)
     assert expected_defender_control(obs, 0.05) == pytest.approx(9.0, abs=1e-12)
 
 
@@ -177,15 +177,15 @@ def test_control_threshold_defender_cooldown_and_threshold():
     pol = ControlThresholdDefender(threshold=0.8, period=4, gain=0.05)
     # heavily probed fleet, but a reimage happened just now: hold
     hot = [def_row(progress=30, since_probe=0, since_reimage=1) for _ in range(10)]
-    assert pol.act(obs_of(DEFENDER, hot), 8, np.random.default_rng(0)) is None
+    assert pol.act(obs_of(hot), 8, np.random.default_rng(0)) is None
     # cooled down and expected control is low: fire on a most-probed server
     rows = [def_row(progress=30, since_probe=0, since_reimage=9) for _ in range(5)]
     rows += [def_row(since_reimage=9) for _ in range(5)]
-    got = set(draws(pol, obs_of(DEFENDER, rows), 8))
+    got = set(draws(pol, obs_of(rows), 8))
     assert got <= {0, 1, 2, 3, 4} and len(got) > 1
     # barely probed fleet keeps expected control above the bar: hold
     calm = [def_row(progress=1, since_probe=1, since_reimage=9) for _ in range(10)]
-    assert pol.act(obs_of(DEFENDER, calm), 8, np.random.default_rng(0)) is None
+    assert pol.act(obs_of(calm), 8, np.random.default_rng(0)) is None
 
 
 def test_default_policy_sets(baseline):

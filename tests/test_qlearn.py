@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mtdgame.env import ADVERSARY, DEFENDER, ConfigError, EnvConfig, MtdEnv, Observation
+from mtdgame.env import ADVERSARY, DEFENDER, ConfigError, EnvConfig, MtdEnv
 from mtdgame.policies import MixedStrategy, NoOpPolicy, UniformAdversary
 from mtdgame.qlearn import (
     AdamOptimizer,
@@ -44,8 +44,7 @@ def test_network_input_scales_defender_columns(baseline):
     data = np.zeros((10, 5), dtype=np.int64)
     data[:, 0] = 1
     data[0] = [0, 7, 60, 250, 50]
-    obs = Observation(player=DEFENDER, data=data)
-    x = network_input(obs, baseline)
+    x = network_input(DEFENDER, data, baseline)
     assert x.shape == (50,)
     assert x[0] == 0.0
     assert x[1] == pytest.approx(1.0)          # time_to_up / downtime
@@ -55,15 +54,14 @@ def test_network_input_scales_defender_columns(baseline):
     # untouched servers stay (1, 0, 0, 0, 0)
     assert x[5] == 1.0 and x[6:10].sum() == 0.0
     # the original observation is not modified in place
-    assert obs.data[0, 1] == 7
+    assert data[0, 1] == 7
 
 
 def test_network_input_scales_adversary_columns(baseline):
     data = np.zeros((10, 5), dtype=np.int64)
     data[:, 0] = 1
     data[0] = [1, 0, 15, 1, 200]
-    obs = Observation(player=ADVERSARY, data=data)
-    x = network_input(obs, baseline)
+    x = network_input(ADVERSARY, data, baseline)
     assert x[2] == pytest.approx(0.5)
     assert x[3] == 1.0                         # control flag kept binary
     assert x[4] == pytest.approx(1.0)
@@ -75,12 +73,11 @@ def test_canonical_order_adversary_hand_value():
                      [0, 3, 0, 0, 10],    # down
                      [1, 0, 4, 0, 1],     # up, 4 probes
                      [1, 0, 9, 0, 1]])    # up, 9 probes
-    obs = Observation(player=ADVERSARY, data=data)
-    x, order = canonical_input(obs, cfg)
+    x, order = canonical_input(ADVERSARY, data, cfg)
     # uncontrolled before controlled, up before down, most probes first
     assert order.tolist() == [3, 2, 1, 0]
     np.testing.assert_array_equal(
-        x, network_input(obs, cfg).reshape(4, 5)[[3, 2, 1, 0]].reshape(-1))
+        x, network_input(ADVERSARY, data, cfg).reshape(4, 5)[[3, 2, 1, 0]].reshape(-1))
 
 
 def test_canonical_order_defender_hand_value():
@@ -89,7 +86,7 @@ def test_canonical_order_defender_hand_value():
                      [0, 7, 0, 100, 0],   # down
                      [1, 0, 2, 1, 80],    # up, 2 probes, last 1 step ago
                      [1, 0, 0, 100, 100]])
-    _, order = canonical_input(Observation(player=DEFENDER, data=data), cfg)
+    _, order = canonical_input(DEFENDER, data, cfg)
     # up first, most observed probes first, most recently probed first
     assert order.tolist() == [2, 0, 3, 1]
 
@@ -102,14 +99,13 @@ def test_canonical_input_ignores_server_labels(baseline):
     for player in (ADVERSARY, DEFENDER):
         pol = QNetworkPolicy(player, net, baseline, "qnet")
         for _ in range(20):
-            data = np.column_stack([rng.integers(0, 2, 10), rng.integers(0, 8, 10),
-                                    rng.permutation(10), rng.integers(0, 2, 10),
-                                    rng.integers(0, 120, 10)])
+            obs = np.column_stack([rng.integers(0, 2, 10), rng.integers(0, 8, 10),
+                                   rng.permutation(10), rng.integers(0, 2, 10),
+                                   rng.integers(0, 120, 10)])
             perm = rng.permutation(10)
-            obs = Observation(player=player, data=data)
-            moved = Observation(player=player, data=data[perm])
-            np.testing.assert_array_equal(canonical_input(obs, baseline)[0],
-                                          canonical_input(moved, baseline)[0])
+            moved = obs[perm]
+            np.testing.assert_array_equal(canonical_input(player, obs, baseline)[0],
+                                          canonical_input(player, moved, baseline)[0])
             a = pol.act(obs, 0, rng)
             b = pol.act(moved, 0, rng)
             assert (a is None and b is None) or perm[b] == a
@@ -406,9 +402,8 @@ def test_greedy_policy_maps_through_canonical_order():
     cfg = EnvConfig(num_servers=4)
     net = zeroed(QNetwork(20, 5, np.random.default_rng(0)))
     pol = QNetworkPolicy(ADVERSARY, net, cfg, "qnet")
-    data = np.array([[1, 0, 5, 1, 2], [0, 3, 0, 0, 10],
-                     [1, 0, 4, 0, 1], [1, 0, 9, 0, 1]])
-    obs = Observation(player=ADVERSARY, data=data)
+    obs = np.array([[1, 0, 5, 1, 2], [0, 3, 0, 0, 10],
+                    [1, 0, 4, 0, 1], [1, 0, 9, 0, 1]])
     net.biases[-1][0] = 1.0   # the first canonical row is server 3
     assert pol.act(obs, 0, np.random.default_rng(0)) == 3
     net.biases[-1][:] = [0.0, 0.0, 0.0, 1.0, 0.0]

@@ -294,7 +294,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, PolicyFormatError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ConfigError, PolicyFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericalError, EquilibriumError, np.linalg.LinAlgError) as exc:

@@ -7,13 +7,14 @@ keys override it.  Missing keys keep the baseline defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from collections import namedtuple
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from mtdgame.double_oracle import DoConfig
 from mtdgame.env import ConfigError, EnvConfig
 from mtdgame.qlearn import TrainConfig
-from mtdgame.serialize import parse_finite
 
 UTILITY_ENVIRONMENTS = {
     0: (1.0, 1.0),
@@ -33,55 +34,74 @@ class ResolvedConfig:
     do: DoConfig = field(default_factory=DoConfig)
 
 
-def _parse_bool(key: str, raw: str) -> bool:
+def parse_finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
+def _parse_bool(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("1", "true", "yes"):
         return True
     if low in ("0", "false", "no"):
         return False
-    raise ConfigError(f"key {key}: expected a boolean, got {raw!r}")
+    raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _parse_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"key {key}: expected an integer, got {raw!r}") from None
+_TextValue = namedtuple("_TextValue", "read write expected")
 
-
-def _parse_float(key: str, raw: str) -> float:
-    try:
-        return parse_finite(raw)
-    except ValueError:
-        raise ConfigError(f"key {key}: expected a finite number, got {raw!r}") from None
-
-
-# key -> (section of ResolvedConfig, attributes it sets, parser), in the
-# line order of format_config, which writes the first attribute.
-KEYS = {
-    "M": ("env", ("num_servers",), _parse_int),
-    "delta": ("env", ("downtime",), _parse_int),
-    "nu": ("env", ("miss_prob",), _parse_float),
-    "alpha": ("env", ("probe_gain",), _parse_float),
-    "c_a": ("env", ("probe_cost",), _parse_float),
-    "theta_sl": ("env", ("reward_slope_adv", "reward_slope_def"), _parse_float),
-    "theta_th": ("env", ("reward_thresh_adv", "reward_thresh_def"), _parse_float),
-    "w_a": ("env", ("weight_adv",), _parse_float),
-    "w_d": ("env", ("weight_def",), _parse_float),
-    "T": ("env", ("horizon",), _parse_int),
-    "gamma": ("env", ("discount",), _parse_float),
-    "charge_down_probes": ("env", ("charge_down_probes",), _parse_bool),
-    "ne": ("train", ("episodes",), _parse_int),
-    "batch": ("train", ("batch_size",), _parse_int),
-    "learning_rate": ("train", ("learning_rate",), _parse_float),
-    "epsilon_fraction": ("train", ("epsilon_fraction",), _parse_float),
-    "epsilon_final": ("train", ("epsilon_final",), _parse_float),
-    "replay_capacity": ("train", ("replay_capacity",), _parse_int),
-    "optimizer": ("train", ("optimizer",), lambda key, raw: raw),
-    "eps_do": ("do", ("eps_do",), _parse_float),
-    "max_iterations": ("do", ("max_iterations",), _parse_int),
-    "eval_episodes": ("do", ("eval_episodes",), _parse_int),
+# Field annotation -> how values of that type are read from and written to
+# text, for config keys and heuristic policy-line parameters alike.  The
+# annotations are strings because the dataclass modules postpone evaluation.
+TEXT_VALUES = {
+    "int": _TextValue(int, lambda v: str(int(v)), "an integer"),
+    "float": _TextValue(parse_finite, lambda v: repr(float(v)), "a finite number"),
+    "bool": _TextValue(_parse_bool, lambda v: str(int(v)), "a boolean"),
+    "str": _TextValue(str, str, "a string"),
 }
+
+# section of ResolvedConfig -> the config class it holds; (section,
+# attribute) -> the attribute's annotation, a key of TEXT_VALUES
+_SECTIONS = {f.name: f.default_factory for f in fields(ResolvedConfig)}
+_KINDS = {(section, f.name): f.type
+          for section, cls in _SECTIONS.items() for f in fields(cls)}
+
+# key -> (section of ResolvedConfig, attribute it sets), in the line order
+# of format_config.
+KEYS = {
+    "M": ("env", "num_servers"),
+    "delta": ("env", "downtime"),
+    "nu": ("env", "miss_prob"),
+    "alpha": ("env", "probe_gain"),
+    "c_a": ("env", "probe_cost"),
+    "theta_sl": ("env", "reward_slope"),
+    "theta_th": ("env", "reward_thresh"),
+    "w_a": ("env", "weight_adv"),
+    "w_d": ("env", "weight_def"),
+    "T": ("env", "horizon"),
+    "gamma": ("env", "discount"),
+    "charge_down_probes": ("env", "charge_down_probes"),
+    "ne": ("train", "episodes"),
+    "batch": ("train", "batch_size"),
+    "learning_rate": ("train", "learning_rate"),
+    "epsilon_fraction": ("train", "epsilon_fraction"),
+    "epsilon_final": ("train", "epsilon_final"),
+    "replay_capacity": ("train", "replay_capacity"),
+    "optimizer": ("train", "optimizer"),
+    "eps_do": ("do", "eps_do"),
+    "max_iterations": ("do", "max_iterations"),
+    "eval_episodes": ("do", "eval_episodes"),
+}
+
+
+def _read(key: str, kind: str, raw: str):
+    try:
+        return TEXT_VALUES[kind].read(raw)
+    except ValueError:
+        raise ConfigError(f"key {key}: expected {TEXT_VALUES[kind].expected}, "
+                          f"got {raw!r}") from None
 
 
 def parse_config(text: str) -> ResolvedConfig:
@@ -99,19 +119,17 @@ def parse_config(text: str) -> ResolvedConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         values[key] = raw.strip()
 
-    kwargs: dict[str, dict] = {"env": {}, "train": {}, "do": {}}
+    kwargs: dict[str, dict] = {section: {} for section in _SECTIONS}
     if "utenv" in values:
-        idx = _parse_int("utenv", values["utenv"])
+        idx = _read("utenv", "int", values["utenv"])
         if idx not in UTILITY_ENVIRONMENTS:
             raise ConfigError(f"key utenv: must be one of 0..3, got {idx}")
         kwargs["env"]["weight_adv"], kwargs["env"]["weight_def"] = UTILITY_ENVIRONMENTS[idx]
-    for key, (section, attrs, parse) in KEYS.items():
+    for key, (section, attr) in KEYS.items():
         if key in values:
-            value = parse(key, values[key])
-            kwargs[section].update(dict.fromkeys(attrs, value))
-    env = EnvConfig(**kwargs["env"]).validate()
-    return ResolvedConfig(env=env, train=TrainConfig(**kwargs["train"]).validate(),
-                          do=DoConfig(**kwargs["do"]).validate())
+            kwargs[section][attr] = _read(key, _KINDS[section, attr], values[key])
+    return ResolvedConfig(**{section: make(**kwargs[section])
+                             for section, make in _SECTIONS.items()})
 
 
 def load_config(path: str | Path) -> ResolvedConfig:
@@ -121,13 +139,8 @@ def load_config(path: str | Path) -> ResolvedConfig:
     return parse_config(p.read_text(encoding="utf-8"))
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    return value if isinstance(value, str) else repr(value)
-
-
 def format_config(rc: ResolvedConfig) -> str:
     """Render the resolved configuration back to loadable key=value text."""
-    return "".join(f"{key}={_format_value(getattr(getattr(rc, section), attrs[0]))}\n"
-                   for key, (section, attrs, _) in KEYS.items())
+    return "".join(
+        f"{key}={TEXT_VALUES[_KINDS[section, attr]].write(getattr(getattr(rc, section), attr))}\n"
+        for key, (section, attr) in KEYS.items())

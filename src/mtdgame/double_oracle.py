@@ -30,14 +30,14 @@ class DoConfig:
     eval_episodes: int = 50      # Monte-Carlo episodes per payoff cell
     seed: int = 0
 
-    def validate(self) -> "DoConfig":
-        if not math.isfinite(self.eps_do) or self.eps_do < 0.0:
+    def __post_init__(self):
+        # every comparison is written so that NaN fails it
+        if not 0.0 <= self.eps_do < math.inf:
             raise ConfigError(f"eps_do must be finite and >= 0, got {self.eps_do!r}")
-        if self.max_iterations < 0:
+        if not self.max_iterations >= 0:
             raise ConfigError("max_iterations must be >= 0")
-        if self.eval_episodes < 1:
+        if not self.eval_episodes >= 1:
             raise ConfigError("eval_episodes must be >= 1")
-        return self
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,6 @@ def converged(br_payoff: float, eq_value: float, eps_do: float) -> bool:
 
 def dqn_oracle(env_cfg: EnvConfig, tc: TrainConfig):
     """Best-response oracle that trains a Q-network with tc on each call."""
-    tc = tc.validate()
 
     def oracle(player: str, opponents: list[PurePolicy], mix: MixedStrategy,
                seed: int, label: str) -> PurePolicy:
@@ -86,8 +85,6 @@ def run_double_oracle(env_cfg: EnvConfig, initial_adv: list[PurePolicy],
                       oracle, jobs: int = 1) -> tuple[DoState, EquilibriumResult]:
     """Run the loop and return the final state and equilibrium.  `oracle`, e.g.
     `dqn_oracle`, maps (player, opponents, mix, seed, label) to a new policy."""
-    do_cfg = do_cfg.validate()
-    env_cfg = env_cfg.validate()
     adv = list(initial_adv)
     deff = list(initial_def)
     game = build_game(adv, deff, env_cfg, do_cfg.eval_episodes,

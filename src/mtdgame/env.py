@@ -55,38 +55,32 @@ class EnvConfig:
     miss_prob: float = 0.0       # chance the defender does not observe a probe
     probe_gain: float = 0.05     # knowledge gained per probe
     probe_cost: float = 0.2      # reward charge per probe attempt
-    reward_slope_adv: float = 5.0
-    reward_thresh_adv: float = 0.2
-    reward_slope_def: float = 5.0
-    reward_thresh_def: float = 0.2
+    reward_slope: float = 5.0    # logistic slope theta_sl, shared by both players
+    reward_thresh: float = 0.2   # logistic threshold theta_th, shared by both players
     weight_adv: float = 0.0      # weight on "servers I control" vs "denied to the other side"
     weight_def: float = 1.0
     horizon: int = 1000
     discount: float = 0.99
     charge_down_probes: bool = True  # probes on down servers still cost probe_cost
 
-    def validate(self) -> "EnvConfig":
-        if not isinstance(self.num_servers, int) or self.num_servers < 1:
-            raise ConfigError(f"num_servers must be a positive integer, got {self.num_servers!r}")
-        if not isinstance(self.downtime, int) or self.downtime < 1:
-            raise ConfigError(f"downtime must be a positive integer, got {self.downtime!r}")
-        if not 0.0 <= self.miss_prob <= 1.0:
-            raise ConfigError(f"miss_prob must lie in [0, 1], got {self.miss_prob!r}")
-        if not self.probe_gain > 0.0:
-            raise ConfigError(f"probe_gain must be positive, got {self.probe_gain!r}")
-        if self.probe_cost < 0.0:
-            raise ConfigError(f"probe_cost must be nonnegative, got {self.probe_cost!r}")
-        for name in ("reward_slope_adv", "reward_slope_def"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
-        for name in ("weight_adv", "weight_def"):
+    def __post_init__(self):
+        # every comparison is written so that NaN fails it
+        for name in ("num_servers", "downtime", "horizon"):
+            value = getattr(self, name)
+            if not (isinstance(value, int) and value >= 1):
+                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        for name in ("miss_prob", "weight_adv", "weight_def"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {getattr(self, name)!r}")
-        if not isinstance(self.horizon, int) or self.horizon < 1:
-            raise ConfigError(f"horizon must be a positive integer, got {self.horizon!r}")
+        for name in ("probe_gain", "reward_slope"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must lie in (0, inf), got {getattr(self, name)!r}")
+        if not 0.0 <= self.probe_cost < math.inf:
+            raise ConfigError(f"probe_cost must lie in [0, inf), got {self.probe_cost!r}")
+        if not math.isfinite(self.reward_thresh):
+            raise ConfigError(f"reward_thresh must be finite, got {self.reward_thresh!r}")
         if not 0.0 <= self.discount < 1.0:
             raise ConfigError(f"discount must lie in [0, 1), got {self.discount!r}")
-        return self
 
 
 def compromise_probability(probes: int, gain: float) -> float:
@@ -110,11 +104,12 @@ def utility(player: str, n_control: int, n_down: int, cfg: EnvConfig) -> float:
     """Blend of "fraction I control" and "fraction denied to the other side"."""
     m = cfg.num_servers
     if player == ADVERSARY:
-        w, slope, thresh = cfg.weight_adv, cfg.reward_slope_adv, cfg.reward_thresh_adv
+        w = cfg.weight_adv
     elif player == DEFENDER:
-        w, slope, thresh = cfg.weight_def, cfg.reward_slope_def, cfg.reward_thresh_def
+        w = cfg.weight_def
     else:
         raise ValueError(f"unknown player {player!r}")
+    slope, thresh = cfg.reward_slope, cfg.reward_thresh
     own = logistic(n_control / m, slope, thresh)
     denied = logistic((n_control + n_down) / m, slope, thresh)
     return w * own + (1.0 - w) * denied
@@ -137,7 +132,7 @@ class MtdEnv:
     """
 
     def __init__(self, config: EnvConfig):
-        self.cfg = config.validate()
+        self.cfg = config
         self.tau = 0
         self._ready = False
 

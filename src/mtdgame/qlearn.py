@@ -103,22 +103,22 @@ class TrainConfig:
     optimizer: str = "adam"         # "adam" or "sgd"
     seed: int = 0
 
-    def validate(self) -> "TrainConfig":
+    def __post_init__(self):
+        # every comparison is written so that NaN fails it
         if not 0.0 < self.epsilon_fraction <= 1.0:
             raise ConfigError(f"epsilon_fraction must lie in (0, 1], got {self.epsilon_fraction!r}")
         if not 0.0 <= self.epsilon_final <= 1.0:
             raise ConfigError(f"epsilon_final must lie in [0, 1], got {self.epsilon_final!r}")
-        if self.learning_rate <= 0.0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate!r}")
-        if self.batch_size < 1:
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must lie in (0, inf), got {self.learning_rate!r}")
+        if not self.batch_size >= 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size!r}")
-        if self.episodes < 1:
+        if not self.episodes >= 1:
             raise ConfigError(f"episodes must be >= 1, got {self.episodes!r}")
-        if self.replay_capacity < self.batch_size:
+        if not self.replay_capacity >= self.batch_size:
             raise ConfigError("replay_capacity must be at least batch_size")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
-        return self
 
 
 def network_input(player: str, obs: np.ndarray, cfg: EnvConfig) -> np.ndarray:
@@ -402,8 +402,6 @@ def train_best_response(player: str, opponents: list[PurePolicy],
     for p in opponents:
         if p.player != opp_side:
             raise ConfigError(f"opponent {p.label} plays {p.player}, expected {opp_side}")
-    tc = tc.validate()
-    env_cfg = env_cfg.validate()
     total_steps = tc.episodes * env_cfg.horizon
     m = env_cfg.num_servers
     obs_dim = 5 * m

@@ -9,11 +9,11 @@ fixed newline to make reruns byte-identical.
 from __future__ import annotations
 
 import csv
-import math
 from pathlib import Path
 
 import numpy as np
 
+from mtdgame.config import TEXT_VALUES, parse_finite
 from mtdgame.double_oracle import DoRecord
 from mtdgame.env import ADVERSARY, DEFENDER, EnvConfig
 from mtdgame.nash import EmpiricalGame, EquilibriumResult
@@ -37,27 +37,11 @@ class PolicyFormatError(ValueError):
     pass
 
 
-def parse_finite(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"not a finite number: {raw!r}")
-    return value
-
-
-# Parameter annotation -> (read from a policy file line, write to one); the
-# annotations are strings because policies.py postpones their evaluation.
-_PARAM_TYPES = {
-    "int": (int, lambda v: str(int(v))),
-    "float": (parse_finite, lambda v: repr(float(v))),
-    "bool": (lambda raw: bool(int(raw)), lambda v: str(int(v))),
-}
-
-
 def _heuristic_line(policy: PurePolicy) -> str:
     name = heuristic_name(policy)
     if name is None:
         raise PolicyFormatError(f"cannot serialize policy type {type(policy).__name__}")
-    parts = [f"{f.name}={_PARAM_TYPES[f.type][1](getattr(policy, f.name))}"
+    parts = [f"{f.name}={TEXT_VALUES[f.type].write(getattr(policy, f.name))}"
              for f in heuristic_params(policy)]
     return " ".join(["heuristic", policy.player, name, *parts])
 
@@ -87,9 +71,9 @@ def load_policy(path: str | Path, env_cfg: EnvConfig,
     if not lines:
         raise PolicyFormatError(f"{path}: empty policy file")
     head = lines[0].split()
-    if head[0] == MAGIC:
+    if head[:1] == [MAGIC]:
         return _load_qnet(path, lines, env_cfg, label)
-    if head[0] != "heuristic":
+    if head[:1] != ["heuristic"]:
         raise PolicyFormatError(f"{path}: unrecognized policy header {lines[0]!r}")
     if len(head) < 3:
         raise PolicyFormatError(f"{path}: malformed heuristic line")
@@ -105,8 +89,10 @@ def load_policy(path: str | Path, env_cfg: EnvConfig,
         k, _, v = tok.partition("=")
         if k not in types:
             raise PolicyFormatError(f"{path}: {player}/{name} has no parameter {k!r}")
+        if k in params:
+            raise PolicyFormatError(f"{path}: parameter {k!r} given twice")
         try:
-            params[k] = _PARAM_TYPES[types[k]][0](v)
+            params[k] = TEXT_VALUES[types[k]].read(v)
         except ValueError:
             raise PolicyFormatError(f"{path}: bad value for {k}: {v!r}") from None
     if params.get("period", 1) < 1:
@@ -240,6 +226,8 @@ def load_game(path: str | Path, episodes: int = 0) -> EmpiricalGame:
             if len(rec) != 6:
                 raise PolicyFormatError(f"{path}: malformed row {rec}")
             rl, cl = rec[0], rec[1]
+            if (rl, cl) in cells:
+                raise PolicyFormatError(f"{path}: duplicate cell ({rl}, {cl})")
             if rl not in rows:
                 rows.append(rl)
             if cl not in cols:

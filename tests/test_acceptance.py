@@ -32,8 +32,8 @@ BASE = EnvConfig()
 
 def analytic_idle_pair(cfg: EnvConfig) -> tuple[float, float]:
     factor = (1 - cfg.discount ** cfg.horizon) / (1 - cfg.discount)
-    ra = 1 / (1 + np.exp(cfg.reward_slope_adv * cfg.reward_thresh_adv))
-    rd = 1 / (1 + np.exp(-cfg.reward_slope_def * (1 - cfg.reward_thresh_def)))
+    ra = 1 / (1 + np.exp(cfg.reward_slope * cfg.reward_thresh))
+    rd = 1 / (1 + np.exp(-cfg.reward_slope * (1 - cfg.reward_thresh)))
     return ra * factor, rd * factor
 
 

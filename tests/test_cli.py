@@ -37,8 +37,8 @@ def test_simulate_prints_noop_returns(capsys):
     assert main(["simulate"]) == EXIT_OK
     cfg = EnvConfig()
     factor = (1 - cfg.discount ** cfg.horizon) / (1 - cfg.discount)
-    ra = 1 / (1 + np.exp(cfg.reward_slope_adv * cfg.reward_thresh_adv)) * factor
-    rd = 1 / (1 + np.exp(-cfg.reward_slope_def * (1 - cfg.reward_thresh_def))) * factor
+    ra = 1 / (1 + np.exp(cfg.reward_slope * cfg.reward_thresh)) * factor
+    rd = 1 / (1 + np.exp(-cfg.reward_slope * (1 - cfg.reward_thresh))) * factor
     line = capsys.readouterr().out.strip()
     assert line == f"discounted return: adversary {ra:.4f} defender {rd:.4f}"
 
@@ -290,6 +290,25 @@ def test_directory_given_for_a_file(argv, tmp_path, capsys):
     (tmp_path / "sub").mkdir()
     assert main([a.format(d=tmp_path) for a in argv]) == EXIT_CONFIG
     assert "directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--out", "{d}/afile"],
+    ["payoff-table", "--out", "{d}/afile"],
+    ["nash", "--game", "{d}/game.csv", "--out", "{d}/afile"],
+    ["nash", "--game", "{d}/afile/game.csv", "--out", "{d}/eq"],
+    ["nash", "--game", "{d}/latin1.txt", "--out", "{d}/eq"],
+    ["simulate", "--config", "{d}/latin1.txt"],
+], ids=" ".join)
+def test_bad_paths_and_encodings(argv, tmp_path, capsys):
+    # afile is a plain file where a directory belongs; latin1.txt is not UTF-8
+    (tmp_path / "afile").write_text("x\n", encoding="utf-8")
+    (tmp_path / "latin1.txt").write_bytes("# caf\xe9\nM=4\n".encode("latin-1"))
+    u = np.eye(2)
+    save_game(EmpiricalGame(("a", "b"), ("c", "d"), u, -u, 0 * u, 0 * u, 0),
+              tmp_path / "game.csv")
+    assert main([a.format(d=tmp_path) for a in argv]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 SOLVE_CFG = "T=50\nne=1\nmax_iterations=1\neval_episodes=2\neps_do=1.0\n"

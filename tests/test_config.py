@@ -21,7 +21,7 @@ def test_empty_text_yields_baseline():
     assert env.miss_prob == 0.0
     assert env.probe_gain == 0.05
     assert env.probe_cost == 0.2
-    assert env.reward_slope_adv == 5.0 and env.reward_thresh_adv == 0.2
+    assert env.reward_slope == 5.0 and env.reward_thresh == 0.2
     assert (env.weight_adv, env.weight_def) == (0.0, 1.0)
     assert env.horizon == 1000 and env.discount == 0.99
     assert rc.train.episodes == 500
@@ -54,8 +54,7 @@ def test_unknown_utenv_rejected():
 
 def test_theta_keys_set_both_players():
     rc = parse_config("theta_sl=3.5\ntheta_th=0.4\n")
-    assert rc.env.reward_slope_adv == 3.5 and rc.env.reward_slope_def == 3.5
-    assert rc.env.reward_thresh_adv == 0.4 and rc.env.reward_thresh_def == 0.4
+    assert rc.env.reward_slope == 3.5 and rc.env.reward_thresh == 0.4
 
 
 def test_horizon_and_discount_flow_into_training():

@@ -41,16 +41,16 @@ def test_converged_threshold():
 
 def test_do_config_validation(short):
     with pytest.raises(ConfigError):
-        tiny_do(eps_do=math.inf).validate()
+        tiny_do(eps_do=math.inf)
     with pytest.raises(ConfigError):
-        tiny_do(eps_do=-0.5).validate()
+        tiny_do(eps_do=-0.5)
     with pytest.raises(ConfigError):
-        tiny_do(max_iterations=-1).validate()
+        tiny_do(max_iterations=-1)
     with pytest.raises(ConfigError):
-        tiny_do(eval_episodes=0).validate()
+        tiny_do(eval_episodes=0)
     with pytest.raises(ConfigError):
         dqn_oracle(short, TrainConfig(batch_size=0))
-    tiny_do().validate()
+    tiny_do()
 
 
 # --------------------------------------------------------------------- loop

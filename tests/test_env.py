@@ -108,19 +108,25 @@ def test_utility_unknown_player():
     dict(miss_prob=1.5),
     dict(probe_gain=0.0),
     dict(probe_cost=-1.0),
-    dict(reward_slope_adv=0.0),
+    dict(reward_slope=0.0),
     dict(weight_adv=1.2),
     dict(horizon=0),
     dict(discount=1.0),
     dict(discount=-0.01),
+    dict(probe_cost=math.nan),
+    dict(probe_cost=math.inf),
+    dict(reward_slope=math.nan),
+    dict(reward_thresh=math.nan),
+    dict(reward_thresh=math.inf),
+    dict(probe_gain=math.inf),
 ])
 def test_config_validation_rejects(bad):
     with pytest.raises(ConfigError):
-        replace(EnvConfig(), **bad).validate()
+        replace(EnvConfig(), **bad)
 
 
 def test_config_baseline_validates():
-    EnvConfig().validate()
+    EnvConfig()
 
 
 # ------------------------------------------------------------------- reset

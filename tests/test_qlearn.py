@@ -421,10 +421,12 @@ def test_greedy_policy_maps_through_canonical_order():
     dict(episodes=0),
     dict(replay_capacity=4, batch_size=8),
     dict(optimizer="rmsprop"),
+    dict(learning_rate=math.nan),
+    dict(learning_rate=math.inf),
 ])
 def test_train_config_validation(bad):
     with pytest.raises(ConfigError):
-        replace(TrainConfig(), **bad).validate()
+        replace(TrainConfig(), **bad)
 
 
 # ----------------------------------------------------------------- training

@@ -72,6 +72,14 @@ def test_heuristic_label_not_serialized(baseline, tmp_path):
     assert load_policy(p, baseline, label="fast").label == "fast"
 
 
+@pytest.mark.parametrize("raw,value", [("yes", True), ("false", False)])
+def test_heuristic_booleans_read_like_config_keys(raw, value, baseline, tmp_path):
+    p = tmp_path / "ct.policy"
+    p.write_text(f"heuristic defender control_threshold literal_exponent={raw}\n",
+                 encoding="utf-8")
+    assert load_policy(p, baseline).literal_exponent is value
+
+
 def test_qnet_round_trip_is_exact(baseline, tmp_path):
     rng = np.random.default_rng(7)
     net = QNetwork(5 * baseline.num_servers, baseline.num_servers + 1, rng)
@@ -127,6 +135,9 @@ def test_qnet_server_count_mismatch(baseline, tmp_path):
     "heuristic adversary uniform period=0\n",
     "heuristic adversary control_threshold threshold=nan\n",
     "heuristic defender control_threshold gain=inf\n",
+    "\nheuristic adversary noop\n",
+    "heuristic defender pcp period=2 period=9\n",
+    "heuristic defender control_threshold literal_exponent=2\n",
 ])
 def test_malformed_policy_files(text, baseline, tmp_path):
     p = tmp_path / "bad.policy"
@@ -307,6 +318,15 @@ def test_game_missing_cell(tmp_path):
                  "r0,c1,1.0,2.0,0.0,0.0\n"
                  "r1,c0,1.0,2.0,0.0,0.0\n", encoding="utf-8")
     with pytest.raises(PolicyFormatError, match="missing cell"):
+        load_game(p)
+
+
+def test_game_duplicate_cell(tmp_path):
+    p = tmp_path / "g.csv"
+    p.write_text("adv_policy,def_policy,u_a,u_d,se_a,se_d\n"
+                 "a,d,1.0,2.0,0.0,0.0\n"
+                 "a,d,5.0,-3.0,0.0,0.0\n", encoding="utf-8")
+    with pytest.raises(PolicyFormatError, match="duplicate cell"):
         load_game(p)
 
 

@@ -13,6 +13,7 @@ from mtdgame.env import (
     DEFENDER,
     ConfigError,
     EnvConfig,
+    MtdBatchEnv,
     MtdEnv,
     StepOutcome,
     compromise_probability,
@@ -25,6 +26,7 @@ from mtdgame.policies import (
     PurePolicy,
     default_adversaries,
     default_defenders,
+    evaluate_cells,
     evaluate_pair,
     expected_defender_control,
 )

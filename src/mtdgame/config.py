@@ -117,6 +117,8 @@ def parse_config(text: str) -> ResolvedConfig:
         key = key.strip()
         if key not in KEYS and key != "utenv":
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"line {lineno}: key {key} given twice")
         values[key] = raw.strip()
 
     kwargs: dict[str, dict] = {section: {} for section in _SECTIONS}

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -115,6 +116,24 @@ def utility(player: str, n_control: int, n_down: int, cfg: EnvConfig) -> float:
     return w * own + (1.0 - w) * denied
 
 
+@lru_cache(maxsize=16)
+def _tables(cfg: EnvConfig) -> tuple[tuple, tuple, tuple]:
+    """Rewards and compromise chances, computed once per config.
+
+    Returns `(u_adv, u_def, compromise)`: `u_adv[c][d]` is
+    `utility(ADVERSARY, c, d, cfg)` for c servers controlled and d down, and
+    `u_def` likewise; `compromise[k]` is the chance that a probe lands when
+    it is the k-th since the last reimage, `compromise_probability(k, gain)`.
+    A server is probed at most once a step, so k never exceeds the horizon.
+    """
+    m = cfg.num_servers
+    u_adv, u_def = (tuple(tuple(utility(player, c, d, cfg) for d in range(m + 1))
+                          for c in range(m + 1)) for player in (ADVERSARY, DEFENDER))
+    compromise = tuple(compromise_probability(k, cfg.probe_gain)
+                       for k in range(cfg.horizon + 1))
+    return u_adv, u_def, compromise
+
+
 @dataclass
 class StepOutcome:
     obs_adv: np.ndarray
@@ -135,6 +154,7 @@ class MtdEnv:
         self.cfg = config
         self.tau = 0
         self._ready = False
+        self._u_adv, self._u_def, self._compromise = _tables(config)
 
     def reset(self, seed) -> tuple[np.ndarray, np.ndarray]:
         """Start a fresh episode: all servers up, clean, and unprobed."""
@@ -191,8 +211,7 @@ class MtdEnv:
                 # success formula is applied, so the k-th probe of a clean
                 # server lands with probability 1 - exp(-gain * (k + 1)).
                 self.probes[i] += 1
-                p = compromise_probability(self.probes[i], cfg.probe_gain)
-                if self.rng.random() < p:
+                if self.rng.random() < self._compromise[self.probes[i]]:
                     self.adv_owned[i] = True
                 self.adv_progress[i] += 1
                 self.adv_last_probe[i] = resolve
@@ -229,8 +248,8 @@ class MtdEnv:
 
         # 4) rewards on the post-transition state
         n_adv, n_def, n_down = self.counts()
-        u_a = utility(ADVERSARY, n_adv, n_down, cfg)
-        u_d = utility(DEFENDER, n_def, n_down, cfg)
+        u_a = self._u_adv[n_adv][n_down]
+        u_d = self._u_def[n_def][n_down]
         cost = 0.0
         if adv_target is not None and (probed_up or cfg.charge_down_probes):
             cost = cfg.probe_cost
@@ -257,3 +276,117 @@ class MtdEnv:
         for u, p, c, t in zip(up_at, progress, col3, last):
             rows += (0, u - tau, p, c, tau - t) if tau < u else (1, 0, p, c, tau - t)
         return np.array(rows, dtype=np.int64).reshape(-1, 5)
+
+
+class MtdBatchEnv:
+    """Many independent episodes of the game, stepped in lockstep.
+
+    State is one (episodes, num_servers) integer array per `MtdEnv` list,
+    and every step follows `MtdEnv.step`'s resolution order.  Each episode
+    keeps its own generator and draws from it exactly what `MtdEnv` would
+    for the same actions, so episode b run here and an `MtdEnv` reset with
+    `seeds[b]` give identical observations and rewards.  Actions are one
+    server index per episode, -1 for no-op.  Rewards and compromise
+    chances come from the same tables as `MtdEnv`'s.
+    """
+
+    def __init__(self, config: EnvConfig):
+        self.cfg = config
+        self.tau = 0
+        u_adv, u_def, compromise = _tables(config)
+        self._u_adv = np.array(u_adv)
+        self._u_def = np.array(u_def)
+        self._compromise = np.array(compromise)
+
+    def reset(self, seeds) -> tuple[np.ndarray, np.ndarray]:
+        """Start one fresh episode per seed; returns (episodes, M, 5)
+        observation stacks for the adversary and the defender."""
+        shape = (len(seeds), self.cfg.num_servers)
+        self.rngs = [np.random.default_rng(s) for s in seeds]
+        self.tau = 0
+        (self.probes, self.adv_owned, self.up_at, self.adv_progress, self.adv_last_probe,
+         self.adv_up_at, self.def_probes_seen, self.def_last_probe,
+         self.def_last_reimage) = np.zeros((9, *shape), dtype=np.int64)
+        return self.observe(ADVERSARY), self.observe(DEFENDER)
+
+    @property
+    def done(self) -> bool:
+        return self.tau >= self.cfg.horizon
+
+    def step(self, adv_targets: np.ndarray, def_targets: np.ndarray,
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Advance every episode one step; returns (obs_adv, obs_def,
+        reward_adv, reward_def)."""
+        if self.done:
+            raise RuntimeError("episodes are over, call reset()")
+        cfg = self.cfg
+        for targets in (adv_targets, def_targets):
+            if targets.shape != (len(self.rngs),) or (
+                    (targets < -1) | (targets >= cfg.num_servers)).any():
+                raise ValueError("expected one server index or -1 per episode")
+        clock = self.tau
+        resolve = clock + 1
+
+        # 1) adversary probes; only a probe on an up server draws, twice
+        rows = np.flatnonzero(adv_targets >= 0)
+        cols = adv_targets[rows]
+        up = self.up_at[rows, cols] <= clock
+        r, c = rows[up], cols[up]
+        if r.size:
+            self.probes[r, c] += 1
+            draws = np.concatenate([self.rngs[b].random(2) for b in r.tolist()]).reshape(-1, 2)
+            self.adv_owned[r, c] |= draws[:, 0] < self._compromise[self.probes[r, c]]
+            self.adv_progress[r, c] += 1
+            self.adv_last_probe[r, c] = resolve
+            seen = draws[:, 1] >= cfg.miss_prob
+            self.def_probes_seen[r[seen], c[seen]] += 1
+            self.def_last_probe[r[seen], c[seen]] = resolve
+        charged = adv_targets >= 0
+        if not cfg.charge_down_probes:
+            charged[:] = False
+            charged[r] = True
+        r, c = rows[~up], cols[~up]
+        self.adv_up_at[r, c] = self.up_at[r, c]
+        self.adv_progress[r, c] = 0
+        self.adv_last_probe[r, c] = resolve
+
+        # 2) defender reimages of up servers
+        rows = np.flatnonzero(def_targets >= 0)
+        cols = def_targets[rows]
+        up = self.up_at[rows, cols] <= clock
+        r, c = rows[up], cols[up]
+        up_at = resolve + cfg.downtime
+        lost = self.adv_owned[r, c] == 1
+        self.adv_owned[r[lost], c[lost]] = 0
+        self.adv_up_at[r[lost], c[lost]] = up_at
+        self.adv_progress[r[lost], c[lost]] = 0
+        self.probes[r, c] = 0
+        self.up_at[r, c] = up_at
+        self.def_probes_seen[r, c] = 0
+        self.def_last_probe[r, c] = resolve
+        self.def_last_reimage[r, c] = resolve
+
+        # 3) advance the clock
+        self.tau = resolve
+
+        # 4) rewards on the post-transition state
+        n_down = np.count_nonzero(resolve < self.up_at, axis=1)
+        n_adv = self.adv_owned.sum(axis=1)
+        reward_adv = self._u_adv[n_adv, n_down]
+        reward_adv[charged] -= cfg.probe_cost
+        reward_def = self._u_def[cfg.num_servers - n_adv - n_down, n_down]
+        return self.observe(ADVERSARY), self.observe(DEFENDER), reward_adv, reward_def
+
+    def observe(self, player: str) -> np.ndarray:
+        tau = self.tau
+        if player == ADVERSARY:
+            up_at, progress, col3, last = (self.adv_up_at, self.adv_progress,
+                                           self.adv_owned, self.adv_last_probe)
+        elif player == DEFENDER:
+            up_at, progress, last = self.up_at, self.def_probes_seen, self.def_last_reimage
+            col3 = tau - self.def_last_probe
+        else:
+            raise ValueError(f"unknown player {player!r}")
+        down = tau < up_at
+        return np.stack([~down, np.where(down, up_at - tau, 0), progress, col3, tau - last],
+                        axis=-1, dtype=np.int64)

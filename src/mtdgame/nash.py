@@ -12,12 +12,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
 from mtdgame.env import ADVERSARY, DEFENDER, EnvConfig
-from mtdgame.policies import PairPayoff, PurePolicy, evaluate_pair
+from mtdgame.policies import PurePolicy, evaluate_cells
 from mtdgame.seeds import derive_seed
 
 
@@ -57,32 +56,23 @@ class EmpiricalGame:
             raise ValueError("duplicate column labels")
 
 
-def _cell(adv: PurePolicy, deff: PurePolicy, env_cfg: EnvConfig,
-          episodes: int, seed: int, evaluator) -> PairPayoff:
-    # The cell seed depends on the labels only, so growing the game never
-    # changes previously computed entries.
-    return evaluator(adv, deff, env_cfg, episodes,
-                     derive_seed(seed, "pair", adv.label, deff.label))
-
-
 def build_game(adv_policies: list[PurePolicy], def_policies: list[PurePolicy],
                env_cfg: EnvConfig, episodes: int, seed: int,
-               evaluator=evaluate_pair, jobs: int = 1) -> EmpiricalGame:
-    """Evaluate every policy pair and assemble the empirical game."""
+               evaluator=evaluate_cells, jobs: int = 1) -> EmpiricalGame:
+    """Evaluate every policy pair and assemble the empirical game.
+
+    `evaluator(cells, env_cfg, episodes, jobs)` gets every cell at once, as
+    (adversary, defender, cell seed) in row-major order, and returns one
+    PairPayoff per cell.
+    """
     rows, cols = len(adv_policies), len(def_policies)
     if rows == 0 or cols == 0:
         raise ValueError("both policy sets must be nonempty")
-    cell = partial(_cell, env_cfg=env_cfg, episodes=episodes, seed=seed,
-                   evaluator=evaluator)
-    # one task per cell, in row-major order
-    tasks = ([a for a in adv_policies for _ in def_policies], list(def_policies) * rows)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(cell, *tasks))
-    else:
-        cells = list(map(cell, *tasks))
+    # The cell seed depends on the labels only, so growing the game never
+    # changes previously computed entries.
+    cells = evaluator([(a, d, derive_seed(seed, "pair", a.label, d.label))
+                       for a in adv_policies for d in def_policies],
+                      env_cfg, episodes, jobs)
 
     def matrix(attr):
         return np.array([getattr(pp, attr) for pp in cells], dtype=float).reshape(rows, cols)
@@ -98,7 +88,7 @@ def build_game(adv_policies: list[PurePolicy], def_policies: list[PurePolicy],
 
 
 def extend_game(game: EmpiricalGame, policy: PurePolicy, env_cfg: EnvConfig,
-                seed: int, evaluator=evaluate_pair, jobs: int = 1) -> EmpiricalGame:
+                seed: int, evaluator=evaluate_cells, jobs: int = 1) -> EmpiricalGame:
     """Add one policy, evaluating only the new row or column."""
     if game.row_policies is None or game.col_policies is None:
         raise ValueError("cannot extend a game loaded without policies")

@@ -4,12 +4,19 @@ Heuristics act on their own observation only.  Periodic ones fire when
 tau % period == 0.  Defender heuristics that pick "the most probed server"
 never reimage when no probes have been observed at all; reimaging untouched
 servers would only take them down for nothing.
+
+Every policy acts one episode at a time (`act`, which `run_episode` uses)
+or on a stack of episodes at once (`act_batch`, which `evaluate_cells`
+uses); for the same observations both choose the same servers and draw the
+same numbers from each episode's generator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import Field, dataclass, fields
+from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -22,6 +29,7 @@ from mtdgame.env import (
     COL_STATUS,
     DEFENDER,
     EnvConfig,
+    MtdBatchEnv,
     MtdEnv,
 )
 from mtdgame.seeds import derive_seed, spawn_rng
@@ -35,6 +43,13 @@ class PurePolicy:
 
     def act(self, obs: np.ndarray, tau: int, rng: np.random.Generator) -> int | None:
         raise NotImplementedError
+
+    def act_batch(self, obs: np.ndarray, tau: int,
+                  rngs: list[np.random.Generator]) -> np.ndarray:
+        """`act` on each of n episodes: obs is (n, M, 5) and rngs[i] is
+        episode i's generator.  Returns n server indices, -1 for no-op."""
+        actions = [self.act(o, tau, rng) for o, rng in zip(obs, rngs)]
+        return np.array([-1 if a is None else a for a in actions], dtype=np.int64)
 
 
 # The heuristic registry, keyed by (player, name) in the order of the
@@ -83,6 +98,9 @@ class NoOpPolicy(PurePolicy):
     def act(self, obs, tau, rng):
         return None
 
+    def act_batch(self, obs, tau, rngs):
+        return _idle(obs)
+
 
 def _pick(candidates: np.ndarray, rng: np.random.Generator,
           score: np.ndarray | None = None) -> int | None:
@@ -98,9 +116,32 @@ def _pick(candidates: np.ndarray, rng: np.random.Generator,
     return int(candidates[rng.integers(candidates.size)])
 
 
+def _pick_rows(candidates: np.ndarray, rngs: list[np.random.Generator],
+               score: np.ndarray | None = None) -> np.ndarray:
+    """`_pick` on each row of an (n, M) candidate mask: the chosen server
+    per row, -1 where there is none.  `score` is (n, M) and nonnegative.
+    Only rows left with two or more candidates draw, from their own rng."""
+    if score is not None:
+        top = np.where(candidates, score, -1).max(axis=1, keepdims=True)
+        candidates = candidates & (score == top)
+    count = np.count_nonzero(candidates, axis=1)
+    picks = np.where(count > 0, candidates.argmax(axis=1), -1)
+    rows = np.flatnonzero(count > 1)
+    if rows.size:
+        draws = [rngs[r].integers(k) for r, k in zip(rows.tolist(), count[rows].tolist())]
+        # the server of the draws[i]-th candidate (from 0) in row rows[i]
+        before = np.cumsum(candidates[rows], axis=1) <= np.array(draws)[:, None]
+        picks[rows] = np.count_nonzero(before, axis=1)
+    return picks
+
+
+def _idle(obs: np.ndarray) -> np.ndarray:
+    return np.full(obs.shape[0], -1, dtype=np.int64)
+
+
 def _believed_takeable(obs: np.ndarray) -> np.ndarray:
-    # servers the adversary thinks are up and does not control
-    return np.flatnonzero((obs[:, COL_STATUS] == 1) & (obs[:, COL_CONTROL] == 0))
+    # mask of the servers the adversary thinks are up and does not control
+    return (obs[..., COL_STATUS] == 1) & (obs[..., COL_CONTROL] == 0)
 
 
 @_heuristic("uniform", ADVERSARY)
@@ -114,7 +155,12 @@ class UniformAdversary(PurePolicy):
     def act(self, obs, tau, rng):
         if tau % self.period:
             return None
-        return _pick(_believed_takeable(obs), rng)
+        return _pick(np.flatnonzero(_believed_takeable(obs)), rng)
+
+    def act_batch(self, obs, tau, rngs):
+        if tau % self.period:
+            return _idle(obs)
+        return _pick_rows(_believed_takeable(obs), rngs)
 
 
 @_heuristic("maxprobe", ADVERSARY)
@@ -128,8 +174,13 @@ class MaxProbeAdversary(PurePolicy):
     def act(self, obs, tau, rng):
         if tau % self.period:
             return None
-        cand = _believed_takeable(obs)
+        cand = np.flatnonzero(_believed_takeable(obs))
         return _pick(cand, rng, obs[cand, COL_PROGRESS])
+
+    def act_batch(self, obs, tau, rngs):
+        if tau % self.period:
+            return _idle(obs)
+        return _pick_rows(_believed_takeable(obs), rngs, obs[..., COL_PROGRESS])
 
 
 @_heuristic("control_threshold", ADVERSARY)
@@ -144,8 +195,13 @@ class ControlThresholdAdversary(PurePolicy):
     def act(self, obs, tau, rng):
         if obs[:, COL_CONTROL].sum() / obs.shape[0] >= self.threshold:
             return None
-        cand = _believed_takeable(obs)
+        cand = np.flatnonzero(_believed_takeable(obs))
         return _pick(cand, rng, obs[cand, COL_PROGRESS])
+
+    def act_batch(self, obs, tau, rngs):
+        below = ~(obs[..., COL_CONTROL].sum(axis=1) / obs.shape[1] >= self.threshold)
+        return _pick_rows(_believed_takeable(obs) & below[:, None], rngs,
+                          obs[..., COL_PROGRESS])
 
 
 @_heuristic("uniform", DEFENDER)
@@ -160,6 +216,11 @@ class UniformDefender(PurePolicy):
         if tau % self.period:
             return None
         return _pick(np.flatnonzero(obs[:, COL_STATUS] == 1), rng)
+
+    def act_batch(self, obs, tau, rngs):
+        if tau % self.period:
+            return _idle(obs)
+        return _pick_rows(obs[..., COL_STATUS] == 1, rngs)
 
 
 @_heuristic("maxprobe", DEFENDER)
@@ -176,6 +237,12 @@ class MaxProbeDefender(PurePolicy):
             return None
         cand = np.flatnonzero((obs[:, COL_STATUS] == 1) & (obs[:, COL_PROGRESS] > 0))
         return _pick(cand, rng, obs[cand, COL_PROGRESS])
+
+    def act_batch(self, obs, tau, rngs):
+        if tau % self.period:
+            return _idle(obs)
+        seen = obs[..., COL_PROGRESS]
+        return _pick_rows((obs[..., COL_STATUS] == 1) & (seen > 0), rngs, seen)
 
 
 @_heuristic("pcp", DEFENDER)
@@ -195,11 +262,16 @@ class ProbeCountPeriodDefender(PurePolicy):
     label: str = "pcp"
 
     def act(self, obs, tau, rng):
-        seen = obs[:, COL_PROGRESS]
-        quiet = (obs[:, COL_STATUS] == 1) & (seen >= 1) & (
-            (obs[:, COL_DEF_SINCE_PROBE] >= self.period) | (seen > self.probe_limit)
+        return _pick(np.flatnonzero(self._quiet(obs)), rng)
+
+    def act_batch(self, obs, tau, rngs):
+        return _pick_rows(self._quiet(obs), rngs)
+
+    def _quiet(self, obs):
+        seen = obs[..., COL_PROGRESS]
+        return (obs[..., COL_STATUS] == 1) & (seen >= 1) & (
+            (obs[..., COL_DEF_SINCE_PROBE] >= self.period) | (seen > self.probe_limit)
         )
-        return _pick(np.flatnonzero(quiet), rng)
 
 
 def expected_defender_control(obs: np.ndarray, gain: float,
@@ -214,14 +286,38 @@ def expected_defender_control(obs: np.ndarray, gain: float,
     """
     total = 0.0
     for status, k in obs[:, [COL_STATUS, COL_PROGRESS]].tolist():
-        if status != 1:
-            continue
-        if k == 0:
-            p = 0.0
-        else:
-            exponent = k + 1 if literal_exponent else k
-            p = 1.0 - math.exp(-gain * exponent)
-        total += 1.0 - p
+        if status == 1:
+            total += 1.0 - _compromised(k, gain, literal_exponent)
+    return total
+
+
+def _compromised(k: int, gain: float, literal_exponent: bool) -> float:
+    # expected_defender_control's compromise chance for k observed probes
+    if k == 0:
+        return 0.0
+    return 1.0 - math.exp(-gain * (k + 1 if literal_exponent else k))
+
+
+@lru_cache(maxsize=16)
+def _survival_table(gain: float, literal_exponent: bool, size: int) -> np.ndarray:
+    """1 - _compromised(k, ...) for k = 0 .. size - 1."""
+    table = np.array([1.0 - _compromised(k, gain, literal_exponent) for k in range(size)])
+    table.flags.writeable = False
+    return table
+
+
+def _expected_defender_control_rows(obs: np.ndarray, gain: float,
+                                    literal_exponent: bool) -> np.ndarray:
+    """expected_defender_control of each (M, 5) matrix of an (n, M, 5) stack,
+    with the same value bits: servers are added one at a time, in order."""
+    seen = obs[..., COL_PROGRESS]
+    # a power-of-two table size keeps the number of cached tables small
+    size = 1 << int(seen.max()).bit_length()
+    survival = np.where(obs[..., COL_STATUS] == 1,
+                        _survival_table(gain, literal_exponent, size)[seen], 0.0)
+    total = np.zeros(obs.shape[0])
+    for j in range(obs.shape[1]):
+        total += survival[:, j]
     return total
 
 
@@ -246,6 +342,15 @@ class ControlThresholdDefender(PurePolicy):
             return None
         cand = np.flatnonzero(obs[:, COL_STATUS] == 1)
         return _pick(cand, rng, obs[cand, COL_PROGRESS])
+
+    def act_batch(self, obs, tau, rngs):
+        acting = obs[..., COL_DEF_SINCE_REIMAGE].min(axis=1) >= self.period
+        if acting.any():
+            expected = _expected_defender_control_rows(obs[acting], self.gain,
+                                                       self.literal_exponent)
+            acting[acting] = ~(expected > obs.shape[1] * self.threshold)
+        return _pick_rows((obs[..., COL_STATUS] == 1) & acting[:, None], rngs,
+                          obs[..., COL_PROGRESS])
 
 
 def _default_set(player: str, **params) -> list[PurePolicy]:
@@ -296,15 +401,13 @@ class PairPayoff:
 
 
 def run_episode(adv: PurePolicy, deff: PurePolicy, cfg: EnvConfig,
-                seed: int, env: MtdEnv | None = None,
-                on_step=None) -> tuple[float, float]:
+                seed: int, on_step=None) -> tuple[float, float]:
     """One full episode; returns both players' discounted returns.
 
     on_step, if given, is called after every step as
     on_step(tau, adv_action, def_action, outcome, env).
     """
-    if env is None:
-        env = MtdEnv(cfg)
+    env = MtdEnv(cfg)
     obs_a, obs_d = env.reset(derive_seed(seed, "env"))
     rng_a = spawn_rng(seed, "adv")
     rng_d = spawn_rng(seed, "def")
@@ -325,21 +428,72 @@ def run_episode(adv: PurePolicy, deff: PurePolicy, cfg: EnvConfig,
     return ret_a, ret_d
 
 
+def evaluate_cells(cells: list[tuple[PurePolicy, PurePolicy, int]], cfg: EnvConfig,
+                   episodes: int, jobs: int = 1) -> list[PairPayoff]:
+    """Average discounted returns of each (adversary, defender, seed) cell.
+
+    Cell (adv, deff, seed) plays `episodes` episodes, episode e seeded
+    derive_seed(seed, "episode", e) exactly as `run_episode` seeds it, and
+    all episodes of all cells step together in one `MtdBatchEnv`.  With
+    jobs > 1 the cells are split into that many contiguous chunks, each
+    run in lockstep in its own process; the results do not depend on it.
+    """
+    if episodes < 1:
+        raise ValueError("episodes must be >= 1")
+    for adv, deff, _ in cells:
+        if adv.player != ADVERSARY or deff.player != DEFENDER:
+            raise ValueError("cells need (adversary, defender) in that order")
+    jobs = min(jobs, len(cells))
+    if jobs <= 1:
+        return _lockstep(cells, cfg, episodes)
+    bounds = [len(cells) * k // jobs for k in range(jobs + 1)]
+    chunks = [cells[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    # imported here: a one-process run should not pay its start-up time and memory
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return [pp for part in pool.map(_lockstep, chunks, repeat(cfg), repeat(episodes))
+                for pp in part]
+
+
+def _lockstep(cells, cfg: EnvConfig, episodes: int) -> list[PairPayoff]:
+    seeds = [derive_seed(seed, "episode", e) for _, _, seed in cells for e in range(episodes)]
+    env = MtdBatchEnv(cfg)
+    obs_a, obs_d = env.reset([derive_seed(s, "env") for s in seeds])
+    # each policy acts once per step, on all the episodes it plays in
+    sides = []
+    for side, col in (("adv", 0), ("def", 1)):
+        members: dict[int, tuple[PurePolicy, list[int]]] = {}
+        for c, cell in enumerate(cells):
+            members.setdefault(id(cell[col]), (cell[col], []))[1].extend(
+                range(c * episodes, (c + 1) * episodes))
+        rngs = [spawn_rng(s, side) for s in seeds]
+        sides.append([(policy, np.array(idx), [rngs[i] for i in idx])
+                      for policy, idx in members.values()])
+    actions = np.empty((2, len(seeds)), dtype=np.int64)
+    ret_a = np.zeros(len(seeds))
+    ret_d = np.zeros(len(seeds))
+    g = 1.0
+    for t in range(cfg.horizon):
+        for acts, obs, groups in zip(actions, (obs_a, obs_d), sides):
+            for policy, idx, rngs in groups:
+                acts[idx] = policy.act_batch(obs[idx], t, rngs)
+        obs_a, obs_d, r_a, r_d = env.step(actions[0], actions[1])
+        ret_a += g * r_a
+        ret_d += g * r_d
+        g *= cfg.discount
+    payoffs = []
+    for ra, rd in zip(ret_a.reshape(-1, episodes), ret_d.reshape(-1, episodes)):
+        if episodes == 1:
+            se_a = se_d = 0.0
+        else:
+            se_a = float(ra.std(ddof=1) / math.sqrt(episodes))
+            se_d = float(rd.std(ddof=1) / math.sqrt(episodes))
+        payoffs.append(PairPayoff(float(ra.mean()), float(rd.mean()), se_a, se_d, episodes))
+    return payoffs
+
+
 def evaluate_pair(adv: PurePolicy, deff: PurePolicy, cfg: EnvConfig,
                   episodes: int, seed: int) -> PairPayoff:
     """Average discounted return of a policy pair over seeded episodes."""
-    if episodes < 1:
-        raise ValueError("episodes must be >= 1")
-    if adv.player != ADVERSARY or deff.player != DEFENDER:
-        raise ValueError("evaluate_pair needs (adversary, defender) in that order")
-    env = MtdEnv(cfg)
-    ra = np.empty(episodes)
-    rd = np.empty(episodes)
-    for e in range(episodes):
-        ra[e], rd[e] = run_episode(adv, deff, cfg, derive_seed(seed, "episode", e), env)
-    if episodes == 1:
-        se_a = se_d = 0.0
-    else:
-        se_a = float(ra.std(ddof=1) / math.sqrt(episodes))
-        se_d = float(rd.std(ddof=1) / math.sqrt(episodes))
-    return PairPayoff(float(ra.mean()), float(rd.mean()), se_a, se_d, episodes)
+    return evaluate_cells([(adv, deff, seed)], cfg, episodes)[0]

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,8 +60,8 @@ from mtdgame.seeds import derive_seed, spawn_rng
 
 # Input scaling constants: probe counts saturate at 30, elapsed-time fields
 # at 100.  Beyond those the exact value carries no tactical information.
-_PROGRESS_SCALE = 30.0
-_ELAPSED_SCALE = 100.0
+_PROGRESS_SCALE = 30
+_ELAPSED_SCALE = 100
 
 # Initial step of the average-reward estimate used for reward centering;
 # it then decays in proportion to the learning rate.
@@ -76,14 +77,34 @@ _DEF_ORDER = ((COL_STATUS, -1), (COL_PROGRESS, -1), (COL_DEF_SINCE_PROBE, 1),
               (COL_TIME_TO_UP, 1), (COL_DEF_SINCE_REIMAGE, 1))
 
 
-def _lexsort_plan(order):
-    """Column indices and signs of a sort order, least significant first,
-    as np.lexsort takes its keys."""
-    keys = order[::-1]
-    return np.array([c for c, _ in keys]), np.array([[s] for _, s in keys], dtype=float)
+_ORDERS = {ADVERSARY: _ADV_ORDER, DEFENDER: _DEF_ORDER}
 
 
-_SORT_PLANS = {ADVERSARY: _lexsort_plan(_ADV_ORDER), DEFENDER: _lexsort_plan(_DEF_ORDER)}
+@lru_cache(maxsize=16)
+def _input_plan(player: str, downtime: int) -> tuple[np.ndarray, np.ndarray]:
+    """(scale, weights) of one player's observation columns.
+
+    `scale` is each column's divisor in `network_input` and also its clamp:
+    statuses and control flags are 0/1, time_to_up never exceeds the
+    downtime, and probe counts and elapsed times saturate.  So two servers
+    get equal network rows exactly when their observations clamped at
+    `scale` are equal, and `clamped @ weights` is one integer whose
+    ascending order is the player's canonical order: a mixed-radix number
+    with one digit per sort key, negated for descending keys.
+    """
+    scale = np.ones(5, dtype=np.int64)
+    scale[COL_TIME_TO_UP] = downtime
+    scale[COL_PROGRESS] = _PROGRESS_SCALE
+    elapsed = ((COL_ADV_SINCE_PROBE,) if player == ADVERSARY
+               else (COL_DEF_SINCE_PROBE, COL_DEF_SINCE_REIMAGE))
+    scale[list(elapsed)] = _ELAPSED_SCALE
+    weights = np.zeros(5, dtype=np.int64)
+    place = 1
+    for col, sign in reversed(_ORDERS[player]):
+        weights[col] = sign * place
+        place *= int(scale[col]) + 1
+    scale.flags.writeable = weights.flags.writeable = False
+    return scale, weights
 
 
 class NumericalError(RuntimeError):
@@ -126,16 +147,11 @@ def network_input(player: str, obs: np.ndarray, cfg: EnvConfig) -> np.ndarray:
 
     Pure function of its arguments: statuses and control flags stay 0/1,
     time_to_up is divided by the downtime, probe counts by 30 and elapsed
-    times by 100, both clamped to 1.
+    times by 100, both clamped to 1.  An (M, 5) observation gives one
+    vector; an (n, M, 5) stack gives n rows.
     """
-    x = obs.astype(np.float64)
-    x[:, COL_TIME_TO_UP] /= cfg.downtime
-    np.minimum(x[:, COL_PROGRESS] / _PROGRESS_SCALE, 1.0, out=x[:, COL_PROGRESS])
-    elapsed = ((COL_ADV_SINCE_PROBE,) if player == ADVERSARY
-               else (COL_DEF_SINCE_PROBE, COL_DEF_SINCE_REIMAGE))
-    for col in elapsed:
-        np.minimum(x[:, col] / _ELAPSED_SCALE, 1.0, out=x[:, col])
-    return x.reshape(-1)
+    scale, _ = _input_plan(player, cfg.downtime)
+    return (np.minimum(obs, scale) / scale).reshape(*obs.shape[:-2], -1)
 
 
 def canonical_input(player: str, obs: np.ndarray,
@@ -145,11 +161,13 @@ def canonical_input(player: str, obs: np.ndarray,
     Rows of `network_input` are sorted by the player's keys (`_ADV_ORDER`
     or `_DEF_ORDER`); ties keep server index order.  Row k of the result is
     server `order[k]`, so the network's action k means server `order[k]`.
+    An (n, M, 5) stack gives n inputs and n orders.
     """
-    rows = network_input(player, obs, cfg).reshape(cfg.num_servers, -1)
-    cols, signs = _SORT_PLANS[player]
-    order = np.lexsort(rows.T[cols] * signs)
-    return rows[order].reshape(-1), order
+    scale, weights = _input_plan(player, cfg.downtime)
+    order = (np.minimum(obs, scale) @ weights).argsort(axis=-1, kind="stable")
+    # plain indexing is several times cheaper than np.take_along_axis here
+    rows = obs[order] if obs.ndim == 2 else obs[np.arange(len(obs))[:, None], order]
+    return network_input(player, rows, cfg), order
 
 
 class QNetwork:
@@ -189,25 +207,30 @@ class QNetwork:
         return self.split(self.params)
 
     def forward(self, x: np.ndarray, inputs: list | None = None) -> np.ndarray:
-        """Action values; accepts a single vector or a batch of rows.  A list
-        passed as `inputs` receives each layer's input, for backpropagation."""
-        h = np.atleast_2d(x)
+        """Action values of an input vector, or of each one in a stack of
+        them (..., input_dim).  A list passed as `inputs` receives each
+        layer's input, for backpropagation.  Stacks shaped (n, 1, input_dim)
+        give each row the same value bits as a call on that row alone; an
+        (n, input_dim) matrix product may round differently."""
+        h = x
         last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             if inputs is not None:
                 inputs.append(h)
-            h = h @ w.T + b
+            h = h @ w.T
+            h += b
             if k != last:
                 np.tanh(h, out=h)
-        return h[0] if x.ndim == 1 else h
+        return h
 
 
 def loss_and_gradients(net: QNetwork, x: np.ndarray, actions: np.ndarray,
-                       targets: np.ndarray) -> tuple[float, np.ndarray]:
+                       targets: np.ndarray, out: np.ndarray | None = None,
+                       ) -> tuple[float, np.ndarray]:
     """Mean squared error on the taken actions' values, with its gradient.
 
     Only the chosen action's output contributes per sample; the gradient is
-    one vector laid out like net.params.
+    one vector laid out like net.params, written into `out` if given.
     """
     batch = x.shape[0]
     inputs: list[np.ndarray] = []
@@ -218,10 +241,10 @@ def loss_and_gradients(net: QNetwork, x: np.ndarray, actions: np.ndarray,
     # backward, from the linear head down to the first layer
     dz = np.zeros_like(q)
     dz[rows, actions] = 2.0 * diff / batch
-    grad = np.empty_like(net.params)
+    grad = np.empty_like(net.params) if out is None else out
     views = net.split(grad)
     for k in range(len(inputs) - 1, -1, -1):
-        np.sum(dz, axis=0, out=views[2 * k + 1])
+        np.add.reduce(dz, axis=0, out=views[2 * k + 1])
         np.matmul(dz.T, inputs[k], out=views[2 * k])
         if k:
             below = inputs[k]
@@ -281,16 +304,15 @@ class SgdOptimizer:
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO of transitions with uniform sampling."""
+    """Fixed-capacity FIFO of transitions with uniform sampling.  Each
+    transition is one row: obs, next_obs, action, reward."""
 
     def __init__(self, capacity: int, obs_dim: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.obs = np.empty((capacity, obs_dim))
-        self.next_obs = np.empty((capacity, obs_dim))
-        self.actions = np.empty(capacity, dtype=np.int64)
-        self.rewards = np.empty(capacity)
+        self.obs_dim = obs_dim
+        self.rows = np.empty((capacity, 2 * obs_dim + 2))
         self.size = 0
         self._pos = 0
 
@@ -298,17 +320,19 @@ class ReplayBuffer:
         return self.size
 
     def push(self, obs, action, next_obs, reward) -> None:
-        i = self._pos
-        self.obs[i] = obs
-        self.actions[i] = action
-        self.next_obs[i] = next_obs
-        self.rewards[i] = reward
-        self._pos = (i + 1) % self.capacity
+        d = self.obs_dim
+        row = self.rows[self._pos]
+        row[:d] = obs
+        row[d:2 * d] = next_obs
+        row[-2] = action
+        row[-1] = reward
+        self._pos = (self._pos + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
     def sample(self, batch: int, rng: np.random.Generator):
-        idx = rng.integers(self.size, size=batch)
-        return self.obs[idx], self.actions[idx], self.next_obs[idx], self.rewards[idx]
+        d = self.obs_dim
+        rows = self.rows[rng.integers(self.size, size=batch)]
+        return rows[:, :d], rows[:, -2].astype(np.int64), rows[:, d:2 * d], rows[:, -1]
 
 
 def epsilon_value(tc: TrainConfig, step: int, total_steps: int) -> float:
@@ -345,15 +369,15 @@ def td_targets(net: QNetwork, next_obs: np.ndarray, rewards: np.ndarray,
 
 
 def train_step(net: QNetwork, optimizer, batch, gamma: float,
-               center: RewardCenter) -> float:
+               center: RewardCenter, grad: np.ndarray | None = None) -> float:
     """One gradient update; returns the pre-update loss.
 
     Targets use r - center.value, and the center then follows the batch's
-    mean TD error.
+    mean TD error.  `grad`, laid out like net.params, receives the gradient.
     """
     obs, actions, next_obs, rewards = batch
     y = td_targets(net, next_obs, rewards - center.value, gamma)
-    loss, grad = loss_and_gradients(net, obs, actions, y)
+    loss, grad = loss_and_gradients(net, obs, actions, y, grad)
     # the output-bias gradient, the tail of grad, sums to 2 * mean(Q(s, a) - y)
     center.value -= 0.5 * center.step * float(grad[-net.output_dim:].sum())
     optimizer.apply(grad)
@@ -374,6 +398,13 @@ class QNetworkPolicy(PurePolicy):
         x, order = canonical_input(self.player, obs, self.cfg)
         a = int(np.argmax(self.net.forward(x)))
         return None if a == self.cfg.num_servers else int(order[a])
+
+    def act_batch(self, obs, tau, rngs):
+        x, order = canonical_input(self.player, obs, self.cfg)
+        a = self.net.forward(x[:, None, :])[:, 0].argmax(axis=1)
+        m = self.cfg.num_servers
+        servers = np.take_along_axis(order, np.minimum(a, m - 1)[:, None], axis=1)[:, 0]
+        return np.where(a == m, -1, servers)
 
 
 @dataclass(frozen=True)
@@ -411,6 +442,7 @@ def train_best_response(player: str, opponents: list[PurePolicy],
     optimizer = (SgdOptimizer if tc.optimizer == "sgd" else AdamOptimizer)(
         net.params, tc.learning_rate)
     buf = ReplayBuffer(tc.replay_capacity, obs_dim)
+    grad = np.empty_like(net.params)
     center = RewardCenter(_CENTER_STEP)
     explore_rng = spawn_rng(tc.seed, "explore")
     replay_rng = spawn_rng(tc.seed, "replay")
@@ -447,7 +479,7 @@ def train_best_response(player: str, opponents: list[PurePolicy],
             center.step = _CENTER_STEP * (optimizer.lr / tc.learning_rate)
             if len(buf) >= tc.batch_size:
                 loss = train_step(net, optimizer, buf.sample(tc.batch_size, replay_rng),
-                                  env_cfg.discount, center)
+                                  env_cfg.discount, center, grad)
                 if not math.isfinite(loss):
                     raise NumericalError(f"non-finite loss at step {gstep}")
             disc += g * r

@@ -122,12 +122,12 @@ def _load_qnet(path, lines, env_cfg, label):
         while pos < len(lines) and lines[pos].strip():
             rows, cols = (int(t) for t in lines[pos].split())
             pos += 1
-            w = np.array([[float(t) for t in lines[pos + r].split()]
+            w = np.array([[parse_finite(t) for t in lines[pos + r].split()]
                           for r in range(rows)])
             if w.shape != (rows, cols) or cols != dims[-1]:
                 raise PolicyFormatError(f"{path}: layer shape mismatch")
             pos += rows
-            b = np.array([float(t) for t in lines[pos].split()])
+            b = np.array([parse_finite(t) for t in lines[pos].split()])
             if b.shape != (rows,):
                 raise PolicyFormatError(f"{path}: bias shape mismatch")
             pos += 1

@@ -16,7 +16,7 @@ from mtdgame.cli import (
 from mtdgame.env import ADVERSARY, DEFENDER, EnvConfig
 from mtdgame.nash import EmpiricalGame
 from mtdgame.policies import MixedStrategy, NoOpPolicy
-from mtdgame.qlearn import QNetworkPolicy
+from mtdgame.qlearn import QNetwork, QNetworkPolicy
 from mtdgame.serialize import (
     load_do_curve,
     load_game,
@@ -102,6 +102,12 @@ def test_unknown_config_key(tmp_path, capsys):
     assert "wibble" in capsys.readouterr().err
 
 
+def test_repeated_config_key(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "M=4\nM=5\n")
+    assert main(["simulate", "--config", cfg]) == EXIT_CONFIG
+    assert "key M given twice" in capsys.readouterr().err
+
+
 def test_simulate_non_finite_config_value(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "theta_th=nan\n")
     assert main(["simulate", "--config", cfg]) == EXIT_CONFIG
@@ -119,6 +125,20 @@ def test_heuristic_outputs_are_pinned(argv, artifact, digest, tmp_path, capsys):
     out = tmp_path / "run"
     assert main([*argv, "--out", str(out)]) == EXIT_OK
     assert hashlib.sha256((out / artifact).read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_simulate_non_finite_network_weight(value, tmp_path, capsys):
+    cfg = EnvConfig()
+    net = QNetwork(5 * cfg.num_servers, cfg.num_servers + 1, np.random.default_rng(0),
+                   hidden=(3,))
+    pol = tmp_path / "net.policy"
+    save_policy(QNetworkPolicy(ADVERSARY, net, cfg, "net"), pol)
+    lines = pol.read_text(encoding="utf-8").splitlines()
+    lines[2] = " ".join([value, *lines[2].split()[1:]])   # first weight of layer 1
+    pol.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["simulate", "--adv", str(pol)]) == EXIT_CONFIG
+    assert "not a finite number" in capsys.readouterr().err
 
 
 def test_simulate_bad_heuristic_parameter(tmp_path, capsys):

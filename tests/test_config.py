@@ -96,6 +96,13 @@ def test_non_finite_numbers_rejected(key, value):
         parse_config(f"{key}={value}\n")
 
 
+@pytest.mark.parametrize("text", ["M=4\nM=5\n", "utenv=1\n# comment\nutenv = 1\n"])
+def test_repeated_key_rejected(text):
+    key = text.partition("=")[0]
+    with pytest.raises(ConfigError, match=f"key {key} given twice"):
+        parse_config(text)
+
+
 def test_training_keys():
     rc = parse_config("ne=40\nbatch=16\nlearning_rate=0.001\nepsilon_fraction=0.3\n"
                       "epsilon_final=0.05\nreplay_capacity=512\noptimizer=sgd\n")

@@ -15,6 +15,7 @@ from mtdgame.env import (
     DEFENDER,
     ConfigError,
     EnvConfig,
+    MtdBatchEnv,
     MtdEnv,
     compromise_probability,
     logistic,
@@ -380,3 +381,49 @@ def test_observation_views_expose_player_columns(baseline):
     assert obs_a.dtype == obs_d.dtype == np.int64
     with pytest.raises(ValueError):
         env.observe("nobody")
+
+
+# ------------------------------------------------------------- lockstep env
+
+
+@pytest.mark.parametrize("charge_down_probes", [True, False])
+@pytest.mark.parametrize("m", range(1, 13))
+def test_batch_env_matches_scalar_env(m, charge_down_probes):
+    """Every episode of the lockstep env sees, step by step, exactly the
+    observations and rewards of an MtdEnv reset with the same seed."""
+    cfg = EnvConfig(num_servers=m, downtime=3, miss_prob=0.3, probe_gain=0.2,
+                    horizon=80, charge_down_probes=charge_down_probes)
+    seeds = [derive_seed(m, "batch", b) for b in range(6)]
+    batch = MtdBatchEnv(cfg)
+    obs_a, obs_d = batch.reset(seeds)
+    envs = [MtdEnv(cfg) for _ in seeds]
+    for env, seed, oa, od in zip(envs, seeds, obs_a, obs_d):
+        ra, rd = env.reset(seed)
+        np.testing.assert_array_equal(oa, ra)
+        np.testing.assert_array_equal(od, rd)
+    rng = np.random.default_rng(m)
+    while not batch.done:
+        adv = np.where(rng.random(len(seeds)) < 0.7, rng.integers(0, m, len(seeds)), -1)
+        deff = np.where(rng.random(len(seeds)) < 0.2, rng.integers(0, m, len(seeds)), -1)
+        obs_a, obs_d, rew_a, rew_d = batch.step(adv, deff)
+        for b, env in enumerate(envs):
+            out = env.step(None if adv[b] < 0 else int(adv[b]),
+                           None if deff[b] < 0 else int(deff[b]))
+            np.testing.assert_array_equal(obs_a[b], out.obs_adv)
+            np.testing.assert_array_equal(obs_d[b], out.obs_def)
+            assert (rew_a[b], rew_d[b]) == (out.reward_adv, out.reward_def)
+    for env, rng_b in zip(envs, batch.rngs):
+        assert env.rng.bit_generator.state == rng_b.bit_generator.state
+    assert all(env.done for env in envs)
+
+
+def test_batch_env_rejects_bad_actions(short):
+    batch = MtdBatchEnv(short)
+    batch.reset([1, 2])
+    for adv, deff in (([0, 10], [-1, -1]), ([-2, 0], [-1, -1]), ([0], [0])):
+        with pytest.raises(ValueError):
+            batch.step(np.array(adv), np.array(deff))
+    while not batch.done:
+        batch.step(np.array([-1, -1]), np.array([-1, -1]))
+    with pytest.raises(RuntimeError):
+        batch.step(np.array([-1, -1]), np.array([-1, -1]))

@@ -18,7 +18,7 @@ from mtdgame.policies import (
     NoOpPolicy,
     UniformAdversary,
     UniformDefender,
-    evaluate_pair,
+    evaluate_cells,
 )
 
 
@@ -243,9 +243,9 @@ def test_parallel_build_matches_serial(short):
 def test_extend_game_keeps_old_cells_and_counts_new_evaluations(short):
     calls = []
 
-    def counting(adv, deff, cfg, episodes, seed):
-        calls.append((adv.label, deff.label))
-        return evaluate_pair(adv, deff, cfg, episodes, seed)
+    def counting(cells, cfg, episodes, jobs):
+        calls.extend((adv.label, deff.label) for adv, deff, _ in cells)
+        return evaluate_cells(cells, cfg, episodes, jobs)
 
     advs = [NoOpPolicy(ADVERSARY), UniformAdversary()]
     defs = [NoOpPolicy(DEFENDER), UniformDefender(), UniformDefender(period=2, label="fast")]

@@ -6,8 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mtdgame.env import ADVERSARY, DEFENDER, EnvConfig
+from mtdgame.env import COL_PROGRESS, COL_STATUS, ADVERSARY, DEFENDER, EnvConfig, MtdBatchEnv
 from mtdgame.policies import (
+    HEURISTICS,
     ControlThresholdAdversary,
     ControlThresholdDefender,
     MaxProbeAdversary,
@@ -15,14 +16,19 @@ from mtdgame.policies import (
     MixedStrategy,
     NoOpPolicy,
     ProbeCountPeriodDefender,
+    PurePolicy,
     UniformAdversary,
     UniformDefender,
+    _expected_defender_control_rows,
     default_adversaries,
     default_defenders,
+    evaluate_cells,
     evaluate_pair,
     expected_defender_control,
+    heuristic,
     run_episode,
 )
+from mtdgame.seeds import derive_seed
 
 
 def obs_of(rows: list[list[int]]) -> np.ndarray:
@@ -287,3 +293,89 @@ def test_evaluate_pair_argument_checks(baseline):
         evaluate_pair(NoOpPolicy(DEFENDER), NoOpPolicy(ADVERSARY), baseline, 1, 0)
     with pytest.raises(ValueError):
         evaluate_pair(NoOpPolicy(ADVERSARY), NoOpPolicy(DEFENDER), baseline, 0, 0)
+
+
+# ------------------------------------------------------- batched evaluation
+
+BATCH_POLICIES = [
+    *(heuristic(player, name) for player, name in HEURISTICS),
+    UniformAdversary(period=3),
+    MaxProbeAdversary(period=2),
+    ControlThresholdAdversary(threshold=0.2),
+    UniformDefender(period=1),
+    MaxProbeDefender(period=1),
+    ProbeCountPeriodDefender(period=2, probe_limit=3),
+    ControlThresholdDefender(threshold=0.9, period=1),
+    ControlThresholdDefender(threshold=0.95, period=2, gain=0.3, literal_exponent=True),
+]
+
+
+@pytest.mark.parametrize("policy", BATCH_POLICIES,
+                         ids=lambda p: f"{p.player[:3]}-{p.label}-{id(p) % 1000}")
+def test_act_batch_matches_act_row_by_row(policy):
+    """On the observations of real episodes, act_batch picks what act picks
+    for every episode, and leaves every episode's generator where act does."""
+    cfg = EnvConfig(num_servers=6, downtime=3, probe_gain=0.15, miss_prob=0.2, horizon=150)
+    n = 12
+    env = MtdBatchEnv(cfg)
+    obs = env.reset([derive_seed(5, "obs", b) for b in range(n)])[policy.player != ADVERSARY]
+    row_rngs = [np.random.default_rng(b) for b in range(n)]
+    batch_rngs = [np.random.default_rng(b) for b in range(n)]
+    play = np.random.default_rng(9)
+    acted = 0
+    while not env.done:
+        tau = env.tau
+        want = [policy.act(o, tau, rng) for o, rng in zip(obs, row_rngs)]
+        got = policy.act_batch(obs, tau, batch_rngs)
+        assert got.tolist() == [-1 if a is None else a for a in want], f"step {tau}"
+        acted += sum(a is not None for a in want)
+        adv = np.where(play.random(n) < 0.8, play.integers(0, 6, n), -1)
+        deff = np.where(play.random(n) < 0.15, play.integers(0, 6, n), -1)
+        obs = env.step(adv, deff)[policy.player != ADVERSARY]
+    assert [r.bit_generator.state for r in row_rngs] == \
+        [r.bit_generator.state for r in batch_rngs]
+    assert acted > 0 or isinstance(policy, NoOpPolicy)
+
+
+@pytest.mark.parametrize("gain,literal", [(0.05, False), (0.05, True), (0.3, False)])
+def test_expected_control_rows_match_scalar_bits(gain, literal):
+    rng = np.random.default_rng(4)
+    obs = np.zeros((500, 10, 5), dtype=np.int64)
+    obs[..., COL_STATUS] = rng.random((500, 10)) < 0.8
+    obs[..., COL_PROGRESS] = rng.integers(0, 200, (500, 10)) * (rng.random((500, 10)) < 0.9)
+    rows = _expected_defender_control_rows(obs, gain, literal)
+    assert rows.tolist() == [expected_defender_control(o, gain, literal) for o in obs]
+
+
+def reference_payoff(adv, deff, cfg, episodes, seed):
+    """evaluate_pair as one run_episode per episode."""
+    ra, rd = np.array([run_episode(adv, deff, cfg, derive_seed(seed, "episode", e))
+                       for e in range(episodes)]).T
+    se = (0.0, 0.0) if episodes == 1 else (
+        float(ra.std(ddof=1) / math.sqrt(episodes)), float(rd.std(ddof=1) / math.sqrt(episodes)))
+    return (float(ra.mean()), float(rd.mean()), *se)
+
+
+class RowByRowAdversary(UniformAdversary):
+    """A policy without its own act_batch: the evaluator falls back to act."""
+
+    act_batch = PurePolicy.act_batch
+
+
+@pytest.mark.parametrize("episodes", [1, 3])
+def test_evaluate_cells_matches_episode_by_episode(episodes):
+    cfg = EnvConfig(num_servers=5, miss_prob=0.1, horizon=120, charge_down_probes=False)
+    advs = [*default_adversaries(cfg), RowByRowAdversary(period=2, label="rows")]
+    defs = default_defenders(cfg)
+    cells = [(a, d, derive_seed(3, a.label, d.label)) for a in advs for d in defs]
+    got = evaluate_cells(cells, cfg, episodes)
+    for (adv, deff, seed), pp in zip(cells, got):
+        want = reference_payoff(adv, deff, cfg, episodes, seed)
+        assert (pp.u_adv, pp.u_def, pp.se_adv, pp.se_def) == want, (adv.label, deff.label)
+        assert pp.episodes == episodes
+
+
+def test_evaluate_cells_chunks_match_one_batch(short):
+    cells = [(a, d, derive_seed(8, a.label, d.label))
+             for a in default_adversaries(short) for d in default_defenders(short)]
+    assert evaluate_cells(cells, short, 2, jobs=3) == evaluate_cells(cells, short, 2)

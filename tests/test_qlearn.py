@@ -111,6 +111,51 @@ def test_canonical_input_ignores_server_labels(baseline):
             assert (a is None and b is None) or perm[b] == a
 
 
+def random_observations(rng, n, m, downtime):
+    """(n, m, 5) observations whose counts and clocks run past the clamps,
+    with few distinct values per column so that ties are common."""
+    return np.stack([rng.integers(0, 2, (n, m)), rng.integers(0, downtime + 1, (n, m)),
+                     rng.choice([0, 1, 2, 29, 30, 31, 45], (n, m)), rng.integers(0, 2, (n, m)),
+                     rng.choice([0, 3, 99, 100, 101, 250], (n, m))], axis=-1)
+
+
+def lexsort_reference(player, obs, cfg):
+    """The canonical order as a lexicographic sort of the normalized rows."""
+    rows = network_input(player, obs, cfg).reshape(cfg.num_servers, 5)
+    order = ([(3, 1), (0, -1), (2, -1), (1, 1), (4, 1)] if player == ADVERSARY
+             else [(0, -1), (2, -1), (3, 1), (1, 1), (4, 1)])
+    return np.lexsort([sign * rows[:, col] for col, sign in reversed(order)])
+
+
+@pytest.mark.parametrize("player", [ADVERSARY, DEFENDER])
+def test_canonical_order_matches_lexsort_reference(player):
+    rng = np.random.default_rng(12)
+    for downtime in (1, 7, 40):
+        cfg = EnvConfig(num_servers=8, downtime=downtime)
+        obs = random_observations(rng, 2000, 8, downtime)
+        xs, orders = canonical_input(player, obs, cfg)
+        for o, x, order in zip(obs, xs, orders):
+            want = lexsort_reference(player, o, cfg)
+            np.testing.assert_array_equal(order, want)
+            np.testing.assert_array_equal(x, canonical_input(player, o, cfg)[0])
+
+
+@pytest.mark.parametrize("hidden", [(32, 32), (7,), ()])
+def test_greedy_policy_act_batch_matches_act(hidden):
+    rng = np.random.default_rng(len(hidden))
+    cfg = EnvConfig(num_servers=6)
+    for trial in range(30):
+        net = QNetwork(30, 7, rng, hidden=hidden)
+        if trial % 3 == 0:
+            net.biases[-1][6] += 0.5   # favour the no-op output now and then
+        player = (ADVERSARY, DEFENDER)[trial % 2]
+        pol = QNetworkPolicy(player, net, cfg, "qnet")
+        obs = random_observations(rng, int(rng.integers(1, 80)), 6, cfg.downtime)
+        want = [pol.act(o, 0, None) for o in obs]
+        got = pol.act_batch(obs, 0, [None] * len(obs))
+        assert got.tolist() == [-1 if a is None else a for a in want]
+
+
 # ------------------------------------------------------------------ network
 
 

@@ -146,6 +146,21 @@ def test_malformed_policy_files(text, baseline, tmp_path):
         load_policy(p, baseline)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("line", [2, 5], ids=["weight", "bias"])
+def test_qnet_non_finite_parameter_rejected(value, line, baseline, tmp_path):
+    net = QNetwork(5 * baseline.num_servers, baseline.num_servers + 1,
+                   np.random.default_rng(2), hidden=(3,))
+    p = tmp_path / "net.policy"
+    save_policy(QNetworkPolicy(ADVERSARY, net, baseline, "n"), p)
+    lines = p.read_text(encoding="utf-8").splitlines()
+    # line 1 is the first layer's shape, 2-4 its weights, 5 its biases
+    lines[line] = " ".join([*lines[line].split()[:-1], value])
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(PolicyFormatError, match="not a finite number"):
+        load_policy(p, baseline)
+
+
 def test_version_1_network_file_rejected(baseline, tmp_path):
     # version 1 networks index servers directly, not in canonical order
     net = QNetwork(5 * baseline.num_servers, baseline.num_servers + 1,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from mtdgame.env import ADVERSARY, DEFENDER, ConfigError, EnvConfig
+from mtdgame.env import ADVERSARY, DEFENDER, ConfigError, EnvConfig, check_integers
 from mtdgame.nash import EmpiricalGame, EquilibriumResult, build_game, extend_game, solve_msne
 from mtdgame.policies import MixedStrategy, PurePolicy
 from mtdgame.qlearn import TrainConfig, train_best_response
@@ -34,10 +34,8 @@ class DoConfig:
         # every comparison is written so that NaN fails it
         if not 0.0 <= self.eps_do < math.inf:
             raise ConfigError(f"eps_do must be finite and >= 0, got {self.eps_do!r}")
-        if not self.max_iterations >= 0:
-            raise ConfigError("max_iterations must be >= 0")
-        if not self.eval_episodes >= 1:
-            raise ConfigError("eval_episodes must be >= 1")
+        check_integers(self, 0, "max_iterations")
+        check_integers(self, 1, "eval_episodes")
 
 
 @dataclass(frozen=True)

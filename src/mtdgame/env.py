@@ -47,6 +47,17 @@ class ConfigError(ValueError):
     """A parameter is outside its documented domain."""
 
 
+def check_integers(cfg, low: int, *names: str) -> None:
+    """Raise ConfigError unless each named setting of the frozen dataclass
+    cfg is an integer (numpy integers too, bools not) and at least `low`;
+    store each as a Python int."""
+    for name in names:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not value >= low:
+            raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        object.__setattr__(cfg, name, int(value))
+
+
 @dataclass(frozen=True)
 class EnvConfig:
     """Game parameters, defaulting to the baseline configuration."""
@@ -65,11 +76,8 @@ class EnvConfig:
     charge_down_probes: bool = True  # probes on down servers still cost probe_cost
 
     def __post_init__(self):
+        check_integers(self, 1, "num_servers", "downtime", "horizon")
         # every comparison is written so that NaN fails it
-        for name in ("num_servers", "downtime", "horizon"):
-            value = getattr(self, name)
-            if not (isinstance(value, int) and value >= 1):
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         for name in ("miss_prob", "weight_adv", "weight_def"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {getattr(self, name)!r}")
@@ -293,6 +301,7 @@ class MtdBatchEnv:
     def __init__(self, config: EnvConfig):
         self.cfg = config
         self.tau = 0
+        self.rngs = None
         u_adv, u_def, compromise = _tables(config)
         self._u_adv = np.array(u_adv)
         self._u_def = np.array(u_def)
@@ -317,6 +326,8 @@ class MtdBatchEnv:
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Advance every episode one step; returns (obs_adv, obs_def,
         reward_adv, reward_def)."""
+        if self.rngs is None:
+            raise RuntimeError("call reset() before step()")
         if self.done:
             raise RuntimeError("episodes are over, call reset()")
         cfg = self.cfg
@@ -378,6 +389,8 @@ class MtdBatchEnv:
         return self.observe(ADVERSARY), self.observe(DEFENDER), reward_adv, reward_def
 
     def observe(self, player: str) -> np.ndarray:
+        if self.rngs is None:
+            raise RuntimeError("call reset() first")
         tau = self.tau
         if player == ADVERSARY:
             up_at, progress, col3, last = (self.adv_up_at, self.adv_progress,

@@ -8,7 +8,8 @@ servers would only take them down for nothing.
 Every policy acts one episode at a time (`act`, which `run_episode` uses)
 or on a stack of episodes at once (`act_batch`, which `evaluate_cells`
 uses); for the same observations both choose the same servers and draw the
-same numbers from each episode's generator.
+same numbers from each episode's generator.  A heuristic states its rule
+once, in `targets`, which reads one (M, 5) observation or an (n, M, 5) stack.
 """
 
 from __future__ import annotations
@@ -52,11 +53,31 @@ class PurePolicy:
         return np.array([-1 if a is None else a for a in actions], dtype=np.int64)
 
 
+class Heuristic(PurePolicy):
+    """A fixed rule, stated once in `targets`; `act` and `act_batch` draw."""
+
+    def targets(self, obs: np.ndarray, tau: int) -> tuple | None:
+        """The servers the rule may pick in obs, (M, 5) or (n, M, 5): None as
+        soon as no episode can act, else (mask, score), mask shaped like
+        obs[..., 0]; the draw is among the mask's top scorers, or uniform."""
+        raise NotImplementedError
+
+    def act(self, obs, tau, rng):
+        found = self.targets(obs, tau)
+        return None if found is None else _pick(*found, rng)
+
+    def act_batch(self, obs, tau, rngs):
+        found = self.targets(obs, tau)
+        if found is None:
+            return np.full(obs.shape[0], -1, dtype=np.int64)
+        return _pick_rows(*found, rngs)
+
+
 # The heuristic registry, keyed by (player, name) in the order of the
 # default sets.  A heuristic's dataclass fields other than `player` and
 # `label` are the parameters its policy file line carries, and their
 # defaults are the values a line that omits them gets.
-HEURISTICS: dict[tuple[str, str], type[PurePolicy]] = {}
+HEURISTICS: dict[tuple[str, str], type[Heuristic]] = {}
 
 
 def _heuristic(name: str, *players: str):
@@ -71,7 +92,7 @@ def _heuristic(name: str, *players: str):
     return register
 
 
-def heuristic(player: str, name: str, **params) -> PurePolicy:
+def heuristic(player: str, name: str, **params) -> Heuristic:
     """Build the registered heuristic `name` of `player`; KeyError if none."""
     cls = HEURISTICS[(player, name)]
     return cls(player, **params) if cls is NoOpPolicy else cls(**params)
@@ -91,33 +112,32 @@ def heuristic_params(policy) -> list[Field]:
 
 
 @_heuristic("noop", ADVERSARY, DEFENDER)
-class NoOpPolicy(PurePolicy):
+class NoOpPolicy(Heuristic):
     player: str
     label: str = "noop"
 
-    def act(self, obs, tau, rng):
+    def targets(self, obs, tau):
         return None
 
-    def act_batch(self, obs, tau, rngs):
-        return _idle(obs)
 
-
-def _pick(candidates: np.ndarray, rng: np.random.Generator,
-          score: np.ndarray | None = None) -> int | None:
-    """A uniformly drawn candidate, None if there is none.  With `score`
-    (one value per candidate) the draw is among the top scorers only.
-    Nothing is drawn from `rng` for zero or one candidate."""
+def _pick(candidates: np.ndarray, score: np.ndarray | None,
+          rng: np.random.Generator) -> int | None:
+    """A uniformly drawn server of an (M,) candidate mask, None if there is
+    none.  With `score` (M,) the draw is among the top-scoring candidates
+    only.  Nothing is drawn from `rng` for zero or one candidate."""
+    candidates = np.flatnonzero(candidates)
     if candidates.size == 0:
         return None
     if score is not None:
+        score = score[candidates]
         candidates = candidates[score == score.max()]
     if candidates.size == 1:
         return int(candidates[0])
     return int(candidates[rng.integers(candidates.size)])
 
 
-def _pick_rows(candidates: np.ndarray, rngs: list[np.random.Generator],
-               score: np.ndarray | None = None) -> np.ndarray:
+def _pick_rows(candidates: np.ndarray, score: np.ndarray | None,
+               rngs: list[np.random.Generator]) -> np.ndarray:
     """`_pick` on each row of an (n, M) candidate mask: the chosen server
     per row, -1 where there is none.  `score` is (n, M) and nonnegative.
     Only rows left with two or more candidates draw, from their own rng."""
@@ -135,56 +155,41 @@ def _pick_rows(candidates: np.ndarray, rngs: list[np.random.Generator],
     return picks
 
 
-def _idle(obs: np.ndarray) -> np.ndarray:
-    return np.full(obs.shape[0], -1, dtype=np.int64)
-
-
 def _believed_takeable(obs: np.ndarray) -> np.ndarray:
     # mask of the servers the adversary thinks are up and does not control
     return (obs[..., COL_STATUS] == 1) & (obs[..., COL_CONTROL] == 0)
 
 
 @_heuristic("uniform", ADVERSARY)
-class UniformAdversary(PurePolicy):
+class UniformAdversary(Heuristic):
     """Every `period` steps, probe a random server believed up and uncontrolled."""
 
     player = ADVERSARY
     period: int = 1
     label: str = "uniform"
 
-    def act(self, obs, tau, rng):
+    def targets(self, obs, tau):
         if tau % self.period:
             return None
-        return _pick(np.flatnonzero(_believed_takeable(obs)), rng)
-
-    def act_batch(self, obs, tau, rngs):
-        if tau % self.period:
-            return _idle(obs)
-        return _pick_rows(_believed_takeable(obs), rngs)
+        return _believed_takeable(obs), None
 
 
 @_heuristic("maxprobe", ADVERSARY)
-class MaxProbeAdversary(PurePolicy):
+class MaxProbeAdversary(Heuristic):
     """Every `period` steps, probe the most-probed server it does not control."""
 
     player = ADVERSARY
     period: int = 1
     label: str = "maxprobe"
 
-    def act(self, obs, tau, rng):
+    def targets(self, obs, tau):
         if tau % self.period:
             return None
-        cand = np.flatnonzero(_believed_takeable(obs))
-        return _pick(cand, rng, obs[cand, COL_PROGRESS])
-
-    def act_batch(self, obs, tau, rngs):
-        if tau % self.period:
-            return _idle(obs)
-        return _pick_rows(_believed_takeable(obs), rngs, obs[..., COL_PROGRESS])
+        return _believed_takeable(obs), obs[..., COL_PROGRESS]
 
 
 @_heuristic("control_threshold", ADVERSARY)
-class ControlThresholdAdversary(PurePolicy):
+class ControlThresholdAdversary(Heuristic):
     """Probe (most-probed targeting) only while controlling less than a
     threshold fraction of the servers."""
 
@@ -192,39 +197,29 @@ class ControlThresholdAdversary(PurePolicy):
     threshold: float = 0.5
     label: str = "control_threshold"
 
-    def act(self, obs, tau, rng):
-        if obs[:, COL_CONTROL].sum() / obs.shape[0] >= self.threshold:
+    def targets(self, obs, tau):
+        below = ~(obs[..., COL_CONTROL].sum(axis=-1) / obs.shape[-2] >= self.threshold)
+        if not below.any():
             return None
-        cand = np.flatnonzero(_believed_takeable(obs))
-        return _pick(cand, rng, obs[cand, COL_PROGRESS])
-
-    def act_batch(self, obs, tau, rngs):
-        below = ~(obs[..., COL_CONTROL].sum(axis=1) / obs.shape[1] >= self.threshold)
-        return _pick_rows(_believed_takeable(obs) & below[:, None], rngs,
-                          obs[..., COL_PROGRESS])
+        return _believed_takeable(obs) & below[..., None], obs[..., COL_PROGRESS]
 
 
 @_heuristic("uniform", DEFENDER)
-class UniformDefender(PurePolicy):
+class UniformDefender(Heuristic):
     """Every `period` steps, reimage a random up server."""
 
     player = DEFENDER
     period: int = 4
     label: str = "uniform"
 
-    def act(self, obs, tau, rng):
+    def targets(self, obs, tau):
         if tau % self.period:
             return None
-        return _pick(np.flatnonzero(obs[:, COL_STATUS] == 1), rng)
-
-    def act_batch(self, obs, tau, rngs):
-        if tau % self.period:
-            return _idle(obs)
-        return _pick_rows(obs[..., COL_STATUS] == 1, rngs)
+        return obs[..., COL_STATUS] == 1, None
 
 
 @_heuristic("maxprobe", DEFENDER)
-class MaxProbeDefender(PurePolicy):
+class MaxProbeDefender(Heuristic):
     """Every `period` steps, reimage the up server with the most observed
     probes, provided anything was probed at all."""
 
@@ -232,21 +227,15 @@ class MaxProbeDefender(PurePolicy):
     period: int = 4
     label: str = "maxprobe"
 
-    def act(self, obs, tau, rng):
+    def targets(self, obs, tau):
         if tau % self.period:
             return None
-        cand = np.flatnonzero((obs[:, COL_STATUS] == 1) & (obs[:, COL_PROGRESS] > 0))
-        return _pick(cand, rng, obs[cand, COL_PROGRESS])
-
-    def act_batch(self, obs, tau, rngs):
-        if tau % self.period:
-            return _idle(obs)
         seen = obs[..., COL_PROGRESS]
-        return _pick_rows((obs[..., COL_STATUS] == 1) & (seen > 0), rngs, seen)
+        return (obs[..., COL_STATUS] == 1) & (seen > 0), seen
 
 
 @_heuristic("pcp", DEFENDER)
-class ProbeCountPeriodDefender(PurePolicy):
+class ProbeCountPeriodDefender(Heuristic):
     """Reimage servers that went quiet after being probed, or were probed
     past a count limit.
 
@@ -261,68 +250,46 @@ class ProbeCountPeriodDefender(PurePolicy):
     probe_limit: int = 7
     label: str = "pcp"
 
-    def act(self, obs, tau, rng):
-        return _pick(np.flatnonzero(self._quiet(obs)), rng)
-
-    def act_batch(self, obs, tau, rngs):
-        return _pick_rows(self._quiet(obs), rngs)
-
-    def _quiet(self, obs):
+    def targets(self, obs, tau):
         seen = obs[..., COL_PROGRESS]
         return (obs[..., COL_STATUS] == 1) & (seen >= 1) & (
             (obs[..., COL_DEF_SINCE_PROBE] >= self.period) | (seen > self.probe_limit)
-        )
+        ), None
 
 
 def expected_defender_control(obs: np.ndarray, gain: float,
-                              literal_exponent: bool = False) -> float:
-    """Defender's estimate of how many up servers it still controls.
+                              literal_exponent: bool = False) -> float | np.ndarray:
+    """Defender's estimate of how many up servers it still controls, for one
+    (M, 5) observation (a float) or each matrix of an (n, M, 5) stack.
 
     Treats every observed probe on a server except the last as failed, so a
     server with k observed probes is compromised with probability
     1 - exp(-gain * k), or zero when never probed.  With literal_exponent
     the last probe is counted as the (k+1)-th instead.  Down servers are
-    excluded, they count for nobody.
+    excluded, they count for nobody.  Servers are added one at a time, in
+    server order, so a matrix gives the same bits alone or in a stack.
     """
-    total = 0.0
-    for status, k in obs[:, [COL_STATUS, COL_PROGRESS]].tolist():
-        if status == 1:
-            total += 1.0 - _compromised(k, gain, literal_exponent)
-    return total
-
-
-def _compromised(k: int, gain: float, literal_exponent: bool) -> float:
-    # expected_defender_control's compromise chance for k observed probes
-    if k == 0:
-        return 0.0
-    return 1.0 - math.exp(-gain * (k + 1 if literal_exponent else k))
-
-
-@lru_cache(maxsize=16)
-def _survival_table(gain: float, literal_exponent: bool, size: int) -> np.ndarray:
-    """1 - _compromised(k, ...) for k = 0 .. size - 1."""
-    table = np.array([1.0 - _compromised(k, gain, literal_exponent) for k in range(size)])
-    table.flags.writeable = False
-    return table
-
-
-def _expected_defender_control_rows(obs: np.ndarray, gain: float,
-                                    literal_exponent: bool) -> np.ndarray:
-    """expected_defender_control of each (M, 5) matrix of an (n, M, 5) stack,
-    with the same value bits: servers are added one at a time, in order."""
     seen = obs[..., COL_PROGRESS]
     # a power-of-two table size keeps the number of cached tables small
     size = 1 << int(seen.max()).bit_length()
     survival = np.where(obs[..., COL_STATUS] == 1,
                         _survival_table(gain, literal_exponent, size)[seen], 0.0)
-    total = np.zeros(obs.shape[0])
-    for j in range(obs.shape[1]):
-        total += survival[:, j]
-    return total
+    # accumulate, unlike a sum, adds strictly left to right
+    return np.add.accumulate(survival, axis=-1)[..., -1]
+
+
+@lru_cache(maxsize=16)
+def _survival_table(gain: float, literal_exponent: bool, size: int) -> np.ndarray:
+    """1 minus the compromise chance for k = 0 .. size - 1 observed probes,
+    kept as 1 - (1 - exp(.)), not exp(.): those are the bits of the sum."""
+    table = np.array([1.0] + [1.0 - (1.0 - math.exp(-gain * (k + 1 if literal_exponent else k)))
+                              for k in range(1, size)])
+    table.flags.writeable = False
+    return table
 
 
 @_heuristic("control_threshold", DEFENDER)
-class ControlThresholdDefender(PurePolicy):
+class ControlThresholdDefender(Heuristic):
     """Reimage the most-suspect server when expected control drops below a
     threshold fraction, at most once per `period` steps."""
 
@@ -333,24 +300,16 @@ class ControlThresholdDefender(PurePolicy):
     literal_exponent: bool = False
     label: str = "control_threshold"
 
-    def act(self, obs, tau, rng):
+    def targets(self, obs, tau):
         # time since this defender's most recent reimage anywhere
-        if obs[:, COL_DEF_SINCE_REIMAGE].min() < self.period:
+        acting = obs[..., COL_DEF_SINCE_REIMAGE].min(axis=-1) >= self.period
+        if not acting.any():
             return None
         expected = expected_defender_control(obs, self.gain, self.literal_exponent)
-        if expected > obs.shape[0] * self.threshold:
+        acting = acting & ~(expected > obs.shape[-2] * self.threshold)
+        if not acting.any():
             return None
-        cand = np.flatnonzero(obs[:, COL_STATUS] == 1)
-        return _pick(cand, rng, obs[cand, COL_PROGRESS])
-
-    def act_batch(self, obs, tau, rngs):
-        acting = obs[..., COL_DEF_SINCE_REIMAGE].min(axis=1) >= self.period
-        if acting.any():
-            expected = _expected_defender_control_rows(obs[acting], self.gain,
-                                                       self.literal_exponent)
-            acting[acting] = ~(expected > obs.shape[1] * self.threshold)
-        return _pick_rows((obs[..., COL_STATUS] == 1) & acting[:, None], rngs,
-                          obs[..., COL_PROGRESS])
+        return (obs[..., COL_STATUS] == 1) & acting[..., None], obs[..., COL_PROGRESS]
 
 
 def _default_set(player: str, **params) -> list[PurePolicy]:

@@ -54,6 +54,7 @@ from mtdgame.env import (
     ConfigError,
     EnvConfig,
     MtdEnv,
+    check_integers,
 )
 from mtdgame.policies import MixedStrategy, PurePolicy
 from mtdgame.seeds import derive_seed, spawn_rng
@@ -132,12 +133,8 @@ class TrainConfig:
             raise ConfigError(f"epsilon_final must lie in [0, 1], got {self.epsilon_final!r}")
         if not 0.0 < self.learning_rate < math.inf:
             raise ConfigError(f"learning_rate must lie in (0, inf), got {self.learning_rate!r}")
-        if not self.batch_size >= 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size!r}")
-        if not self.episodes >= 1:
-            raise ConfigError(f"episodes must be >= 1, got {self.episodes!r}")
-        if not self.replay_capacity >= self.batch_size:
-            raise ConfigError("replay_capacity must be at least batch_size")
+        check_integers(self, 1, "batch_size", "episodes")
+        check_integers(self, self.batch_size, "replay_capacity")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
 

@@ -268,9 +268,12 @@ def save_learning_curve(curve: list[EpisodeRecord], path: str | Path) -> None:
          repr(float(rec.return_raw))] for rec in curve))
 
 
+DO_CURVE_HEADER = ["iteration", "value_a", "value_d", "new_policy_player",
+                   "new_policy_payoff", "converged_a", "converged_d"]
+
+
 def save_do_curve(history: list[DoRecord], path: str | Path) -> None:
-    _write_csv(path, ["iteration", "value_a", "value_d", "new_policy_player",
-                      "new_policy_payoff", "converged_a", "converged_d"], (
+    _write_csv(path, DO_CURVE_HEADER, (
         [rec.call, repr(float(rec.value_adv)), repr(float(rec.value_def)), rec.trained,
          repr(float(rec.br_payoff)), int(rec.converged_adv), int(rec.converged_def)]
         for rec in history))
@@ -286,8 +289,17 @@ def load_do_curve(path: str | Path) -> list[DoRecord]:
     out = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        header = next(reader, None)
+        if header != DO_CURVE_HEADER:
+            raise PolicyFormatError(f"{path}: unexpected header {header}")
         for rec in reader:
-            out.append(DoRecord(int(rec[0]), float(rec[1]), float(rec[2]), rec[3],
-                                float(rec[4]), bool(int(rec[5])), bool(int(rec[6]))))
+            if len(rec) != len(DO_CURVE_HEADER):
+                raise PolicyFormatError(f"{path}: malformed row {rec}")
+            try:
+                # the new-policy payoff is nan on the initial row
+                out.append(DoRecord(int(rec[0]), parse_finite(rec[1]), parse_finite(rec[2]),
+                                    rec[3], float(rec[4]), bool(int(rec[5])),
+                                    bool(int(rec[6]))))
+            except ValueError:
+                raise PolicyFormatError(f"{path}: bad value in row {rec}") from None
     return out

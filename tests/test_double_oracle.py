@@ -49,6 +49,10 @@ def test_do_config_validation(short):
     with pytest.raises(ConfigError):
         tiny_do(eval_episodes=0)
     with pytest.raises(ConfigError):
+        tiny_do(eval_episodes=1.5)
+    with pytest.raises(ConfigError):
+        tiny_do(max_iterations=0.5)
+    with pytest.raises(ConfigError):
         dqn_oracle(short, TrainConfig(batch_size=0))
     tiny_do()
 

@@ -120,6 +120,9 @@ def test_utility_unknown_player():
     dict(reward_thresh=math.nan),
     dict(reward_thresh=math.inf),
     dict(probe_gain=math.inf),
+    dict(num_servers=True),
+    dict(num_servers=2.0),
+    dict(horizon=np.int64(0)),
 ])
 def test_config_validation_rejects(bad):
     with pytest.raises(ConfigError):
@@ -128,6 +131,8 @@ def test_config_validation_rejects(bad):
 
 def test_config_baseline_validates():
     EnvConfig()
+    cfg = EnvConfig(num_servers=np.int64(5))
+    assert cfg == EnvConfig(num_servers=5) and type(cfg.num_servers) is int
 
 
 # ------------------------------------------------------------------- reset
@@ -419,6 +424,10 @@ def test_batch_env_matches_scalar_env(m, charge_down_probes):
 
 def test_batch_env_rejects_bad_actions(short):
     batch = MtdBatchEnv(short)
+    with pytest.raises(RuntimeError, match="reset"):
+        batch.step(np.array([-1, -1]), np.array([-1, -1]))
+    with pytest.raises(RuntimeError, match="reset"):
+        batch.observe(ADVERSARY)
     batch.reset([1, 2])
     for adv, deff in (([0, 10], [-1, -1]), ([-2, 0], [-1, -1]), ([0], [0])):
         with pytest.raises(ValueError):

@@ -19,7 +19,6 @@ from mtdgame.policies import (
     PurePolicy,
     UniformAdversary,
     UniformDefender,
-    _expected_defender_control_rows,
     default_adversaries,
     default_defenders,
     evaluate_cells,
@@ -339,12 +338,24 @@ def test_act_batch_matches_act_row_by_row(policy):
 
 @pytest.mark.parametrize("gain,literal", [(0.05, False), (0.05, True), (0.3, False)])
 def test_expected_control_rows_match_scalar_bits(gain, literal):
+    """On a stack and on each matrix alone, expected_defender_control gives
+    the bits of the one-server-at-a-time Python sum it replaced."""
     rng = np.random.default_rng(4)
     obs = np.zeros((500, 10, 5), dtype=np.int64)
     obs[..., COL_STATUS] = rng.random((500, 10)) < 0.8
     obs[..., COL_PROGRESS] = rng.integers(0, 200, (500, 10)) * (rng.random((500, 10)) < 0.9)
-    rows = _expected_defender_control_rows(obs, gain, literal)
-    assert rows.tolist() == [expected_defender_control(o, gain, literal) for o in obs]
+
+    def reference(o):
+        total = 0.0
+        for status, k in o[:, [COL_STATUS, COL_PROGRESS]].tolist():
+            if status == 1:
+                compromised = 0.0 if k == 0 else 1.0 - math.exp(-gain * (k + 1 if literal else k))
+                total += 1.0 - compromised
+        return total
+
+    want = [reference(o) for o in obs]
+    assert expected_defender_control(obs, gain, literal).tolist() == want
+    assert [float(expected_defender_control(o, gain, literal)) for o in obs] == want
 
 
 def reference_payoff(adv, deff, cfg, episodes, seed):

@@ -468,6 +468,9 @@ def test_greedy_policy_maps_through_canonical_order():
     dict(optimizer="rmsprop"),
     dict(learning_rate=math.nan),
     dict(learning_rate=math.inf),
+    dict(episodes=2.5),
+    dict(batch_size=True),
+    dict(replay_capacity=math.nan),
 ])
 def test_train_config_validation(bad):
     with pytest.raises(ConfigError):

@@ -393,3 +393,19 @@ def test_do_curve_round_trip(tmp_path):
     assert math.isnan(back[0].br_payoff)
     assert back[0].call == 0 and back[0].trained == ""
     assert back[1:] == history[1:]
+
+
+HEADER = "iteration,value_a,value_d,new_policy_player,new_policy_payoff,converged_a,converged_d\n"
+
+
+@pytest.mark.parametrize("text,match", [
+    ("", "header"),
+    ("a,b,c\n", "header"),
+    (HEADER + "0,26.0,98.0,,nan,0\n", "malformed"),
+    (HEADER + "0,26.0,nan,,nan,0,0\n", "bad value"),
+], ids=["empty", "wrong-header", "short-row", "non-finite-value"])
+def test_do_curve_malformed(text, match, tmp_path):
+    p = tmp_path / "do_curve.csv"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(PolicyFormatError, match=match):
+        load_do_curve(p)

@@ -15,7 +15,6 @@ from mtdgame.env import (
     EnvConfig,
     MtdBatchEnv,
     MtdEnv,
-    StepOutcome,
     compromise_probability,
     logistic,
     utility,

@@ -116,9 +116,9 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out) if args.out else None
     rows = []
 
-    def record(tau, a, d, out, env):
-        rows.append([tau, "" if a is None else a, "" if d is None else d,
-                     repr(out.reward_adv), repr(out.reward_def), *env.counts()])
+    def record(tau, a, d, reward_adv, reward_def, env):
+        rows.append([tau, "" if a < 0 else a, "" if d < 0 else d,
+                     repr(reward_adv), repr(reward_def), *env.counts()])
 
     with (nullcontext() if out_dir is None else _Manifest(
             out_dir, "simulate", args.seed, rc, {"adv": args.adv, "def": args.defender})

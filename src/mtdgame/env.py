@@ -12,11 +12,12 @@ at once: (1) the adversary's probe resolves, (2) the defender's reimage
 resolves, (3) the clock advances, which brings back up every server whose
 downtime has elapsed, (4) rewards are computed on the post-transition state.
 
-Observations are (num_servers, 5) int64 matrices, one row per server; the
-COL_* constants name each player's columns.  The adversary's status,
-time_to_up and progress columns reflect only what it has learned: a reimage
-of a server it did not control and never probed afterwards leaves those
-fields stale.
+Each player's action is one server index, or -1 for no-op.  Observations
+are (num_servers, 5) int64 matrices, one row per server; the COL_*
+constants name each player's columns.  The adversary's status, time_to_up
+and progress columns reflect only what it has learned: a reimage of a
+server it did not control and never probed afterwards leaves those fields
+stale.
 """
 
 from __future__ import annotations
@@ -142,18 +143,10 @@ def _tables(cfg: EnvConfig) -> tuple[tuple, tuple, tuple]:
     return u_adv, u_def, compromise
 
 
-@dataclass
-class StepOutcome:
-    obs_adv: np.ndarray
-    obs_def: np.ndarray
-    reward_adv: float
-    reward_def: float
-
-
 class MtdEnv:
     """The game.  Holds true server state plus both players' memories.
 
-    Actions are a server index or None for no-op.  Time starts at 0;
+    Actions are a server index or -1 for no-op.  Time starts at 0;
     an episode ends after `horizon` steps (a time limit, not a terminal
     state, so learned value estimates may still bootstrap past it).
     """
@@ -196,7 +189,9 @@ class MtdEnv:
         n_adv = sum(self.adv_owned)
         return n_adv, self.cfg.num_servers - n_adv - n_down, n_down
 
-    def step(self, adv_target: int | None, def_target: int | None) -> StepOutcome:
+    def step(self, adv_target: int, def_target: int,
+             ) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """Advance one step; returns (obs_adv, obs_def, reward_adv, reward_def)."""
         if not self._ready:
             raise RuntimeError("call reset() before step()")
         if self.done:
@@ -204,15 +199,15 @@ class MtdEnv:
         cfg = self.cfg
         m = cfg.num_servers
         for t in (adv_target, def_target):
-            if t is not None and not 0 <= int(t) < m:
-                raise ValueError(f"server index {t!r} out of range")
+            if not -1 <= t < m:
+                raise ValueError(f"server index {t!r} out of range, -1 for no-op")
         clock = self.tau
         resolve = clock + 1  # the clock at which this step's effects are first visible
 
         # 1) adversary probe
         probed_up = False
-        if adv_target is not None:
-            i = int(adv_target)
+        if adv_target >= 0:
+            i = adv_target
             if self.up_at[i] <= clock:
                 probed_up = True
                 # The probe being resolved already counts toward rho when the
@@ -236,8 +231,8 @@ class MtdEnv:
         # 2) defender reimage (a down target is a silent no-op); the server
         # is down for exactly cfg.downtime reward evaluations, at clocks
         # resolve .. resolve + downtime - 1
-        if def_target is not None:
-            i = int(def_target)
+        if def_target >= 0:
+            i = def_target
             if self.up_at[i] <= clock:
                 up_at = resolve + cfg.downtime
                 if self.adv_owned[i]:
@@ -258,15 +253,9 @@ class MtdEnv:
         n_adv, n_def, n_down = self.counts()
         u_a = self._u_adv[n_adv][n_down]
         u_d = self._u_def[n_def][n_down]
-        cost = 0.0
-        if adv_target is not None and (probed_up or cfg.charge_down_probes):
-            cost = cfg.probe_cost
-        return StepOutcome(
-            obs_adv=self.observe(ADVERSARY),
-            obs_def=self.observe(DEFENDER),
-            reward_adv=u_a - cost,
-            reward_def=u_d,
-        )
+        if adv_target >= 0 and (probed_up or cfg.charge_down_probes):
+            u_a -= cfg.probe_cost
+        return self.observe(ADVERSARY), self.observe(DEFENDER), u_a, u_d
 
     def observe(self, player: str) -> np.ndarray:
         if not self._ready:

@@ -7,9 +7,10 @@ servers would only take them down for nothing.
 
 Every policy acts one episode at a time (`act`, which `run_episode` uses)
 or on a stack of episodes at once (`act_batch`, which `evaluate_cells`
-uses); for the same observations both choose the same servers and draw the
-same numbers from each episode's generator.  A heuristic states its rule
-once, in `targets`, which reads one (M, 5) observation or an (n, M, 5) stack.
+uses), and both return server indices, -1 for no-op.  For the same
+observations both choose the same servers and draw the same numbers from
+each episode's generator.  A heuristic states its rule once, in `targets`,
+which reads one (M, 5) observation or an (n, M, 5) stack.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from mtdgame.env import (
     EnvConfig,
     MtdBatchEnv,
     MtdEnv,
+    check_integers,
 )
 from mtdgame.seeds import derive_seed, spawn_rng
 
@@ -42,19 +44,25 @@ class PurePolicy:
     player: str
     label: str
 
-    def act(self, obs: np.ndarray, tau: int, rng: np.random.Generator) -> int | None:
+    def act(self, obs: np.ndarray, tau: int, rng: np.random.Generator) -> int:
+        """The server to act on in an (M, 5) observation, -1 for no-op."""
         raise NotImplementedError
 
     def act_batch(self, obs: np.ndarray, tau: int,
                   rngs: list[np.random.Generator]) -> np.ndarray:
         """`act` on each of n episodes: obs is (n, M, 5) and rngs[i] is
         episode i's generator.  Returns n server indices, -1 for no-op."""
-        actions = [self.act(o, tau, rng) for o, rng in zip(obs, rngs)]
-        return np.array([-1 if a is None else a for a in actions], dtype=np.int64)
+        return np.array([self.act(o, tau, rng) for o, rng in zip(obs, rngs)], dtype=np.int64)
 
 
 class Heuristic(PurePolicy):
     """A fixed rule, stated once in `targets`; `act` and `act_batch` draw."""
+
+    def __post_init__(self):
+        """ConfigError unless a `period` is >= 1 and a `probe_limit` >= 0."""
+        for name, low in (("period", 1), ("probe_limit", 0)):
+            if hasattr(self, name):
+                check_integers(self, low, name)
 
     def targets(self, obs: np.ndarray, tau: int) -> tuple | None:
         """The servers the rule may pick in obs, (M, 5) or (n, M, 5): None as
@@ -64,7 +72,7 @@ class Heuristic(PurePolicy):
 
     def act(self, obs, tau, rng):
         found = self.targets(obs, tau)
-        return None if found is None else _pick(*found, rng)
+        return -1 if found is None else _pick(*found, rng)
 
     def act_batch(self, obs, tau, rngs):
         found = self.targets(obs, tau)
@@ -121,13 +129,13 @@ class NoOpPolicy(Heuristic):
 
 
 def _pick(candidates: np.ndarray, score: np.ndarray | None,
-          rng: np.random.Generator) -> int | None:
-    """A uniformly drawn server of an (M,) candidate mask, None if there is
+          rng: np.random.Generator) -> int:
+    """A uniformly drawn server of an (M,) candidate mask, -1 if there is
     none.  With `score` (M,) the draw is among the top-scoring candidates
     only.  Nothing is drawn from `rng` for zero or one candidate."""
     candidates = np.flatnonzero(candidates)
     if candidates.size == 0:
-        return None
+        return -1
     if score is not None:
         score = score[candidates]
         candidates = candidates[score == score.max()]
@@ -364,7 +372,7 @@ def run_episode(adv: PurePolicy, deff: PurePolicy, cfg: EnvConfig,
     """One full episode; returns both players' discounted returns.
 
     on_step, if given, is called after every step as
-    on_step(tau, adv_action, def_action, outcome, env).
+    on_step(tau, adv_action, def_action, reward_adv, reward_def, env).
     """
     env = MtdEnv(cfg)
     obs_a, obs_d = env.reset(derive_seed(seed, "env"))
@@ -376,14 +384,12 @@ def run_episode(adv: PurePolicy, deff: PurePolicy, cfg: EnvConfig,
     for t in range(cfg.horizon):
         a = adv.act(obs_a, t, rng_a)
         d = deff.act(obs_d, t, rng_d)
-        out = env.step(a, d)
+        obs_a, obs_d, r_a, r_d = env.step(a, d)
         if on_step is not None:
-            on_step(t, a, d, out, env)
-        ret_a += g * out.reward_adv
-        ret_d += g * out.reward_def
+            on_step(t, a, d, r_a, r_d, env)
+        ret_a += g * r_a
+        ret_d += g * r_d
         g *= cfg.discount
-        obs_a = out.obs_adv
-        obs_d = out.obs_def
     return ret_a, ret_d
 
 

@@ -394,7 +394,7 @@ class QNetworkPolicy(PurePolicy):
     def act(self, obs, tau, rng):
         x, order = canonical_input(self.player, obs, self.cfg)
         a = int(np.argmax(self.net.forward(x)))
-        return None if a == self.cfg.num_servers else int(order[a])
+        return -1 if a == self.cfg.num_servers else int(order[a])
 
     def act_batch(self, obs, tau, rngs):
         x, order = canonical_input(self.player, obs, self.cfg)
@@ -462,14 +462,12 @@ def train_best_response(player: str, opponents: list[PurePolicy],
                 a_idx = int(explore_rng.integers(n_actions))
             else:
                 a_idx = int(np.argmax(net.forward(x)))
-            my_action = None if a_idx == m else int(order[a_idx])
+            my_action = -1 if a_idx == m else int(order[a_idx])
             opp_action = opponent.act(opp_obs, t, opp_rng)
             if player == ADVERSARY:
-                out = env.step(my_action, opp_action)
-                r, my_next, opp_next = out.reward_adv, out.obs_adv, out.obs_def
+                my_next, opp_next, r, _ = env.step(my_action, opp_action)
             else:
-                out = env.step(opp_action, my_action)
-                r, my_next, opp_next = out.reward_def, out.obs_def, out.obs_adv
+                opp_next, my_next, _, r = env.step(opp_action, my_action)
             x_next, next_order = canonical_input(player, my_next, env_cfg)
             buf.push(x, a_idx, x_next, r)
             optimizer.lr = learning_rate_value(tc, gstep, total_steps)

@@ -9,13 +9,14 @@ fixed newline to make reruns byte-identical.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
 
 from mtdgame.config import TEXT_VALUES, parse_finite
 from mtdgame.double_oracle import DoRecord
-from mtdgame.env import ADVERSARY, DEFENDER, EnvConfig
+from mtdgame.env import ADVERSARY, DEFENDER, ConfigError, EnvConfig
 from mtdgame.nash import EmpiricalGame, EquilibriumResult
 from mtdgame.policies import (
     HEURISTICS,
@@ -95,9 +96,10 @@ def load_policy(path: str | Path, env_cfg: EnvConfig,
             params[k] = TEXT_VALUES[types[k]].read(v)
         except ValueError:
             raise PolicyFormatError(f"{path}: bad value for {k}: {v!r}") from None
-    if params.get("period", 1) < 1:
-        raise PolicyFormatError(f"{path}: period must be >= 1, got {params['period']}")
-    policy = heuristic(player, name, **params)
+    try:
+        policy = heuristic(player, name, **params)
+    except ConfigError as exc:
+        raise PolicyFormatError(f"{path}: {exc}") from None
     if label is not None:
         policy.label = label
     return policy
@@ -200,6 +202,18 @@ def _write_csv(path: str | Path, header: list[str], rows, footer: str = "") -> N
         fh.write(footer)
 
 
+def _read_csv(path: str | Path, header: list[str]) -> list[list[str]]:
+    """The rows of a CSV file that starts with `header`, each as long as it."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    if rows[:1] != [header]:
+        raise PolicyFormatError(f"{path}: unexpected header {rows[:1]}")
+    for rec in rows[1:]:
+        if len(rec) != len(header):
+            raise PolicyFormatError(f"{path}: malformed row {rec}")
+    return rows[1:]
+
+
 GAME_HEADER = ["adv_policy", "def_policy", "u_a", "u_d", "se_a", "se_d"]
 
 
@@ -217,25 +231,18 @@ def load_game(path: str | Path, episodes: int = 0) -> EmpiricalGame:
     rows: list[str] = []
     cols: list[str] = []
     cells = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != GAME_HEADER:
-            raise PolicyFormatError(f"{path}: unexpected header {header}")
-        for rec in reader:
-            if len(rec) != 6:
-                raise PolicyFormatError(f"{path}: malformed row {rec}")
-            rl, cl = rec[0], rec[1]
-            if (rl, cl) in cells:
-                raise PolicyFormatError(f"{path}: duplicate cell ({rl}, {cl})")
-            if rl not in rows:
-                rows.append(rl)
-            if cl not in cols:
-                cols.append(cl)
-            try:
-                cells[(rl, cl)] = tuple(parse_finite(v) for v in rec[2:])
-            except ValueError:
-                raise PolicyFormatError(f"{path}: bad cell in row {rec}") from None
+    for rec in _read_csv(path, GAME_HEADER):
+        rl, cl = rec[0], rec[1]
+        if (rl, cl) in cells:
+            raise PolicyFormatError(f"{path}: duplicate cell ({rl}, {cl})")
+        if rl not in rows:
+            rows.append(rl)
+        if cl not in cols:
+            cols.append(cl)
+        try:
+            cells[(rl, cl)] = tuple(parse_finite(v) for v in rec[2:])
+        except ValueError:
+            raise PolicyFormatError(f"{path}: bad cell in row {rec}") from None
     if not cells:
         raise PolicyFormatError(f"{path}: empty game")
     u_a = np.empty((len(rows), len(cols)))
@@ -286,20 +293,19 @@ def save_trace(rows: list[list], path: str | Path) -> None:
 
 
 def load_do_curve(path: str | Path) -> list[DoRecord]:
+    """Read `save_do_curve`'s file: rows 0, 1, 2, ... in order, the initial
+    row with no new policy and a nan payoff, every later row naming the
+    player it trained and its finite payoff, and 0/1 convergence flags."""
     out = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != DO_CURVE_HEADER:
-            raise PolicyFormatError(f"{path}: unexpected header {header}")
-        for rec in reader:
-            if len(rec) != len(DO_CURVE_HEADER):
-                raise PolicyFormatError(f"{path}: malformed row {rec}")
-            try:
-                # the new-policy payoff is nan on the initial row
-                out.append(DoRecord(int(rec[0]), parse_finite(rec[1]), parse_finite(rec[2]),
-                                    rec[3], float(rec[4]), bool(int(rec[5])),
-                                    bool(int(rec[6]))))
-            except ValueError:
-                raise PolicyFormatError(f"{path}: bad value in row {rec}") from None
+    for i, rec in enumerate(_read_csv(path, DO_CURVE_HEADER)):
+        it, value_a, value_d, trained, payoff, conv_a, conv_d = rec
+        try:
+            payoff = parse_finite(payoff) if i else float(payoff)
+            if (it != str(i) or math.isnan(payoff) != (i == 0) or {conv_a, conv_d} - {"0", "1"}
+                    or trained not in ((ADVERSARY, DEFENDER) if i else ("",))):
+                raise ValueError
+            out.append(DoRecord(i, parse_finite(value_a), parse_finite(value_d), trained,
+                                payoff, conv_a == "1", conv_d == "1"))
+        except ValueError:
+            raise PolicyFormatError(f"{path}: bad value in row {rec}") from None
     return out

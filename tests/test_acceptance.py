@@ -204,19 +204,19 @@ def test_c5_environment_invariant_fuzz():
         down_start = np.full(m, -1)
         acts = rng.integers(0, m + 1, size=(min(cfg.horizon, steps_left), 2))
         for t in range(acts.shape[0]):
-            a = None if acts[t, 0] == m else int(acts[t, 0])
-            d = None if acts[t, 1] == m else int(acts[t, 1])
-            out = env.step(a, d)
+            a = -1 if acts[t, 0] == m else int(acts[t, 0])
+            d = -1 if acts[t, 1] == m else int(acts[t, 1])
+            obs_adv, obs_def, reward_adv, reward_def = env.step(a, d)
             steps_left -= 1
-            status = out.obs_def[:, COL_STATUS]
-            control = out.obs_adv[:, COL_CONTROL]
+            status = obs_def[:, COL_STATUS]
+            control = obs_adv[:, COL_CONTROL]
             n_a, n_d, n_dn = env.counts()
             if (n_a + n_d + n_dn != m
                     or n_dn != int((status == 0).sum())
                     or n_a != int(((control == 1) & (status == 1)).sum())):
                 conservation_bad += 1
-            if not (-cfg.probe_cost - 1e-12 <= out.reward_adv <= 1 + 1e-12
-                    and -1e-12 <= out.reward_def <= 1 + 1e-12):
+            if not (-cfg.probe_cost - 1e-12 <= reward_adv <= 1 + 1e-12
+                    and -1e-12 <= reward_def <= 1 + 1e-12):
                 reward_bad += 1
             went_down = (prev_status == 1) & (status == 0)
             came_up = (prev_status == 0) & (status == 1)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -386,6 +387,40 @@ def test_module_entry_point():
     assert "usage" in proc.stdout
     for cmd in ("simulate", "payoff-table", "train-br", "nash", "solve"):
         assert cmd in proc.stdout
+
+
+# Installs the benchmark's layer tracer, which looks up every entry point it
+# wraps by name, then runs each traced workload's command at a tiny size.
+TRACED_RUN = """
+import json, sys, time
+root, out = sys.argv[1:]
+sys.path[:0] = [root + "/perfbench", root + "/src"]
+from layertrace import Tracer
+from mtdgame.cli import main
+tracer = Tracer("guard")
+tracer.install()
+w0 = time.monotonic_ns()
+codes = [main(["payoff-table", "--t", "20", "--episodes", "2", "--out", out + "/grid"]),
+         main(["train-br", "--player", "adversary", "--opponent", out + "/mix/mixture.txt",
+               "--ne", "2", "--t", "20", "--out", out + "/br"]),
+         main(["solve", "--config", out + "/solve.cfg", "--out", out + "/solve"])]
+print(json.dumps([codes, tracer.layer_metrics(w0, time.monotonic_ns())]))
+"""
+
+
+def test_benchmark_tracer_installs_and_measures(tmp_path):
+    save_mixture([NoOpPolicy(DEFENDER)], MixedStrategy(np.array([1.0])), tmp_path / "mix")
+    write_cfg(tmp_path, "T=20\nmax_iterations=1\neval_episodes=2\nne=1\n", "solve.cfg")
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", TRACED_RUN, str(root), str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, metrics = json.loads(proc.stdout.splitlines()[-1])
+    assert codes[:2] == [EXIT_OK, EXIT_OK] and codes[2] in (EXIT_OK, EXIT_NO_CONVERGENCE)
+    assert metrics["env.step.calls"] == 2 * 20 + 2 * 20  # train-br, then one call per player
+    assert metrics["qlearn.train_step.calls"] > 0
+    assert metrics["nash.solve_msne.calls"] > 0
+    assert metrics["double_oracle.oracle_calls"] == 2
 
 
 def test_no_subcommand_is_usage_error():

@@ -159,24 +159,25 @@ def test_reset_same_seed_bitwise_identical(baseline):
 def test_step_requires_reset(baseline):
     env = MtdEnv(baseline)
     with pytest.raises(RuntimeError):
-        env.step(None, None)
+        env.step(-1, -1)
 
 
 def test_episode_ends_at_horizon(short):
     env = fresh(short)
     for _ in range(short.horizon):
-        env.step(None, None)
+        env.step(-1, -1)
     assert env.done
     with pytest.raises(RuntimeError):
-        env.step(None, None)
+        env.step(-1, -1)
 
 
 def test_bad_server_index_rejected(baseline):
     env = fresh(baseline)
-    with pytest.raises(ValueError):
-        env.step(10, None)
-    with pytest.raises(ValueError):
-        env.step(None, -1)
+    for bad, error in ((10, ValueError), (-2, ValueError), (None, TypeError)):
+        with pytest.raises(error):
+            env.step(bad, -1)
+        with pytest.raises(error):
+            env.step(-1, bad)
 
 
 # ----------------------------------------------------------------- stepping
@@ -185,33 +186,33 @@ def test_bad_server_index_rejected(baseline):
 def test_noop_step_rewards_and_state(baseline):
     env = fresh(baseline)
     for _ in range(5):
-        out = env.step(None, None)
-        assert out.reward_adv == pytest.approx(0.268941, abs=1e-6)
-        assert out.reward_def == pytest.approx(0.982014, abs=1e-6)
+        _, _, reward_adv, reward_def = env.step(-1, -1)
+        assert reward_adv == pytest.approx(0.268941, abs=1e-6)
+        assert reward_def == pytest.approx(0.982014, abs=1e-6)
         assert env.counts() == (0, 10, 0)
 
 
 def test_successful_probe_flips_control(baseline):
     cfg = replace(baseline, probe_gain=SURE_GAIN)
     env = fresh(cfg)
-    out = env.step(0, None)
+    obs_adv, obs_def, _, _ = env.step(0, -1)
     assert env.counts() == (1, 9, 0)
-    assert out.obs_adv[0, COL_CONTROL] == 1
-    assert out.obs_adv[0, COL_PROGRESS] == 1
+    assert obs_adv[0, COL_CONTROL] == 1
+    assert obs_adv[0, COL_PROGRESS] == 1
     assert env.probes[0] == 1
     # the defender saw the probe (miss_prob 0) but not the compromise
-    assert out.obs_def[0, COL_PROGRESS] == 1
-    assert out.obs_def[0, COL_STATUS] == 1
+    assert obs_def[0, COL_PROGRESS] == 1
+    assert obs_def[0, COL_STATUS] == 1
 
 
 def test_failed_probe_still_counts(baseline):
     cfg = replace(baseline, probe_gain=NO_GAIN)
     env = fresh(cfg)
     for k in range(1, 4):
-        out = env.step(2, None)
+        obs_adv, obs_def, _, _ = env.step(2, -1)
         assert env.probes[2] == k
-        assert out.obs_adv[2, COL_CONTROL] == 0
-        assert out.obs_def[2, COL_PROGRESS] == k
+        assert obs_adv[2, COL_CONTROL] == 0
+        assert obs_def[2, COL_PROGRESS] == k
     assert env.counts() == (0, 10, 0)
 
 
@@ -224,7 +225,7 @@ def test_first_probe_success_rate_matches_post_increment_count():
     trials = 20_000
     for t in range(trials):
         env.reset(derive_seed(4242, "trial", t))
-        env.step(0, None)
+        env.step(0, -1)
         if env.adv_owned[0]:
             hits += 1
     expect = 1.0 - math.exp(-2 * cfg.probe_gain)
@@ -234,8 +235,8 @@ def test_first_probe_success_rate_matches_post_increment_count():
 def test_probe_cost_charged_on_probe(baseline):
     cfg = replace(baseline, probe_gain=NO_GAIN)
     env = fresh(cfg)
-    quiet = env.step(None, None).reward_adv
-    probing = env.step(4, None).reward_adv
+    quiet = env.step(-1, -1)[2]
+    probing = env.step(4, -1)[2]
     assert quiet - probing == pytest.approx(cfg.probe_cost, abs=1e-12)
 
 
@@ -243,11 +244,11 @@ def test_down_probe_cost_follows_config_flag(baseline):
     for charge, expect_cost in ((True, 0.2), (False, 0.0)):
         cfg = replace(baseline, probe_gain=NO_GAIN, charge_down_probes=charge)
         env = fresh(cfg)
-        env.step(None, 0)  # server 0 goes down
-        quiet = env.step(None, None).reward_adv
+        env.step(-1, 0)  # server 0 goes down
+        quiet = env.step(-1, -1)[2]
         env2 = fresh(cfg)
-        env2.step(None, 0)
-        probed = env2.step(0, None).reward_adv
+        env2.step(-1, 0)
+        probed = env2.step(0, -1)[2]
         assert quiet - probed == pytest.approx(expect_cost, abs=1e-12)
 
 
@@ -256,54 +257,54 @@ def test_reimage_downtime_is_exact(baseline):
     `downtime` reward evaluations, then returns."""
     env = fresh(baseline)
     down_evals = 0
-    out = env.step(None, 0)
+    _, obs_def, _, _ = env.step(-1, 0)
     for _ in range(baseline.downtime + 3):
         if env.counts()[2] == 1:
             down_evals += 1
         else:
             break
-        out = env.step(None, None)
+        _, obs_def, _, _ = env.step(-1, -1)
     assert down_evals == baseline.downtime
     assert env.counts() == (0, 10, 0)
-    assert out.obs_def[0, COL_STATUS] == 1
+    assert obs_def[0, COL_STATUS] == 1
 
 
 def test_downtime_reward_drop(baseline):
     env = fresh(baseline)
-    out = env.step(None, 0)
+    _, obs_def, _, reward_def = env.step(-1, 0)
     # defender availability drops to 9/10 servers for the down window
-    assert out.reward_def == pytest.approx(logistic(0.9, 5.0, 0.2), abs=1e-9)
-    assert out.obs_def[0, COL_TIME_TO_UP] == baseline.downtime
+    assert reward_def == pytest.approx(logistic(0.9, 5.0, 0.2), abs=1e-9)
+    assert obs_def[0, COL_TIME_TO_UP] == baseline.downtime
 
 
 def test_reimage_compromised_server_notifies_adversary(baseline):
     cfg = replace(baseline, probe_gain=SURE_GAIN)
     env = fresh(cfg)
-    env.step(0, None)
-    out = env.step(None, 0)
+    env.step(0, -1)
+    obs_adv, _, _, _ = env.step(-1, 0)
     assert env.counts() == (0, 9, 1)
-    assert out.obs_adv[0, COL_CONTROL] == 0
-    assert out.obs_adv[0, COL_PROGRESS] == 0
-    assert out.obs_adv[0, COL_STATUS] == 0
-    assert out.obs_adv[0, COL_TIME_TO_UP] == baseline.downtime
+    assert obs_adv[0, COL_CONTROL] == 0
+    assert obs_adv[0, COL_PROGRESS] == 0
+    assert obs_adv[0, COL_STATUS] == 0
+    assert obs_adv[0, COL_TIME_TO_UP] == baseline.downtime
 
 
 def test_reimage_clean_unprobed_server_is_invisible_to_adversary(baseline):
     env = fresh(baseline)
-    out = env.step(None, 3)
+    obs_adv, obs_def, _, _ = env.step(-1, 3)
     # defender sees the downtime, the adversary's view of 3 is stale
-    assert out.obs_def[3, COL_STATUS] == 0
-    assert out.obs_adv[3, COL_STATUS] == 1
-    assert out.obs_adv[3, COL_TIME_TO_UP] == 0
+    assert obs_def[3, COL_STATUS] == 0
+    assert obs_adv[3, COL_STATUS] == 1
+    assert obs_adv[3, COL_TIME_TO_UP] == 0
 
 
 def test_probing_a_down_server_teaches_status(baseline):
     env = fresh(baseline)
-    env.step(None, 0)           # down at clock 1
-    out = env.step(0, None)     # probe at clock 2
-    assert out.obs_adv[0, COL_STATUS] == 0
-    assert out.obs_adv[0, COL_TIME_TO_UP] == baseline.downtime - 1
-    assert out.obs_adv[0, COL_PROGRESS] == 0
+    env.step(-1, 0)                     # down at clock 1
+    obs_adv, _, _, _ = env.step(0, -1)  # probe at clock 2
+    assert obs_adv[0, COL_STATUS] == 0
+    assert obs_adv[0, COL_TIME_TO_UP] == baseline.downtime - 1
+    assert obs_adv[0, COL_PROGRESS] == 0
     # true probe count unchanged by a probe that bounced off a down server
     assert env.probes[0] == 0
 
@@ -312,18 +313,18 @@ def test_reimage_resets_probe_count(baseline):
     cfg = replace(baseline, probe_gain=NO_GAIN)
     env = fresh(cfg)
     for _ in range(4):
-        env.step(5, None)
+        env.step(5, -1)
     assert env.probes[5] == 4
-    out = env.step(None, 5)
+    _, obs_def, _, _ = env.step(-1, 5)
     assert env.probes[5] == 0
-    assert out.obs_def[5, COL_PROGRESS] == 0
+    assert obs_def[5, COL_PROGRESS] == 0
 
 
 def test_reimaging_a_down_server_is_a_noop(baseline):
     env = fresh(baseline)
-    env.step(None, 0)
+    env.step(-1, 0)
     first_up = env.up_at[0]
-    env.step(None, 0)  # already down; must not extend the window
+    env.step(-1, 0)  # already down; must not extend the window
     assert env.up_at[0] == first_up
 
 
@@ -333,31 +334,31 @@ def test_defender_observed_probes_track_truth_when_never_missed(baseline):
     rng = np.random.default_rng(1)
     for _ in range(200):
         target = int(rng.integers(0, 10))
-        out = env.step(target, None)
+        _, obs_def, _, _ = env.step(target, -1)
         np.testing.assert_array_equal(
-            out.obs_def[:, COL_PROGRESS], np.array(env.probes, dtype=np.int64))
+            obs_def[:, COL_PROGRESS], np.array(env.probes, dtype=np.int64))
 
 
 def test_missed_probes_undercount(baseline):
     cfg = replace(baseline, probe_gain=NO_GAIN, miss_prob=1.0)
     env = fresh(cfg)
     for _ in range(10):
-        out = env.step(7, None)
+        _, obs_def, _, _ = env.step(7, -1)
     assert env.probes[7] == 10
-    assert out.obs_def[7, COL_PROGRESS] == 0
+    assert obs_def[7, COL_PROGRESS] == 0
 
 
 def test_conservation_under_random_play(baseline):
     env = fresh(baseline, seed=99)
     rng = np.random.default_rng(5)
     for _ in range(2000):
-        a = int(rng.integers(0, 10)) if rng.random() < 0.5 else None
-        d = int(rng.integers(0, 10)) if rng.random() < 0.3 else None
-        out = env.step(a, d)
+        a = int(rng.integers(0, 10)) if rng.random() < 0.5 else -1
+        d = int(rng.integers(0, 10)) if rng.random() < 0.3 else -1
+        _, _, reward_adv, reward_def = env.step(a, d)
         n_a, n_d, n_down = env.counts()
         assert n_a + n_d + n_down == baseline.num_servers
-        assert -baseline.probe_cost <= out.reward_adv <= 1.0
-        assert 0.0 <= out.reward_def <= 1.0
+        assert -baseline.probe_cost <= reward_adv <= 1.0
+        assert 0.0 <= reward_def <= 1.0
         if env.done:
             env.reset(derive_seed(99, "again"))
 
@@ -368,10 +369,9 @@ def test_trajectory_determinism(baseline):
         rng = np.random.default_rng(17)
         rewards = []
         for _ in range(300):
-            a = int(rng.integers(0, 10)) if rng.random() < 0.6 else None
-            d = int(rng.integers(0, 10)) if rng.random() < 0.2 else None
-            out = env.step(a, d)
-            rewards.append((out.reward_adv, out.reward_def))
+            a = int(rng.integers(0, 10)) if rng.random() < 0.6 else -1
+            d = int(rng.integers(0, 10)) if rng.random() < 0.2 else -1
+            rewards.append(env.step(a, d)[2:])
         return rewards
 
     assert rollout(123) == rollout(123)
@@ -412,11 +412,10 @@ def test_batch_env_matches_scalar_env(m, charge_down_probes):
         deff = np.where(rng.random(len(seeds)) < 0.2, rng.integers(0, m, len(seeds)), -1)
         obs_a, obs_d, rew_a, rew_d = batch.step(adv, deff)
         for b, env in enumerate(envs):
-            out = env.step(None if adv[b] < 0 else int(adv[b]),
-                           None if deff[b] < 0 else int(deff[b]))
-            np.testing.assert_array_equal(obs_a[b], out.obs_adv)
-            np.testing.assert_array_equal(obs_d[b], out.obs_def)
-            assert (rew_a[b], rew_d[b]) == (out.reward_adv, out.reward_def)
+            one_a, one_d, one_ra, one_rd = env.step(int(adv[b]), int(deff[b]))
+            np.testing.assert_array_equal(obs_a[b], one_a)
+            np.testing.assert_array_equal(obs_d[b], one_d)
+            assert (rew_a[b], rew_d[b]) == (one_ra, one_rd)
     for env, rng_b in zip(envs, batch.rngs):
         assert env.rng.bit_generator.state == rng_b.bit_generator.state
     assert all(env.done for env in envs)

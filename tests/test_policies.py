@@ -6,7 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mtdgame.env import COL_PROGRESS, COL_STATUS, ADVERSARY, DEFENDER, EnvConfig, MtdBatchEnv
+from mtdgame.env import (
+    ADVERSARY,
+    COL_PROGRESS,
+    COL_STATUS,
+    DEFENDER,
+    ConfigError,
+    EnvConfig,
+    MtdBatchEnv,
+)
 from mtdgame.policies import (
     HEURISTICS,
     ControlThresholdAdversary,
@@ -53,7 +61,7 @@ def draws(policy, obs, tau, n=400, seed=3):
 def test_noop_never_acts():
     obs = obs_of([adv_row() for _ in range(4)])
     pol = NoOpPolicy(ADVERSARY)
-    assert draws(pol, obs, 0, n=10) == [None] * 10
+    assert draws(pol, obs, 0, n=10) == [-1] * 10
 
 
 def test_uniform_adversary_targets_takeable_servers():
@@ -66,14 +74,24 @@ def test_uniform_adversary_targets_takeable_servers():
 def test_uniform_adversary_period_gate():
     obs = obs_of([adv_row()])
     pol = UniformAdversary(period=3)
-    assert pol.act(obs, 1, np.random.default_rng(0)) is None
-    assert pol.act(obs, 2, np.random.default_rng(0)) is None
+    assert pol.act(obs, 1, np.random.default_rng(0)) == -1
+    assert pol.act(obs, 2, np.random.default_rng(0)) == -1
     assert pol.act(obs, 3, np.random.default_rng(0)) == 0
+
+
+def test_heuristic_integer_parameters_checked_when_built():
+    for build, name in ((lambda: UniformAdversary(period=0), "period"),
+                        (lambda: ControlThresholdDefender(period=-1), "period"),
+                        (lambda: ProbeCountPeriodDefender(probe_limit=-4), "probe_limit"),
+                        (lambda: MaxProbeDefender(period=2.5), "period")):
+        with pytest.raises(ConfigError, match=name):
+            build()
+    assert ProbeCountPeriodDefender(period=1, probe_limit=0).probe_limit == 0
 
 
 def test_uniform_adversary_idles_when_nothing_takeable():
     obs = obs_of([adv_row(control=1), adv_row(status=0)])
-    assert UniformAdversary().act(obs, 0, np.random.default_rng(0)) is None
+    assert UniformAdversary().act(obs, 0, np.random.default_rng(0)) == -1
 
 
 def test_maxprobe_adversary_breaks_ties_uniformly():
@@ -97,7 +115,7 @@ def test_control_threshold_adversary_idles_at_threshold():
     rows = [adv_row(control=1) for _ in range(6)] + [adv_row() for _ in range(4)]
     obs = obs_of(rows)
     pol = ControlThresholdAdversary(threshold=0.5)
-    assert pol.act(obs, 0, np.random.default_rng(0)) is None
+    assert pol.act(obs, 0, np.random.default_rng(0)) == -1
 
 
 def test_control_threshold_adversary_probes_below_threshold():
@@ -115,7 +133,7 @@ def test_uniform_defender_reimages_only_up_servers():
     rows = [def_row(), def_row(status=0, ttu=2), def_row()]
     obs = obs_of(rows)
     assert set(draws(UniformDefender(period=4), obs, 0)) == {0, 2}
-    assert UniformDefender(period=4).act(obs, 2, np.random.default_rng(0)) is None
+    assert UniformDefender(period=4).act(obs, 2, np.random.default_rng(0)) == -1
 
 
 def test_maxprobe_defender_tie_break():
@@ -130,13 +148,13 @@ def test_maxprobe_defender_tie_break():
 
 def test_maxprobe_defender_never_fires_unprobed():
     obs = obs_of([def_row() for _ in range(5)])
-    assert MaxProbeDefender(period=4).act(obs, 0, np.random.default_rng(0)) is None
+    assert MaxProbeDefender(period=4).act(obs, 0, np.random.default_rng(0)) == -1
 
 
 def test_maxprobe_defender_period_gate():
     obs = obs_of([def_row(progress=2)])
     pol = MaxProbeDefender(period=4)
-    assert pol.act(obs, 3, np.random.default_rng(0)) is None
+    assert pol.act(obs, 3, np.random.default_rng(0)) == -1
     assert pol.act(obs, 4, np.random.default_rng(0)) == 0
 
 
@@ -156,7 +174,7 @@ def test_pcp_defender_selects_quiet_or_overprobed():
 def test_pcp_defender_idles_with_no_candidates():
     obs = obs_of([def_row(progress=1, since_probe=1)])
     assert ProbeCountPeriodDefender(period=4, probe_limit=7).act(
-        obs, 5, np.random.default_rng(0)) is None
+        obs, 5, np.random.default_rng(0)) == -1
 
 
 def test_expected_control_unprobed_fleet():
@@ -182,7 +200,7 @@ def test_control_threshold_defender_cooldown_and_threshold():
     pol = ControlThresholdDefender(threshold=0.8, period=4, gain=0.05)
     # heavily probed fleet, but a reimage happened just now: hold
     hot = [def_row(progress=30, since_probe=0, since_reimage=1) for _ in range(10)]
-    assert pol.act(obs_of(hot), 8, np.random.default_rng(0)) is None
+    assert pol.act(obs_of(hot), 8, np.random.default_rng(0)) == -1
     # cooled down and expected control is low: fire on a most-probed server
     rows = [def_row(progress=30, since_probe=0, since_reimage=9) for _ in range(5)]
     rows += [def_row(since_reimage=9) for _ in range(5)]
@@ -190,7 +208,7 @@ def test_control_threshold_defender_cooldown_and_threshold():
     assert got <= {0, 1, 2, 3, 4} and len(got) > 1
     # barely probed fleet keeps expected control above the bar: hold
     calm = [def_row(progress=1, since_probe=1, since_reimage=9) for _ in range(10)]
-    assert pol.act(obs_of(calm), 8, np.random.default_rng(0)) is None
+    assert pol.act(obs_of(calm), 8, np.random.default_rng(0)) == -1
 
 
 def test_default_policy_sets(baseline):
@@ -333,8 +351,8 @@ def test_act_batch_matches_act_row_by_row(policy):
         tau = env.tau
         want = [policy.act(o, tau, rng) for o, rng in zip(obs, row_rngs)]
         got = policy.act_batch(obs, tau, batch_rngs)
-        assert got.tolist() == [-1 if a is None else a for a in want], f"step {tau}"
-        acted += sum(a is not None for a in want)
+        assert got.tolist() == want, f"step {tau}"
+        acted += sum(a >= 0 for a in want)
         adv = np.where(play.random(n) < 0.8, play.integers(0, 6, n), -1)
         deff = np.where(play.random(n) < 0.15, play.integers(0, 6, n), -1)
         obs = env.step(adv, deff)[policy.player != ADVERSARY]

@@ -108,7 +108,7 @@ def test_canonical_input_ignores_server_labels(baseline):
                                           canonical_input(player, moved, baseline)[0])
             a = pol.act(obs, 0, rng)
             b = pol.act(moved, 0, rng)
-            assert (a is None and b is None) or perm[b] == a
+            assert a == b == -1 or (b >= 0 and perm[b] == a)
 
 
 def random_observations(rng, n, m, downtime):
@@ -153,7 +153,7 @@ def test_greedy_policy_act_batch_matches_act(hidden):
         obs = random_observations(rng, int(rng.integers(1, 80)), 6, cfg.downtime)
         want = [pol.act(o, 0, None) for o in obs]
         got = pol.act_batch(obs, 0, [None] * len(obs))
-        assert got.tolist() == [-1 if a is None else a for a in want]
+        assert got.tolist() == want
 
 
 # ------------------------------------------------------------------ network
@@ -438,7 +438,7 @@ def test_greedy_policy_action_mapping(baseline):
     assert pol.act(obs, 0, np.random.default_rng(0)) == 4
     net.biases[-1][:] = 0.0
     net.biases[-1][10] = 1.0  # index M means do nothing
-    assert pol.act(obs, 0, np.random.default_rng(0)) is None
+    assert pol.act(obs, 0, np.random.default_rng(0)) == -1
     net.biases[-1][:] = 0.0   # exact tie: lowest index wins
     assert pol.act(obs, 0, np.random.default_rng(0)) == 0
 
@@ -529,8 +529,7 @@ def test_forced_full_exploration_matches_random_play(short):
         disc, g = 0.0, 1.0
         for _ in range(50):
             a = int(rng.integers(11))
-            out = env.step(None if a == 10 else a, None)
-            disc += g * out.reward_adv
+            disc += g * env.step(-1 if a == 10 else a, -1)[2]
             g *= cfg.discount
         refs.append(disc)
     assert got == pytest.approx(np.mean(refs), abs=3.0)
@@ -559,7 +558,7 @@ def test_training_opponent_mixture_is_used(short):
         def act(self, obs, tau, rng):
             if tau == 0:
                 seen.append(self.label)
-            return None
+            return -1
 
     tc = small_tc(episodes=12)
     train_best_response(ADVERSARY, [Spy("a"), Spy("b")],

@@ -138,6 +138,7 @@ def test_qnet_server_count_mismatch(baseline, tmp_path):
     "\nheuristic adversary noop\n",
     "heuristic defender pcp period=2 period=9\n",
     "heuristic defender control_threshold literal_exponent=2\n",
+    "heuristic defender pcp probe_limit=-1\n",
 ])
 def test_malformed_policy_files(text, baseline, tmp_path):
     p = tmp_path / "bad.policy"
@@ -398,12 +399,28 @@ def test_do_curve_round_trip(tmp_path):
 HEADER = "iteration,value_a,value_d,new_policy_player,new_policy_payoff,converged_a,converged_d\n"
 
 
+ROW_0 = "0,26.0,98.0,,nan,0,0\n"
+
+
 @pytest.mark.parametrize("text,match", [
     ("", "header"),
     ("a,b,c\n", "header"),
     (HEADER + "0,26.0,98.0,,nan,0\n", "malformed"),
     (HEADER + "0,26.0,nan,,nan,0,0\n", "bad value"),
-], ids=["empty", "wrong-header", "short-row", "non-finite-value"])
+    (HEADER + "1,26.0,98.0,,nan,0,0\n", "bad value"),
+    (HEADER + ROW_0 + "2,30.5,90.25,defender,91.125,0,1\n", "bad value"),
+    (HEADER + "0,26.0,98.0,defender,nan,0,0\n", "bad value"),
+    (HEADER + ROW_0 + "1,30.5,90.25,,91.125,0,1\n", "bad value"),
+    (HEADER + ROW_0 + "1,30.5,90.25,martian,91.125,0,1\n", "bad value"),
+    (HEADER + "0,26.0,98.0,,5.0,0,0\n", "bad value"),
+    (HEADER + ROW_0 + "1,30.5,90.25,defender,inf,0,1\n", "bad value"),
+    (HEADER + ROW_0 + "1,30.5,90.25,defender,nan,0,1\n", "bad value"),
+    (HEADER + ROW_0 + "1,30.5,90.25,defender,91.125,7,1\n", "bad value"),
+    (HEADER + ROW_0 + "1,30.5,90.25,defender,91.125,0,-3\n", "bad value"),
+], ids=["empty", "wrong-header", "short-row", "non-finite-value", "first-iteration-1",
+        "skipped-iteration", "player-on-initial-row", "no-player-later", "unknown-player",
+        "finite-initial-payoff", "infinite-payoff", "nan-payoff-later", "flag-7",
+        "flag-minus-3"])
 def test_do_curve_malformed(text, match, tmp_path):
     p = tmp_path / "do_curve.csv"
     p.write_text(text, encoding="utf-8")

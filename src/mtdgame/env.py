@@ -43,6 +43,9 @@ COL_DEF_SINCE_REIMAGE = 4
 # Exponent clamp for the logistic; keeps exp() finite for any slope input.
 _EXP_CLAMP = 500.0
 
+# Uniforms a lockstep episode draws from its generator at a time.
+UNIFORM_BLOCK = 64
+
 
 class ConfigError(ValueError):
     """A parameter is outside its documented domain."""
@@ -199,8 +202,9 @@ class MtdEnv:
         cfg = self.cfg
         m = cfg.num_servers
         for t in (adv_target, def_target):
-            if not -1 <= t < m:
-                raise ValueError(f"server index {t!r} out of range, -1 for no-op")
+            if isinstance(t, (bool, float, np.bool_, np.floating)) or not -1 <= t < m:
+                raise ValueError(f"server index {t!r} is not an integer in [-1, {m}), "
+                                 "-1 for no-op")
         clock = self.tau
         resolve = clock + 1  # the clock at which this step's effects are first visible
 
@@ -279,12 +283,16 @@ class MtdBatchEnv:
     """Many independent episodes of the game, stepped in lockstep.
 
     State is one (episodes, num_servers) integer array per `MtdEnv` list,
-    and every step follows `MtdEnv.step`'s resolution order.  Each episode
-    keeps its own generator and draws from it exactly what `MtdEnv` would
-    for the same actions, so episode b run here and an `MtdEnv` reset with
-    `seeds[b]` give identical observations and rewards.  Actions are one
-    server index per episode, -1 for no-op.  Rewards and compromise
-    chances come from the same tables as `MtdEnv`'s.
+    each also held flat so that a step indexes it with one array of
+    `episode * num_servers + server` positions, and every step follows
+    `MtdEnv.step`'s resolution order.  Each episode keeps its own generator
+    and takes from it exactly the uniforms `MtdEnv` would for the same
+    actions, so episode b run here and an `MtdEnv` reset with `seeds[b]`
+    give identical observations and rewards.  The uniforms are drawn
+    UNIFORM_BLOCK at a time: `random(n)` gives the doubles of n `random()`
+    calls, so a generator only runs ahead by its block's unused tail.
+    Actions are one integer server index per episode, -1 for no-op.
+    Rewards and compromise chances come from the same tables as `MtdEnv`'s.
     """
 
     def __init__(self, config: EnvConfig):
@@ -299,17 +307,31 @@ class MtdBatchEnv:
     def reset(self, seeds) -> tuple[np.ndarray, np.ndarray]:
         """Start one fresh episode per seed; returns (episodes, M, 5)
         observation stacks for the adversary and the defender."""
-        shape = (len(seeds), self.cfg.num_servers)
+        n, m = len(seeds), self.cfg.num_servers
         self.rngs = [np.random.default_rng(s) for s in seeds]
         self.tau = 0
+        self._flat = np.zeros((9, n * m), dtype=np.int64)
         (self.probes, self.adv_owned, self.up_at, self.adv_progress, self.adv_last_probe,
          self.adv_up_at, self.def_probes_seen, self.def_last_probe,
-         self.def_last_reimage) = np.zeros((9, *shape), dtype=np.int64)
+         self.def_last_reimage) = self._flat.reshape(9, n, m)
+        # each episode's next uniforms; a cursor at UNIFORM_BLOCK means none left
+        self._block = np.empty((n, UNIFORM_BLOCK))
+        self._cursor = np.full(n, UNIFORM_BLOCK)
         return self.observe(ADVERSARY), self.observe(DEFENDER)
 
     @property
     def done(self) -> bool:
         return self.tau >= self.cfg.horizon
+
+    def _uniform_pairs(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The next two uniforms of each listed episode, rows distinct."""
+        cursor, block = self._cursor, self._block
+        for b in rows[cursor[rows] == UNIFORM_BLOCK].tolist():
+            block[b] = self.rngs[b].random(UNIFORM_BLOCK)
+            cursor[b] = 0
+        k = cursor[rows]
+        cursor[rows] = k + 2
+        return block[rows, k], block[rows, k + 1]
 
     def step(self, adv_targets: np.ndarray, def_targets: np.ndarray,
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -320,61 +342,63 @@ class MtdBatchEnv:
         if self.done:
             raise RuntimeError("episodes are over, call reset()")
         cfg = self.cfg
+        m = cfg.num_servers
         for targets in (adv_targets, def_targets):
-            if targets.shape != (len(self.rngs),) or (
-                    (targets < -1) | (targets >= cfg.num_servers)).any():
-                raise ValueError("expected one server index or -1 per episode")
+            if (targets.shape != (len(self.rngs),) or targets.dtype.kind not in "iu"
+                    or ((targets < -1) | (targets >= m)).any()):
+                raise ValueError("expected one integer server index or -1 per episode")
+        (probes, adv_owned, up_at, adv_progress, adv_last_probe, adv_up_at,
+         def_probes_seen, def_last_probe, def_last_reimage) = self._flat
         clock = self.tau
         resolve = clock + 1
 
         # 1) adversary probes; only a probe on an up server draws, twice
-        rows = np.flatnonzero(adv_targets >= 0)
-        cols = adv_targets[rows]
-        up = self.up_at[rows, cols] <= clock
-        r, c = rows[up], cols[up]
+        rows = (adv_targets >= 0).nonzero()[0]
+        cells = rows * m + adv_targets[rows]
+        up = up_at[cells] <= clock
+        r, c = rows[up], cells[up]
         if r.size:
-            self.probes[r, c] += 1
-            draws = np.concatenate([self.rngs[b].random(2) for b in r.tolist()]).reshape(-1, 2)
-            self.adv_owned[r, c] |= draws[:, 0] < self._compromise[self.probes[r, c]]
-            self.adv_progress[r, c] += 1
-            self.adv_last_probe[r, c] = resolve
-            seen = draws[:, 1] >= cfg.miss_prob
-            self.def_probes_seen[r[seen], c[seen]] += 1
-            self.def_last_probe[r[seen], c[seen]] = resolve
+            probes[c] += 1
+            hit, seen = self._uniform_pairs(r)
+            adv_owned[c] |= hit < self._compromise[probes[c]]
+            adv_progress[c] += 1
+            adv_last_probe[c] = resolve
+            c = c[seen >= cfg.miss_prob]
+            def_probes_seen[c] += 1
+            def_last_probe[c] = resolve
         charged = adv_targets >= 0
         if not cfg.charge_down_probes:
             charged[:] = False
             charged[r] = True
-        r, c = rows[~up], cols[~up]
-        self.adv_up_at[r, c] = self.up_at[r, c]
-        self.adv_progress[r, c] = 0
-        self.adv_last_probe[r, c] = resolve
+        c = cells[~up]
+        adv_up_at[c] = up_at[c]
+        adv_progress[c] = 0
+        adv_last_probe[c] = resolve
 
         # 2) defender reimages of up servers
-        rows = np.flatnonzero(def_targets >= 0)
-        cols = def_targets[rows]
-        up = self.up_at[rows, cols] <= clock
-        r, c = rows[up], cols[up]
-        up_at = resolve + cfg.downtime
-        lost = self.adv_owned[r, c] == 1
-        self.adv_owned[r[lost], c[lost]] = 0
-        self.adv_up_at[r[lost], c[lost]] = up_at
-        self.adv_progress[r[lost], c[lost]] = 0
-        self.probes[r, c] = 0
-        self.up_at[r, c] = up_at
-        self.def_probes_seen[r, c] = 0
-        self.def_last_probe[r, c] = resolve
-        self.def_last_reimage[r, c] = resolve
+        rows = (def_targets >= 0).nonzero()[0]
+        cells = rows * m + def_targets[rows]
+        c = cells[up_at[cells] <= clock]
+        back = resolve + cfg.downtime
+        lost = c[adv_owned[c] == 1]
+        adv_owned[lost] = 0
+        adv_up_at[lost] = back
+        adv_progress[lost] = 0
+        probes[c] = 0
+        up_at[c] = back
+        def_probes_seen[c] = 0
+        def_last_probe[c] = resolve
+        def_last_reimage[c] = resolve
 
         # 3) advance the clock
         self.tau = resolve
 
         # 4) rewards on the post-transition state
-        n_down = np.count_nonzero(resolve < self.up_at, axis=1)
+        n_down = (resolve < self.up_at).sum(axis=1)
         n_adv = self.adv_owned.sum(axis=1)
         reward_adv = self._u_adv[n_adv, n_down]
         reward_adv[charged] -= cfg.probe_cost
-        reward_def = self._u_def[cfg.num_servers - n_adv - n_down, n_down]
+        reward_def = self._u_def[m - n_adv - n_down, n_down]
         return self.observe(ADVERSARY), self.observe(DEFENDER), reward_adv, reward_def
 
     def observe(self, player: str) -> np.ndarray:
@@ -389,6 +413,10 @@ class MtdBatchEnv:
             col3 = tau - self.def_last_probe
         else:
             raise ValueError(f"unknown player {player!r}")
-        down = tau < up_at
-        return np.stack([~down, np.where(down, up_at - tau, 0), progress, col3, tau - last],
-                        axis=-1, dtype=np.int64)
+        obs = np.empty((*up_at.shape, 5), dtype=np.int64)
+        np.less_equal(up_at, tau, out=obs[..., 0])
+        np.maximum(up_at - tau, 0, out=obs[..., 1])
+        obs[..., 2] = progress
+        obs[..., 3] = col3
+        np.subtract(tau, last, out=obs[..., 4])
+        return obs

@@ -6,11 +6,14 @@ never reimage when no probes have been observed at all; reimaging untouched
 servers would only take them down for nothing.
 
 Every policy acts one episode at a time (`act`, which `run_episode` uses)
-or on a stack of episodes at once (`act_batch`, which `evaluate_cells`
-uses), and both return server indices, -1 for no-op.  For the same
-observations both choose the same servers and draw the same numbers from
-each episode's generator.  A heuristic states its rule once, in `targets`,
-which reads one (M, 5) observation or an (n, M, 5) stack.
+or on a stack of episodes at once (`act_batch`), and both return server
+indices, -1 for no-op.  For the same observations both choose the same
+servers and draw the same numbers from each episode's generator.
+`act_batch` is `choices`, a candidate mask and score per episode, resolved
+by `_pick_rows`; `evaluate_cells` gathers the choices of all the policies
+on one side into one mask and resolves them with one pick.  A heuristic
+states its rule once, in `targets`, which reads one (M, 5) observation or
+an (n, M, 5) stack.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from mtdgame.env import (
     COL_PROGRESS,
     COL_STATUS,
     DEFENDER,
+    ConfigError,
     EnvConfig,
     MtdBatchEnv,
     MtdEnv,
@@ -48,21 +52,41 @@ class PurePolicy:
         """The server to act on in an (M, 5) observation, -1 for no-op."""
         raise NotImplementedError
 
+    def choices(self, obs: np.ndarray, tau: int,
+                rngs: list[np.random.Generator]) -> tuple | None:
+        """What `act_batch` picks from in an (n, M, 5) stack, rngs[i] being
+        episode i's generator: None as soon as no episode can act, else an
+        (n, M) candidate mask and an (n, M) nonnegative score or None, as
+        `_pick_rows` takes them.  By default each row is one-hot on the
+        server `act` chooses (all False for -1), which the pick takes as it
+        is, drawing nothing more."""
+        acts = [self.act(o, tau, rng) for o, rng in zip(obs, rngs)]
+        return np.array(acts)[:, None] == np.arange(obs.shape[-2]), None
+
     def act_batch(self, obs: np.ndarray, tau: int,
                   rngs: list[np.random.Generator]) -> np.ndarray:
         """`act` on each of n episodes: obs is (n, M, 5) and rngs[i] is
         episode i's generator.  Returns n server indices, -1 for no-op."""
-        return np.array([self.act(o, tau, rng) for o, rng in zip(obs, rngs)], dtype=np.int64)
+        found = self.choices(obs, tau, rngs)
+        if found is None:
+            return np.full(obs.shape[0], -1, dtype=np.int64)
+        return _pick_rows(*found, rngs)
 
 
 class Heuristic(PurePolicy):
     """A fixed rule, stated once in `targets`; `act` and `act_batch` draw."""
 
     def __post_init__(self):
-        """ConfigError unless a `period` is >= 1 and a `probe_limit` >= 0."""
+        """ConfigError unless a `period` is >= 1, a `probe_limit` >= 0, a
+        `threshold` in [0, 1] and a `gain` in (0, inf)."""
         for name, low in (("period", 1), ("probe_limit", 0)):
             if hasattr(self, name):
                 check_integers(self, low, name)
+        # both comparisons are written so that NaN fails them
+        if hasattr(self, "threshold") and not 0.0 <= self.threshold <= 1.0:
+            raise ConfigError(f"threshold must lie in [0, 1], got {self.threshold!r}")
+        if hasattr(self, "gain") and not 0.0 < self.gain < math.inf:
+            raise ConfigError(f"gain must lie in (0, inf), got {self.gain!r}")
 
     def targets(self, obs: np.ndarray, tau: int) -> tuple | None:
         """The servers the rule may pick in obs, (M, 5) or (n, M, 5): None as
@@ -74,11 +98,8 @@ class Heuristic(PurePolicy):
         found = self.targets(obs, tau)
         return -1 if found is None else _pick(*found, rng)
 
-    def act_batch(self, obs, tau, rngs):
-        found = self.targets(obs, tau)
-        if found is None:
-            return np.full(obs.shape[0], -1, dtype=np.int64)
-        return _pick_rows(*found, rngs)
+    def choices(self, obs, tau, rngs):
+        return self.targets(obs, tau)
 
 
 # The heuristic registry, keyed by (player, name) in the order of the
@@ -152,14 +173,14 @@ def _pick_rows(candidates: np.ndarray, score: np.ndarray | None,
     if score is not None:
         top = np.where(candidates, score, -1).max(axis=1, keepdims=True)
         candidates = candidates & (score == top)
-    count = np.count_nonzero(candidates, axis=1)
+    count = candidates.sum(axis=1)
     picks = np.where(count > 0, candidates.argmax(axis=1), -1)
-    rows = np.flatnonzero(count > 1)
+    rows = (count > 1).nonzero()[0]
     if rows.size:
         draws = [rngs[r].integers(k) for r, k in zip(rows.tolist(), count[rows].tolist())]
         # the server of the draws[i]-th candidate (from 0) in row rows[i]
         before = np.cumsum(candidates[rows], axis=1) <= np.array(draws)[:, None]
-        picks[rows] = np.count_nonzero(before, axis=1)
+        picks[rows] = before.sum(axis=1)
     return picks
 
 
@@ -425,7 +446,8 @@ def _lockstep(cells, cfg: EnvConfig, episodes: int) -> list[PairPayoff]:
     seeds = [derive_seed(seed, "episode", e) for _, _, seed in cells for e in range(episodes)]
     env = MtdBatchEnv(cfg)
     obs_a, obs_d = env.reset([derive_seed(s, "env") for s in seeds])
-    # each policy acts once per step, on all the episodes it plays in
+    # each policy states its choices once per step, on all the episodes it
+    # plays in, into its side's mask and score; one pick per side resolves them
     sides = []
     for side, col in (("adv", 0), ("def", 1)):
         members: dict[int, tuple[PurePolicy, list[int]]] = {}
@@ -433,17 +455,27 @@ def _lockstep(cells, cfg: EnvConfig, episodes: int) -> list[PairPayoff]:
             members.setdefault(id(cell[col]), (cell[col], []))[1].extend(
                 range(c * episodes, (c + 1) * episodes))
         rngs = [spawn_rng(s, side) for s in seeds]
-        sides.append([(policy, np.array(idx), [rngs[i] for i in idx])
-                      for policy, idx in members.values()])
-    actions = np.empty((2, len(seeds)), dtype=np.int64)
+        # a slice where the episodes of a policy are contiguous, so obs[idx] is a view
+        sides.append(([(policy, slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1
+                        else np.array(idx), [rngs[i] for i in idx])
+                       for policy, idx in members.values()], rngs))
+    mask = np.empty((2, len(seeds), cfg.num_servers), dtype=bool)
+    score = np.empty((2, len(seeds), cfg.num_servers), dtype=np.int64)
     ret_a = np.zeros(len(seeds))
     ret_d = np.zeros(len(seeds))
     g = 1.0
     for t in range(cfg.horizon):
-        for acts, obs, groups in zip(actions, (obs_a, obs_d), sides):
-            for policy, idx, rngs in groups:
-                acts[idx] = policy.act_batch(obs[idx], t, rngs)
-        obs_a, obs_d, r_a, r_d = env.step(actions[0], actions[1])
+        acts = []
+        for obs, (groups, rngs), side_mask, side_score in zip((obs_a, obs_d), sides, mask, score):
+            for policy, idx, group_rngs in groups:
+                found = policy.choices(obs[idx], t, group_rngs)
+                if found is None:
+                    side_mask[idx] = False
+                else:
+                    side_mask[idx] = found[0]
+                    side_score[idx] = 0 if found[1] is None else found[1]
+            acts.append(_pick_rows(side_mask, side_score, rngs))
+        obs_a, obs_d, r_a, r_d = env.step(*acts)
         ret_a += g * r_a
         ret_d += g * r_d
         g *= cfg.discount

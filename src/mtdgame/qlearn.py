@@ -396,12 +396,14 @@ class QNetworkPolicy(PurePolicy):
         a = int(np.argmax(self.net.forward(x)))
         return -1 if a == self.cfg.num_servers else int(order[a])
 
-    def act_batch(self, obs, tau, rngs):
+    def choices(self, obs, tau, rngs):
         x, order = canonical_input(self.player, obs, self.cfg)
         a = self.net.forward(x[:, None, :])[:, 0].argmax(axis=1)
-        m = self.cfg.num_servers
-        servers = np.take_along_axis(order, np.minimum(a, m - 1)[:, None], axis=1)[:, 0]
-        return np.where(a == m, -1, servers)
+        rows = np.flatnonzero(a < self.cfg.num_servers)
+        # one-hot on the server in canonical slot a; the last slot is the no-op
+        mask = np.zeros(order.shape, dtype=bool)
+        mask[rows, order[rows, a[rows]]] = True
+        return mask, None
 
 
 @dataclass(frozen=True)

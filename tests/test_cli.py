@@ -118,9 +118,11 @@ def test_simulate_non_finite_config_value(tmp_path, capsys):
 @pytest.mark.parametrize("argv,artifact,digest", [
     (["payoff-table", "--episodes", "2", "--t", "200", "--seed", "123"], "game.csv",
      "694eb3695e7742edf480ad31885936c6ed8fc7d7827c11802fc99fe74dbd91ec"),
+    (["payoff-table", "--episodes", "4", "--jobs", "1", "--t", "1000", "--seed", "5"],
+     "game.csv", "513da45b03a305ac4bea960c8cd1cb97590712bfe59f22b4bf5896d94e10bbb8"),
     (["simulate", "--adv", "maxprobe", "--def", "pcp", "--seed", "3"], "trace.csv",
      "9d8351cd55b637429f2fb63c27cf7f735e4cb471a20ea3a740ae1baff522d24d"),
-], ids=["payoff-table", "simulate"])
+], ids=["payoff-table", "payoff-table-benchmark-grid", "simulate"])
 def test_heuristic_outputs_are_pinned(argv, artifact, digest, tmp_path, capsys):
     """Heuristic-only runs involve no BLAS, so their bytes are fixed."""
     out = tmp_path / "run"

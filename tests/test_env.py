@@ -16,6 +16,7 @@ from mtdgame.env import (
     ConfigError,
     EnvConfig,
     MtdBatchEnv,
+    UNIFORM_BLOCK,
     MtdEnv,
     compromise_probability,
     logistic,
@@ -173,11 +174,16 @@ def test_episode_ends_at_horizon(short):
 
 def test_bad_server_index_rejected(baseline):
     env = fresh(baseline)
-    for bad, error in ((10, ValueError), (-2, ValueError), (None, TypeError)):
+    state = env.rng.bit_generator.state
+    for bad, error in ((10, ValueError), (-2, ValueError), (None, TypeError),
+                       (True, ValueError), (1.0, ValueError), (np.bool_(False), ValueError),
+                       (np.float64(2.0), ValueError)):
         with pytest.raises(error):
             env.step(bad, -1)
         with pytest.raises(error):
             env.step(-1, bad)
+    assert env.tau == 0 and env.probes == [0] * 10 and env.up_at == [0] * 10
+    assert env.rng.bit_generator.state == state
 
 
 # ----------------------------------------------------------------- stepping
@@ -407,17 +413,24 @@ def test_batch_env_matches_scalar_env(m, charge_down_probes):
         np.testing.assert_array_equal(oa, ra)
         np.testing.assert_array_equal(od, rd)
     rng = np.random.default_rng(m)
+    draws = np.zeros(len(seeds), dtype=int)   # uniforms each episode has used
     while not batch.done:
         adv = np.where(rng.random(len(seeds)) < 0.7, rng.integers(0, m, len(seeds)), -1)
         deff = np.where(rng.random(len(seeds)) < 0.2, rng.integers(0, m, len(seeds)), -1)
+        # a probe of an up server draws twice
+        draws += 2 * ((adv >= 0) & (obs_d[np.arange(len(seeds)), adv, COL_STATUS] == 1))
         obs_a, obs_d, rew_a, rew_d = batch.step(adv, deff)
         for b, env in enumerate(envs):
             one_a, one_d, one_ra, one_rd = env.step(int(adv[b]), int(deff[b]))
             np.testing.assert_array_equal(obs_a[b], one_a)
             np.testing.assert_array_equal(obs_d[b], one_d)
             assert (rew_a[b], rew_d[b]) == (one_ra, one_rd)
-    for env, rng_b in zip(envs, batch.rngs):
+    # the batch draws its uniforms a block at a time, so its generator is
+    # ahead of MtdEnv's by exactly the unused tail of the current block
+    for env, rng_b, cursor in zip(envs, batch.rngs, batch._cursor):
+        env.rng.random(UNIFORM_BLOCK - cursor)
         assert env.rng.bit_generator.state == rng_b.bit_generator.state
+    assert (draws > UNIFORM_BLOCK).any()   # some episode refilled its block
     assert all(env.done for env in envs)
 
 
@@ -428,9 +441,12 @@ def test_batch_env_rejects_bad_actions(short):
     with pytest.raises(RuntimeError, match="reset"):
         batch.observe(ADVERSARY)
     batch.reset([1, 2])
-    for adv, deff in (([0, 10], [-1, -1]), ([-2, 0], [-1, -1]), ([0], [0])):
+    for adv, deff in (([0, 10], [-1, -1]), ([-2, 0], [-1, -1]), ([0], [0]),
+                      ([1.5, 0.0], [-1, -1]), ([-1, -1], [1.0, 0.0]),
+                      ([True, False], [-1, -1]), ([-1, -1], [False, False])):
         with pytest.raises(ValueError):
             batch.step(np.array(adv), np.array(deff))
+    assert batch.tau == 0 and not batch.probes.any() and not batch.up_at.any()
     while not batch.done:
         batch.step(np.array([-1, -1]), np.array([-1, -1]))
     with pytest.raises(RuntimeError):

@@ -35,6 +35,7 @@ from mtdgame.policies import (
     heuristic,
     run_episode,
 )
+from mtdgame.qlearn import QNetwork, QNetworkPolicy
 from mtdgame.seeds import derive_seed
 
 
@@ -87,6 +88,20 @@ def test_heuristic_integer_parameters_checked_when_built():
         with pytest.raises(ConfigError, match=name):
             build()
     assert ProbeCountPeriodDefender(period=1, probe_limit=0).probe_limit == 0
+
+
+def test_heuristic_float_parameters_checked_when_built():
+    for build, name in ((lambda: ControlThresholdAdversary(threshold=-3.0), "threshold"),
+                        (lambda: ControlThresholdAdversary(threshold=math.nan), "threshold"),
+                        (lambda: ControlThresholdDefender(threshold=7.0), "threshold"),
+                        (lambda: ControlThresholdDefender(gain=-1.0), "gain"),
+                        (lambda: ControlThresholdDefender(gain=0.0), "gain"),
+                        (lambda: ControlThresholdDefender(gain=math.inf), "gain"),
+                        (lambda: ControlThresholdDefender(gain=math.nan), "gain")):
+        with pytest.raises(ConfigError, match=name):
+            build()
+    assert ControlThresholdAdversary(threshold=0.0).threshold == 0.0
+    assert ControlThresholdDefender(threshold=1.0, gain=1e-9).threshold == 1.0
 
 
 def test_uniform_adversary_idles_when_nothing_takeable():
@@ -393,16 +408,19 @@ def reference_payoff(adv, deff, cfg, episodes, seed):
 
 
 class RowByRowAdversary(UniformAdversary):
-    """A policy without its own act_batch: the evaluator falls back to act."""
+    """A policy that only has `act`: the evaluator takes its choices one-hot."""
 
-    act_batch = PurePolicy.act_batch
+    choices = PurePolicy.choices
 
 
 @pytest.mark.parametrize("episodes", [1, 3])
 def test_evaluate_cells_matches_episode_by_episode(episodes):
     cfg = EnvConfig(num_servers=5, miss_prob=0.1, horizon=120, charge_down_probes=False)
-    advs = [*default_adversaries(cfg), RowByRowAdversary(period=2, label="rows")]
-    defs = default_defenders(cfg)
+    rng = np.random.default_rng(4)   # both networks below pick every action, no-op too
+    advs = [*default_adversaries(cfg), RowByRowAdversary(period=2, label="rows"),
+            QNetworkPolicy(ADVERSARY, QNetwork(25, 6, rng, hidden=(8,)), cfg, "qnet")]
+    defs = [*default_defenders(cfg),
+            QNetworkPolicy(DEFENDER, QNetwork(25, 6, rng, hidden=(8,)), cfg, "qnet")]
     cells = [(a, d, derive_seed(3, a.label, d.label)) for a in advs for d in defs]
     got = evaluate_cells(cells, cfg, episodes)
     for (adv, deff, seed), pp in zip(cells, got):

@@ -139,6 +139,10 @@ def test_qnet_server_count_mismatch(baseline, tmp_path):
     "heuristic defender pcp period=2 period=9\n",
     "heuristic defender control_threshold literal_exponent=2\n",
     "heuristic defender pcp probe_limit=-1\n",
+    "heuristic defender control_threshold gain=-1\n",
+    "heuristic defender control_threshold gain=0\n",
+    "heuristic defender control_threshold threshold=7\n",
+    "heuristic adversary control_threshold threshold=-3\n",
 ])
 def test_malformed_policy_files(text, baseline, tmp_path):
     p = tmp_path / "bad.policy"

@@ -344,6 +344,8 @@ class MtdBatchEnv:
         cfg = self.cfg
         m = cfg.num_servers
         for targets in (adv_targets, def_targets):
+            if not isinstance(targets, np.ndarray):
+                raise TypeError(f"expected an array of server indices, got {targets!r}")
             if (targets.shape != (len(self.rngs),) or targets.dtype.kind not in "iu"
                     or ((targets < -1) | (targets >= m)).any()):
                 raise ValueError("expected one integer server index or -1 per episode")

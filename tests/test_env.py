@@ -13,10 +13,10 @@ from mtdgame.env import (
     COL_STATUS,
     COL_TIME_TO_UP,
     DEFENDER,
+    UNIFORM_BLOCK,
     ConfigError,
     EnvConfig,
     MtdBatchEnv,
-    UNIFORM_BLOCK,
     MtdEnv,
     compromise_probability,
     logistic,
@@ -446,6 +446,9 @@ def test_batch_env_rejects_bad_actions(short):
                       ([True, False], [-1, -1]), ([-1, -1], [False, False])):
         with pytest.raises(ValueError):
             batch.step(np.array(adv), np.array(deff))
+    for adv, deff in ((None, np.array([-1, -1])), (np.array([-1, -1]), [0, 1])):
+        with pytest.raises(TypeError):
+            batch.step(adv, deff)
     assert batch.tau == 0 and not batch.probes.any() and not batch.up_at.any()
     while not batch.done:
         batch.step(np.array([-1, -1]), np.array([-1, -1]))

@@ -58,21 +58,20 @@ class EmpiricalGame:
 
 def build_game(adv_policies: list[PurePolicy], def_policies: list[PurePolicy],
                env_cfg: EnvConfig, episodes: int, seed: int,
-               evaluator=evaluate_cells, jobs: int = 1) -> EmpiricalGame:
+               jobs: int = 1) -> EmpiricalGame:
     """Evaluate every policy pair and assemble the empirical game.
 
-    `evaluator(cells, env_cfg, episodes, jobs)` gets every cell at once, as
-    (adversary, defender, cell seed) in row-major order, and returns one
-    PairPayoff per cell.
+    `evaluate_cells` gets every cell at once, as (adversary, defender, cell
+    seed) in row-major order.
     """
     rows, cols = len(adv_policies), len(def_policies)
     if rows == 0 or cols == 0:
         raise ValueError("both policy sets must be nonempty")
     # The cell seed depends on the labels only, so growing the game never
     # changes previously computed entries.
-    cells = evaluator([(a, d, derive_seed(seed, "pair", a.label, d.label))
-                       for a in adv_policies for d in def_policies],
-                      env_cfg, episodes, jobs)
+    cells = evaluate_cells([(a, d, derive_seed(seed, "pair", a.label, d.label))
+                            for a in adv_policies for d in def_policies],
+                           env_cfg, episodes, jobs)
 
     def matrix(attr):
         return np.array([getattr(pp, attr) for pp in cells], dtype=float).reshape(rows, cols)
@@ -88,7 +87,7 @@ def build_game(adv_policies: list[PurePolicy], def_policies: list[PurePolicy],
 
 
 def extend_game(game: EmpiricalGame, policy: PurePolicy, env_cfg: EnvConfig,
-                seed: int, evaluator=evaluate_cells, jobs: int = 1) -> EmpiricalGame:
+                seed: int, jobs: int = 1) -> EmpiricalGame:
     """Add one policy, evaluating only the new row or column."""
     if game.row_policies is None or game.col_policies is None:
         raise ValueError("cannot extend a game loaded without policies")
@@ -99,7 +98,7 @@ def extend_game(game: EmpiricalGame, policy: PurePolicy, env_cfg: EnvConfig,
     if policy.label in (game.row_labels, game.col_labels)[axis]:
         raise ValueError(f"duplicate {('row', 'column')[axis]} label {policy.label!r}")
     sets[axis] = (policy,)
-    new = build_game(*sets, env_cfg, game.episodes, seed, evaluator=evaluator, jobs=jobs)
+    new = build_game(*sets, env_cfg, game.episodes, seed, jobs=jobs)
     grown = {name: np.concatenate([getattr(game, name), getattr(new, name)], axis=axis)
              for name in ("u_adv", "u_def", "se_adv", "se_def")}
     for name in (("row_labels", "row_policies"), ("col_labels", "col_policies"))[axis]:

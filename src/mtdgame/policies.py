@@ -5,15 +5,14 @@ tau % period == 0.  Defender heuristics that pick "the most probed server"
 never reimage when no probes have been observed at all; reimaging untouched
 servers would only take them down for nothing.
 
-Every policy acts one episode at a time (`act`, which `run_episode` uses)
-or on a stack of episodes at once (`act_batch`), and both return server
-indices, -1 for no-op.  For the same observations both choose the same
-servers and draw the same numbers from each episode's generator.
-`act_batch` is `choices`, a candidate mask and score per episode, resolved
-by `_pick_rows`; `evaluate_cells` gathers the choices of all the policies
-on one side into one mask and resolves them with one pick.  A heuristic
-states its rule once, in `targets`, which reads one (M, 5) observation or
-an (n, M, 5) stack.
+Every policy answers in two ways.  `act(obs, tau, rng)` picks the server
+for one episode, -1 for no-op; `run_episode` uses it.  `choices(obs, tau)`
+states, for a stack of episodes, the candidate mask and score that
+`_pick_rows` draws from; `evaluate_cells` gathers the choices of all the
+policies on one side into one mask and resolves them with one pick.  For
+the same observations both choose the same servers and draw the same
+numbers from each episode's generator.  A heuristic states its rule once,
+in `choices`, which reads one (M, 5) observation or an (n, M, 5) stack.
 """
 
 from __future__ import annotations
@@ -52,29 +51,18 @@ class PurePolicy:
         """The server to act on in an (M, 5) observation, -1 for no-op."""
         raise NotImplementedError
 
-    def choices(self, obs: np.ndarray, tau: int,
-                rngs: list[np.random.Generator]) -> tuple | None:
-        """What `act_batch` picks from in an (n, M, 5) stack, rngs[i] being
-        episode i's generator: None as soon as no episode can act, else an
-        (n, M) candidate mask and an (n, M) nonnegative score or None, as
-        `_pick_rows` takes them.  By default each row is one-hot on the
-        server `act` chooses (all False for -1), which the pick takes as it
-        is, drawing nothing more."""
-        acts = [self.act(o, tau, rng) for o, rng in zip(obs, rngs)]
-        return np.array(acts)[:, None] == np.arange(obs.shape[-2]), None
-
-    def act_batch(self, obs: np.ndarray, tau: int,
-                  rngs: list[np.random.Generator]) -> np.ndarray:
-        """`act` on each of n episodes: obs is (n, M, 5) and rngs[i] is
-        episode i's generator.  Returns n server indices, -1 for no-op."""
-        found = self.choices(obs, tau, rngs)
-        if found is None:
-            return np.full(obs.shape[0], -1, dtype=np.int64)
-        return _pick_rows(*found, rngs)
+    def choices(self, obs: np.ndarray, tau: int) -> tuple | None:
+        """What the episodes of an (n, M, 5) stack pick from: None as soon
+        as no episode can act, else an (n, M) candidate mask and an (n, M)
+        nonnegative score or None, as `_pick_rows` takes them."""
+        raise NotImplementedError
 
 
 class Heuristic(PurePolicy):
-    """A fixed rule, stated once in `targets`; `act` and `act_batch` draw."""
+    """A fixed rule, stated once in `choices`, which reads one (M, 5)
+    observation or an (n, M, 5) stack: None as soon as no episode can act,
+    else (mask, score), mask shaped like obs[..., 0]; the draw is among the
+    mask's top scorers, or uniform.  `act` draws from it with `_pick`."""
 
     def __post_init__(self):
         """ConfigError unless a `period` is >= 1, a `probe_limit` >= 0, a
@@ -88,18 +76,9 @@ class Heuristic(PurePolicy):
         if hasattr(self, "gain") and not 0.0 < self.gain < math.inf:
             raise ConfigError(f"gain must lie in (0, inf), got {self.gain!r}")
 
-    def targets(self, obs: np.ndarray, tau: int) -> tuple | None:
-        """The servers the rule may pick in obs, (M, 5) or (n, M, 5): None as
-        soon as no episode can act, else (mask, score), mask shaped like
-        obs[..., 0]; the draw is among the mask's top scorers, or uniform."""
-        raise NotImplementedError
-
     def act(self, obs, tau, rng):
-        found = self.targets(obs, tau)
+        found = self.choices(obs, tau)
         return -1 if found is None else _pick(*found, rng)
-
-    def choices(self, obs, tau, rngs):
-        return self.targets(obs, tau)
 
 
 # The heuristic registry, keyed by (player, name) in the order of the
@@ -145,7 +124,7 @@ class NoOpPolicy(Heuristic):
     player: str
     label: str = "noop"
 
-    def targets(self, obs, tau):
+    def choices(self, obs, tau):
         return None
 
 
@@ -197,7 +176,7 @@ class UniformAdversary(Heuristic):
     period: int = 1
     label: str = "uniform"
 
-    def targets(self, obs, tau):
+    def choices(self, obs, tau):
         if tau % self.period:
             return None
         return _believed_takeable(obs), None
@@ -211,7 +190,7 @@ class MaxProbeAdversary(Heuristic):
     period: int = 1
     label: str = "maxprobe"
 
-    def targets(self, obs, tau):
+    def choices(self, obs, tau):
         if tau % self.period:
             return None
         return _believed_takeable(obs), obs[..., COL_PROGRESS]
@@ -226,7 +205,7 @@ class ControlThresholdAdversary(Heuristic):
     threshold: float = 0.5
     label: str = "control_threshold"
 
-    def targets(self, obs, tau):
+    def choices(self, obs, tau):
         below = ~(obs[..., COL_CONTROL].sum(axis=-1) / obs.shape[-2] >= self.threshold)
         if not below.any():
             return None
@@ -241,7 +220,7 @@ class UniformDefender(Heuristic):
     period: int = 4
     label: str = "uniform"
 
-    def targets(self, obs, tau):
+    def choices(self, obs, tau):
         if tau % self.period:
             return None
         return obs[..., COL_STATUS] == 1, None
@@ -256,7 +235,7 @@ class MaxProbeDefender(Heuristic):
     period: int = 4
     label: str = "maxprobe"
 
-    def targets(self, obs, tau):
+    def choices(self, obs, tau):
         if tau % self.period:
             return None
         seen = obs[..., COL_PROGRESS]
@@ -279,7 +258,7 @@ class ProbeCountPeriodDefender(Heuristic):
     probe_limit: int = 7
     label: str = "pcp"
 
-    def targets(self, obs, tau):
+    def choices(self, obs, tau):
         seen = obs[..., COL_PROGRESS]
         return (obs[..., COL_STATUS] == 1) & (seen >= 1) & (
             (obs[..., COL_DEF_SINCE_PROBE] >= self.period) | (seen > self.probe_limit)
@@ -329,7 +308,7 @@ class ControlThresholdDefender(Heuristic):
     literal_exponent: bool = False
     label: str = "control_threshold"
 
-    def targets(self, obs, tau):
+    def choices(self, obs, tau):
         # time since this defender's most recent reimage anywhere
         acting = obs[..., COL_DEF_SINCE_REIMAGE].min(axis=-1) >= self.period
         if not acting.any():
@@ -454,11 +433,10 @@ def _lockstep(cells, cfg: EnvConfig, episodes: int) -> list[PairPayoff]:
         for c, cell in enumerate(cells):
             members.setdefault(id(cell[col]), (cell[col], []))[1].extend(
                 range(c * episodes, (c + 1) * episodes))
-        rngs = [spawn_rng(s, side) for s in seeds]
         # a slice where the episodes of a policy are contiguous, so obs[idx] is a view
         sides.append(([(policy, slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1
-                        else np.array(idx), [rngs[i] for i in idx])
-                       for policy, idx in members.values()], rngs))
+                        else np.array(idx)) for policy, idx in members.values()],
+                      [spawn_rng(s, side) for s in seeds]))
     mask = np.empty((2, len(seeds), cfg.num_servers), dtype=bool)
     score = np.empty((2, len(seeds), cfg.num_servers), dtype=np.int64)
     ret_a = np.zeros(len(seeds))
@@ -467,8 +445,8 @@ def _lockstep(cells, cfg: EnvConfig, episodes: int) -> list[PairPayoff]:
     for t in range(cfg.horizon):
         acts = []
         for obs, (groups, rngs), side_mask, side_score in zip((obs_a, obs_d), sides, mask, score):
-            for policy, idx, group_rngs in groups:
-                found = policy.choices(obs[idx], t, group_rngs)
+            for policy, idx in groups:
+                found = policy.choices(obs[idx], t)
                 if found is None:
                     side_mask[idx] = False
                 else:

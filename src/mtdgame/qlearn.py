@@ -396,7 +396,7 @@ class QNetworkPolicy(PurePolicy):
         a = int(np.argmax(self.net.forward(x)))
         return -1 if a == self.cfg.num_servers else int(order[a])
 
-    def choices(self, obs, tau, rngs):
+    def choices(self, obs, tau):
         x, order = canonical_input(self.player, obs, self.cfg)
         a = self.net.forward(x[:, None, :])[:, 0].argmax(axis=1)
         rows = np.flatnonzero(a < self.cfg.num_servers)

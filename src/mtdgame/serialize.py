@@ -62,10 +62,10 @@ def save_policy(policy: PurePolicy, path: str | Path) -> None:
         path.write_text(_heuristic_line(policy) + "\n", encoding="utf-8")
 
 
-def load_policy(path: str | Path, env_cfg: EnvConfig,
-                label: str | None = None) -> PurePolicy:
+def load_policy(path: str | Path, env_cfg: EnvConfig) -> PurePolicy:
     """Read a policy file.  env_cfg supplies the normalization constants a
-    network policy needs; its server count must match the file."""
+    network policy needs; its server count must match the file.  Nothing
+    but blank lines may follow the policy."""
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     lines = text.splitlines()
@@ -73,9 +73,10 @@ def load_policy(path: str | Path, env_cfg: EnvConfig,
         raise PolicyFormatError(f"{path}: empty policy file")
     head = lines[0].split()
     if head[:1] == [MAGIC]:
-        return _load_qnet(path, lines, env_cfg, label)
+        return _load_qnet(path, lines, env_cfg)
     if head[:1] != ["heuristic"]:
         raise PolicyFormatError(f"{path}: unrecognized policy header {lines[0]!r}")
+    _check_no_trailing(path, lines[1:])
     if len(head) < 3:
         raise PolicyFormatError(f"{path}: malformed heuristic line")
     player, name = head[1], head[2]
@@ -97,18 +98,20 @@ def load_policy(path: str | Path, env_cfg: EnvConfig,
         except ValueError:
             raise PolicyFormatError(f"{path}: bad value for {k}: {v!r}") from None
     try:
-        policy = heuristic(player, name, **params)
+        return heuristic(player, name, **params)
     except ConfigError as exc:
         raise PolicyFormatError(f"{path}: {exc}") from None
-    if label is not None:
-        policy.label = label
-    return policy
 
 
-def _load_qnet(path, lines, env_cfg, label):
+def _check_no_trailing(path, rest):
+    if any(line.strip() for line in rest):
+        raise PolicyFormatError(f"{path}: unexpected content after the policy")
+
+
+def _load_qnet(path, lines, env_cfg):
     head = lines[0].split()
     if (len(head) != 5 or head[1] != str(FORMAT_VERSION) or head[2] != "qnet"
-            or not head[4].isdigit()):
+            or not (head[4].isascii() and head[4].isdigit())):
         raise PolicyFormatError(f"{path}: bad network header {lines[0]!r}")
     player = head[3]
     if player not in (ADVERSARY, DEFENDER):
@@ -137,13 +140,14 @@ def _load_qnet(path, lines, env_cfg, label):
             values += [w.ravel(), b]
     except (ValueError, IndexError) as exc:
         raise PolicyFormatError(f"{path}: corrupt network body: {exc}") from None
+    _check_no_trailing(path, lines[pos:])
     if len(dims) == 1:
         raise PolicyFormatError(f"{path}: network has no layers")
     if dims[-1] != m + 1:
         raise PolicyFormatError(f"{path}: {dims[-1]} outputs, {m} servers need {m + 1}")
     net = QNetwork(dims[0], dims[-1], None, tuple(dims[1:-1]))
     net.params[:] = np.concatenate(values)
-    return QNetworkPolicy(player, net, env_cfg, label or path.stem)
+    return QNetworkPolicy(player, net, env_cfg, path.stem)
 
 
 def save_mixture(policies: list[PurePolicy], mix: MixedStrategy,
@@ -225,9 +229,10 @@ def save_game(game: EmpiricalGame, path: str | Path) -> None:
         for j, cl in enumerate(game.col_labels)))
 
 
-def load_game(path: str | Path, episodes: int = 0) -> EmpiricalGame:
+def load_game(path: str | Path) -> EmpiricalGame:
     """Rebuild a game from its CSV.  Label order follows first appearance;
-    the policies themselves are not recoverable from the file."""
+    the policies themselves and the episode count are not recoverable from
+    the file, so the game has episodes=0."""
     rows: list[str] = []
     cols: list[str] = []
     cells = {}
@@ -254,7 +259,7 @@ def load_game(path: str | Path, episodes: int = 0) -> EmpiricalGame:
             if (rl, cl) not in cells:
                 raise PolicyFormatError(f"{path}: missing cell ({rl}, {cl})")
             u_a[i, j], u_d[i, j], s_a[i, j], s_d[i, j] = cells[(rl, cl)]
-    return EmpiricalGame(tuple(rows), tuple(cols), u_a, u_d, s_a, s_d, episodes)
+    return EmpiricalGame(tuple(rows), tuple(cols), u_a, u_d, s_a, s_d, 0)
 
 
 def save_equilibrium(result: EquilibriumResult, row_labels, col_labels,

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -382,9 +383,17 @@ def test_solve_rerun_is_byte_identical(tmp_path, capsys):
                 == (tmp_path / "s2" / name).read_bytes())
 
 
+def run_cli_module(*args: str) -> subprocess.CompletedProcess:
+    """`python -m mtdgame.cli` in a subprocess, with this checkout's src
+    first on its PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "mtdgame.cli", *args],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
 def test_module_entry_point():
-    proc = subprocess.run([sys.executable, "-m", "mtdgame.cli", "--help"],
-                          capture_output=True, text=True)
+    proc = run_cli_module("--help")
     assert proc.returncode == 0
     assert "usage" in proc.stdout
     for cmd in ("simulate", "payoff-table", "train-br", "nash", "solve"):
@@ -426,6 +435,5 @@ def test_benchmark_tracer_installs_and_measures(tmp_path):
 
 
 def test_no_subcommand_is_usage_error():
-    proc = subprocess.run([sys.executable, "-m", "mtdgame.cli"],
-                          capture_output=True, text=True)
+    proc = run_cli_module()
     assert proc.returncode == 2

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from mtdgame import nash
 from mtdgame.env import ADVERSARY, DEFENDER
 from mtdgame.nash import (
     EmpiricalGame,
@@ -240,27 +241,28 @@ def test_parallel_build_matches_serial(short):
     np.testing.assert_array_equal(serial.u_def, parallel.u_def)
 
 
-def test_extend_game_keeps_old_cells_and_counts_new_evaluations(short):
+def test_extend_game_keeps_old_cells_and_counts_new_evaluations(short, monkeypatch):
     calls = []
 
     def counting(cells, cfg, episodes, jobs):
         calls.extend((adv.label, deff.label) for adv, deff, _ in cells)
         return evaluate_cells(cells, cfg, episodes, jobs)
 
+    monkeypatch.setattr(nash, "evaluate_cells", counting)
+
     advs = [NoOpPolicy(ADVERSARY), UniformAdversary()]
     defs = [NoOpPolicy(DEFENDER), UniformDefender(), UniformDefender(period=2, label="fast")]
-    g = build_game(advs, defs, short, episodes=2, seed=1, evaluator=counting)
+    g = build_game(advs, defs, short, episodes=2, seed=1)
     assert len(calls) == 6
     calls.clear()
 
-    g2 = extend_game(g, UniformDefender(period=8, label="slow"), short, seed=1,
-                     evaluator=counting)
+    g2 = extend_game(g, UniformDefender(period=8, label="slow"), short, seed=1)
     assert len(calls) == 2          # one new column, one cell per existing row
     np.testing.assert_array_equal(g2.u_adv[:, :3], g.u_adv)
     assert g2.col_labels == (*g.col_labels, "slow")
     calls.clear()
 
-    g3 = extend_game(g2, MaxProbeAdversary(), short, seed=1, evaluator=counting)
+    g3 = extend_game(g2, MaxProbeAdversary(), short, seed=1)
     assert len(calls) == 4          # one new row across all four columns
     np.testing.assert_array_equal(g3.u_adv[:2], g2.u_adv)
     np.testing.assert_array_equal(g3.u_def[:2], g2.u_def)

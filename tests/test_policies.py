@@ -27,6 +27,7 @@ from mtdgame.policies import (
     PurePolicy,
     UniformAdversary,
     UniformDefender,
+    _pick_rows,
     default_adversaries,
     default_defenders,
     evaluate_cells,
@@ -352,8 +353,9 @@ BATCH_CASE_NUMBERS = [424, 64, 488, 832, 856, 0, 24, 152, 128,
     f"{p.player[:3]}-{p.label}-{k}"
     for p, k in zip(BATCH_POLICIES, BATCH_CASE_NUMBERS, strict=True)])
 def test_act_batch_matches_act_row_by_row(policy):
-    """On the observations of real episodes, act_batch picks what act picks
-    for every episode, and leaves every episode's generator where act does."""
+    """On the observations of real episodes, `_pick_rows` over `choices`
+    picks what act picks for every episode, and leaves every episode's
+    generator where act does."""
     cfg = EnvConfig(num_servers=6, downtime=3, probe_gain=0.15, miss_prob=0.2, horizon=150)
     n = 12
     env = MtdBatchEnv(cfg)
@@ -365,8 +367,9 @@ def test_act_batch_matches_act_row_by_row(policy):
     while not env.done:
         tau = env.tau
         want = [policy.act(o, tau, rng) for o, rng in zip(obs, row_rngs)]
-        got = policy.act_batch(obs, tau, batch_rngs)
-        assert got.tolist() == want, f"step {tau}"
+        found = policy.choices(obs, tau)
+        got = [-1] * n if found is None else _pick_rows(*found, batch_rngs).tolist()
+        assert got == want, f"step {tau}"
         acted += sum(a >= 0 for a in want)
         adv = np.where(play.random(n) < 0.8, play.integers(0, 6, n), -1)
         deff = np.where(play.random(n) < 0.15, play.integers(0, 6, n), -1)
@@ -407,17 +410,11 @@ def reference_payoff(adv, deff, cfg, episodes, seed):
     return (float(ra.mean()), float(rd.mean()), *se)
 
 
-class RowByRowAdversary(UniformAdversary):
-    """A policy that only has `act`: the evaluator takes its choices one-hot."""
-
-    choices = PurePolicy.choices
-
-
 @pytest.mark.parametrize("episodes", [1, 3])
 def test_evaluate_cells_matches_episode_by_episode(episodes):
     cfg = EnvConfig(num_servers=5, miss_prob=0.1, horizon=120, charge_down_probes=False)
     rng = np.random.default_rng(4)   # both networks below pick every action, no-op too
-    advs = [*default_adversaries(cfg), RowByRowAdversary(period=2, label="rows"),
+    advs = [*default_adversaries(cfg),
             QNetworkPolicy(ADVERSARY, QNetwork(25, 6, rng, hidden=(8,)), cfg, "qnet")]
     defs = [*default_defenders(cfg),
             QNetworkPolicy(DEFENDER, QNetwork(25, 6, rng, hidden=(8,)), cfg, "qnet")]
@@ -427,6 +424,21 @@ def test_evaluate_cells_matches_episode_by_episode(episodes):
         want = reference_payoff(adv, deff, cfg, episodes, seed)
         assert (pp.u_adv, pp.u_def, pp.se_adv, pp.se_def) == want, (adv.label, deff.label)
         assert pp.episodes == episodes
+
+
+class ActOnlyAdversary(PurePolicy):
+    """A policy with `act` but no `choices`."""
+
+    player = ADVERSARY
+    label = "act-only"
+
+    def act(self, obs, tau, rng):
+        return -1
+
+
+def test_evaluate_cells_needs_choices(short):
+    with pytest.raises(NotImplementedError):
+        evaluate_cells([(ActOnlyAdversary(), NoOpPolicy(DEFENDER), 0)], short, 1)
 
 
 def test_evaluate_cells_chunks_match_one_batch(short):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mtdgame.env import ADVERSARY, DEFENDER, ConfigError, EnvConfig, MtdEnv
-from mtdgame.policies import MixedStrategy, NoOpPolicy, UniformAdversary
+from mtdgame.policies import MixedStrategy, NoOpPolicy, UniformAdversary, _pick_rows
 from mtdgame.qlearn import (
     AdamOptimizer,
     QNetwork,
@@ -151,9 +151,13 @@ def test_greedy_policy_act_batch_matches_act(hidden):
         player = (ADVERSARY, DEFENDER)[trial % 2]
         pol = QNetworkPolicy(player, net, cfg, "qnet")
         obs = random_observations(rng, int(rng.integers(1, 80)), 6, cfg.downtime)
-        want = [pol.act(o, 0, None) for o in obs]
-        got = pol.act_batch(obs, 0, [None] * len(obs))
+        row_rngs = [np.random.default_rng(i) for i in range(len(obs))]
+        batch_rngs = [np.random.default_rng(i) for i in range(len(obs))]
+        want = [pol.act(o, 0, r) for o, r in zip(obs, row_rngs)]
+        got = _pick_rows(*pol.choices(obs, 0), batch_rngs)
         assert got.tolist() == want
+        assert [r.bit_generator.state for r in row_rngs] == \
+            [r.bit_generator.state for r in batch_rngs]
 
 
 # ------------------------------------------------------------------ network

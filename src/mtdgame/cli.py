@@ -43,7 +43,7 @@ from mtdgame.serialize import (
     save_equilibrium,
     save_game,
     save_learning_curve,
-    save_mixture,
+    save_mixture,  # no command calls it; perfbench/layertrace.py wraps cli.save_mixture
     save_policy,
     save_trace,
 )

@@ -11,12 +11,11 @@ more than eps_do.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from mtdgame.env import ADVERSARY, DEFENDER, ConfigError, EnvConfig, check_integers
+from mtdgame.env import ADVERSARY, DEFENDER, EnvConfig, check_range
 from mtdgame.nash import EmpiricalGame, EquilibriumResult, build_game, extend_game, solve_msne
 from mtdgame.policies import MixedStrategy, PurePolicy
 from mtdgame.qlearn import TrainConfig, train_best_response
@@ -31,11 +30,9 @@ class DoConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # every comparison is written so that NaN fails it
-        if not 0.0 <= self.eps_do < math.inf:
-            raise ConfigError(f"eps_do must be finite and >= 0, got {self.eps_do!r}")
-        check_integers(self, 0, "max_iterations")
-        check_integers(self, 1, "eval_episodes")
+        check_range(self, "[0, inf)", "eps_do", "max_iterations")
+        check_range(self, "[1, inf)", "eval_episodes")
+        check_range(self, "(-inf, inf)", "seed")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ stale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -51,15 +51,26 @@ class ConfigError(ValueError):
     """A parameter is outside its documented domain."""
 
 
-def check_integers(cfg, low: int, *names: str) -> None:
-    """Raise ConfigError unless each named setting of the frozen dataclass
-    cfg is an integer (numpy integers too, bools not) and at least `low`;
-    store each as a Python int."""
+# Annotation text -> (types the field may hold, types it may not, the type it is stored as).
+_KINDS = {"int": ((int, np.integer), bool, int), "bool": ((bool, np.bool_), (), bool)}
+
+
+def check_range(obj, interval: str, *names: str) -> None:
+    """Raise ConfigError unless each named field of the dataclass obj lies in
+    `interval`, written as the error shows it: "[0, 1]", "(0, inf)" and so
+    on.  The field's annotation picks the type check (`_KINDS`); every
+    comparison is written so that NaN fails it."""
+    low, high = (float(end) for end in interval[1:-1].split(", "))
+    kinds = {f.name: f.type for f in fields(obj)}
     for name in names:
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not value >= low:
-            raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-        object.__setattr__(cfg, name, int(value))
+        value, kind = getattr(obj, name), kinds[name]
+        allowed, excluded, store = _KINDS.get(kind, (object, (), None))
+        if not isinstance(value, allowed) or isinstance(value, excluded):
+            raise ConfigError(f"{name} must be {kind} in {interval}, got {value!r}")
+        if not ((low < value if interval[0] == "(" else low <= value)
+                and (value < high if interval[-1] == ")" else value <= high)):
+            raise ConfigError(f"{name} must lie in {interval}, got {value!r}")
+        object.__setattr__(obj, name, store(value) if store else value)
 
 
 @dataclass(frozen=True)
@@ -80,20 +91,12 @@ class EnvConfig:
     charge_down_probes: bool = True  # probes on down servers still cost probe_cost
 
     def __post_init__(self):
-        check_integers(self, 1, "num_servers", "downtime", "horizon")
-        # every comparison is written so that NaN fails it
-        for name in ("miss_prob", "weight_adv", "weight_def"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {getattr(self, name)!r}")
-        for name in ("probe_gain", "reward_slope"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must lie in (0, inf), got {getattr(self, name)!r}")
-        if not 0.0 <= self.probe_cost < math.inf:
-            raise ConfigError(f"probe_cost must lie in [0, inf), got {self.probe_cost!r}")
-        if not math.isfinite(self.reward_thresh):
-            raise ConfigError(f"reward_thresh must be finite, got {self.reward_thresh!r}")
-        if not 0.0 <= self.discount < 1.0:
-            raise ConfigError(f"discount must lie in [0, 1), got {self.discount!r}")
+        check_range(self, "[1, inf)", "num_servers", "downtime", "horizon")
+        check_range(self, "[0, 1]", "miss_prob", "weight_adv", "weight_def", "charge_down_probes")
+        check_range(self, "(0, inf)", "probe_gain", "reward_slope")
+        check_range(self, "[0, inf)", "probe_cost")
+        check_range(self, "(-inf, inf)", "reward_thresh")
+        check_range(self, "[0, 1)", "discount")
 
 
 def compromise_probability(probes: int, gain: float) -> float:

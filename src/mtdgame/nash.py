@@ -56,6 +56,7 @@ class EmpiricalGame:
             raise ValueError("duplicate column labels")
 
 
+# build_game and extend_game keep a default: perfbench/layertrace.py iterates __defaults__
 def build_game(adv_policies: list[PurePolicy], def_policies: list[PurePolicy],
                env_cfg: EnvConfig, episodes: int, seed: int,
                jobs: int = 1) -> EmpiricalGame:

@@ -32,11 +32,10 @@ from mtdgame.env import (
     COL_PROGRESS,
     COL_STATUS,
     DEFENDER,
-    ConfigError,
     EnvConfig,
     MtdBatchEnv,
     MtdEnv,
-    check_integers,
+    check_range,
 )
 from mtdgame.seeds import derive_seed, spawn_rng
 
@@ -65,16 +64,12 @@ class Heuristic(PurePolicy):
     mask's top scorers, or uniform.  `act` draws from it with `_pick`."""
 
     def __post_init__(self):
-        """ConfigError unless a `period` is >= 1, a `probe_limit` >= 0, a
-        `threshold` in [0, 1] and a `gain` in (0, inf)."""
-        for name, low in (("period", 1), ("probe_limit", 0)):
+        """ConfigError unless each parameter lies in its interval."""
+        for name, interval in (("period", "[1, inf)"), ("probe_limit", "[0, inf)"),
+                               ("threshold", "[0, 1]"), ("gain", "(0, inf)"),
+                               ("literal_exponent", "[0, 1]")):
             if hasattr(self, name):
-                check_integers(self, low, name)
-        # both comparisons are written so that NaN fails them
-        if hasattr(self, "threshold") and not 0.0 <= self.threshold <= 1.0:
-            raise ConfigError(f"threshold must lie in [0, 1], got {self.threshold!r}")
-        if hasattr(self, "gain") and not 0.0 < self.gain < math.inf:
-            raise ConfigError(f"gain must lie in (0, inf), got {self.gain!r}")
+                check_range(self, interval, name)
 
     def act(self, obs, tau, rng):
         found = self.choices(obs, tau)

@@ -54,7 +54,7 @@ from mtdgame.env import (
     ConfigError,
     EnvConfig,
     MtdEnv,
-    check_integers,
+    check_range,
 )
 from mtdgame.policies import MixedStrategy, PurePolicy
 from mtdgame.seeds import derive_seed, spawn_rng
@@ -93,17 +93,22 @@ def _input_plan(player: str, downtime: int) -> tuple[np.ndarray, np.ndarray]:
     ascending order is the player's canonical order: a mixed-radix number
     with one digit per sort key, negated for descending keys.
     """
-    scale = np.ones(5, dtype=np.int64)
+    scale = [1] * 5
     scale[COL_TIME_TO_UP] = downtime
     scale[COL_PROGRESS] = _PROGRESS_SCALE
-    elapsed = ((COL_ADV_SINCE_PROBE,) if player == ADVERSARY
-               else (COL_DEF_SINCE_PROBE, COL_DEF_SINCE_REIMAGE))
-    scale[list(elapsed)] = _ELAPSED_SCALE
-    weights = np.zeros(5, dtype=np.int64)
+    for col in ((COL_ADV_SINCE_PROBE,) if player == ADVERSARY
+                else (COL_DEF_SINCE_PROBE, COL_DEF_SINCE_REIMAGE)):
+        scale[col] = _ELAPSED_SCALE
+    weights = [0] * 5
     place = 1
     for col, sign in reversed(_ORDERS[player]):
         weights[col] = sign * place
-        place *= int(scale[col]) + 1
+        place *= scale[col] + 1
+    # every key lies strictly between -place and place: all fit in an int64 if place does
+    if place >= 2**63:
+        raise ConfigError(f"downtime must be at most {(2**63 - 1) // (place // (downtime + 1)) - 1}"
+                          f" for the {player}'s canonical server order, got {downtime}")
+    scale, weights = np.array(scale, dtype=np.int64), np.array(weights, dtype=np.int64)
     scale.flags.writeable = weights.flags.writeable = False
     return scale, weights
 
@@ -126,15 +131,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # every comparison is written so that NaN fails it
-        if not 0.0 < self.epsilon_fraction <= 1.0:
-            raise ConfigError(f"epsilon_fraction must lie in (0, 1], got {self.epsilon_fraction!r}")
-        if not 0.0 <= self.epsilon_final <= 1.0:
-            raise ConfigError(f"epsilon_final must lie in [0, 1], got {self.epsilon_final!r}")
-        if not 0.0 < self.learning_rate < math.inf:
-            raise ConfigError(f"learning_rate must lie in (0, inf), got {self.learning_rate!r}")
-        check_integers(self, 1, "batch_size", "episodes")
-        check_integers(self, self.batch_size, "replay_capacity")
+        check_range(self, "(0, 1]", "epsilon_fraction")
+        check_range(self, "[0, 1]", "epsilon_final")
+        check_range(self, "(0, inf)", "learning_rate")
+        check_range(self, "[1, inf)", "batch_size", "episodes")
+        check_range(self, f"[{self.batch_size}, inf)", "replay_capacity")
+        check_range(self, "(-inf, inf)", "seed")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
 
@@ -447,6 +449,7 @@ def train_best_response(player: str, opponents: list[PurePolicy],
     replay_rng = spawn_rng(tc.seed, "replay")
     mix_rng = spawn_rng(tc.seed, "mixture")
 
+    # test_benchmark_tracer_installs_and_measures counts these MtdEnv.step calls
     env = MtdEnv(env_cfg)
     curve: list[EpisodeRecord] = []
     gstep = 0

@@ -244,6 +244,19 @@ def test_train_br_side_mismatch(tmp_path, capsys):
     assert rc == EXIT_CONFIG
 
 
+def test_train_br_downtime_past_the_order_limit(tmp_path, capsys):
+    """A downtime too large for the canonical order is a configuration
+    error for training; a payoff table of heuristics still runs with it."""
+    cfg = write_cfg(tmp_path, "T=5\ndelta=10000000000000000\n")
+    rc = main(["train-br", "--config", cfg, "--player", "defender",
+               "--opponent", opponent_mixture(tmp_path, ADVERSARY),
+               "--ne", "1", "--out", str(tmp_path / "x")])
+    assert rc == EXIT_CONFIG
+    assert "downtime must be at most" in capsys.readouterr().err
+    rc = main(["payoff-table", "--config", cfg, "--episodes", "2", "--out", str(tmp_path / "g")])
+    assert rc == EXIT_OK
+
+
 def test_train_br_malformed_mixture(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     save_policy(NoOpPolicy(DEFENDER), tmp_path / "noop.policy")

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+from dataclasses import fields, replace
+
 import pytest
 
 from mtdgame.config import (
@@ -10,7 +13,9 @@ from mtdgame.config import (
     parse_config,
 )
 from mtdgame.double_oracle import DoConfig
-from mtdgame.env import ConfigError
+from mtdgame.env import ConfigError, EnvConfig
+from mtdgame.policies import HEURISTICS, heuristic, heuristic_params
+from mtdgame.qlearn import TrainConfig
 
 
 def test_empty_text_yields_baseline():
@@ -124,6 +129,18 @@ def test_format_round_trip():
     again = parse_config(text)
     assert again == original
     assert format_config(again) == text
+
+
+def test_every_setting_rejects_nan():
+    """Every setting that is not a string is checked: NaN fails it, and the
+    error names the setting."""
+    cases = [(cls(), fields(cls)) for cls in (EnvConfig, TrainConfig, DoConfig)]
+    cases += [(heuristic(*key), heuristic_params(cls)) for key, cls in HEURISTICS.items()]
+    checked = [(obj, f.name) for obj, params in cases for f in params if f.type != "str"]
+    assert len(checked) == 34
+    for obj, name in checked:
+        with pytest.raises(ConfigError, match=f"^{name} must"):
+            replace(obj, **{name: math.nan})
 
 
 def test_load_config_from_file(tmp_path):

@@ -53,6 +53,8 @@ def test_do_config_validation(short):
     with pytest.raises(ConfigError):
         tiny_do(max_iterations=0.5)
     with pytest.raises(ConfigError):
+        tiny_do(seed=True)
+    with pytest.raises(ConfigError):
         dqn_oracle(short, TrainConfig(batch_size=0))
     tiny_do()
 

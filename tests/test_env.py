@@ -124,6 +124,7 @@ def test_utility_unknown_player():
     dict(num_servers=True),
     dict(num_servers=2.0),
     dict(horizon=np.int64(0)),
+    dict(charge_down_probes="no"),
 ])
 def test_config_validation_rejects(bad):
     with pytest.raises(ConfigError):

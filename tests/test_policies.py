@@ -85,7 +85,9 @@ def test_heuristic_integer_parameters_checked_when_built():
     for build, name in ((lambda: UniformAdversary(period=0), "period"),
                         (lambda: ControlThresholdDefender(period=-1), "period"),
                         (lambda: ProbeCountPeriodDefender(probe_limit=-4), "probe_limit"),
-                        (lambda: MaxProbeDefender(period=2.5), "period")):
+                        (lambda: MaxProbeDefender(period=2.5), "period"),
+                        (lambda: ControlThresholdDefender(literal_exponent="no"),
+                         "literal_exponent")):
         with pytest.raises(ConfigError, match=name):
             build()
     assert ProbeCountPeriodDefender(period=1, probe_limit=0).probe_limit == 0

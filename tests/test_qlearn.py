@@ -140,6 +140,24 @@ def test_canonical_order_matches_lexsort_reference(player):
             np.testing.assert_array_equal(x, canonical_input(player, o, cfg)[0])
 
 
+@pytest.mark.parametrize("player,others", [(ADVERSARY, 2 * 2 * 31 * 101),
+                                           (DEFENDER, 2 * 31 * 101 * 101)])
+def test_canonical_order_downtime_limit(player, others):
+    """The order key is an int64 whose radix product is (downtime + 1) times
+    `others`, that of the four other columns.  Up to the largest downtime
+    that keeps the product below 2**63 the order is exact; one more is a
+    ConfigError naming the downtime, not a silently wrapped order."""
+    limit = (2**63 - 1) // others - 1
+    rng = np.random.default_rng(3)
+    obs = random_observations(rng, 300, 8, limit)
+    obs[::2, 0, 1] = limit
+    cfg = EnvConfig(num_servers=8, downtime=limit)
+    for o, order in zip(obs, canonical_input(player, obs, cfg)[1]):
+        np.testing.assert_array_equal(order, lexsort_reference(player, o, cfg))
+    with pytest.raises(ConfigError, match="downtime must be at most"):
+        canonical_input(player, obs, EnvConfig(num_servers=8, downtime=limit + 1))
+
+
 @pytest.mark.parametrize("hidden", [(32, 32), (7,), ()])
 def test_greedy_policy_act_batch_matches_act(hidden):
     rng = np.random.default_rng(len(hidden))
@@ -475,6 +493,7 @@ def test_greedy_policy_maps_through_canonical_order():
     dict(episodes=2.5),
     dict(batch_size=True),
     dict(replay_capacity=math.nan),
+    dict(seed=1.5),
 ])
 def test_train_config_validation(bad):
     with pytest.raises(ConfigError):

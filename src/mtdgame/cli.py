@@ -95,7 +95,7 @@ class _Manifest:
 
 def _resolve_policy(spec: str, player: str, rc: ResolvedConfig):
     """A policy flag is either a known heuristic name or a policy file path."""
-    names = {p.label: p for p in (default_adversaries(rc.env) if player == ADVERSARY
+    names = {p.label: p for p in (default_adversaries() if player == ADVERSARY
                                   else default_defenders(rc.env))}
     if spec in names:
         return names[spec]
@@ -146,7 +146,7 @@ def cmd_payoff_table(args) -> int:
     out_dir = Path(args.out)
     with _Manifest(out_dir, "payoff-table", args.seed, rc,
                    {"episodes": args.episodes, "jobs": args.jobs}) as manifest:
-        advs = default_adversaries(rc.env)
+        advs = default_adversaries()
         defs = default_defenders(rc.env)
         game = build_game(advs, defs, rc.env, args.episodes, args.seed, jobs=args.jobs)
         path = out_dir / "game.csv"
@@ -192,7 +192,7 @@ def cmd_solve(args) -> int:
         advs = [NoOpPolicy(ADVERSARY)]
         defs = [NoOpPolicy(DEFENDER)]
     else:
-        advs = default_adversaries(rc.env)
+        advs = default_adversaries()
         defs = default_defenders(rc.env)
     do_cfg = replace(rc.do, eval_episodes=args.episodes or rc.do.eval_episodes,
                      seed=args.seed)

@@ -41,15 +41,6 @@ def parse_finite(raw: str) -> float:
     return value
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes"):
-        return True
-    if low in ("0", "false", "no"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 _TextValue = namedtuple("_TextValue", "read write expected")
 
 # Field annotation -> how values of that type are read from and written to
@@ -58,7 +49,6 @@ _TextValue = namedtuple("_TextValue", "read write expected")
 TEXT_VALUES = {
     "int": _TextValue(int, lambda v: str(int(v)), "an integer"),
     "float": _TextValue(parse_finite, lambda v: repr(float(v)), "a finite number"),
-    "bool": _TextValue(_parse_bool, lambda v: str(int(v)), "a boolean"),
     "str": _TextValue(str, str, "a string"),
 }
 
@@ -82,7 +72,6 @@ KEYS = {
     "w_d": ("env", "weight_def"),
     "T": ("env", "horizon"),
     "gamma": ("env", "discount"),
-    "charge_down_probes": ("env", "charge_down_probes"),
     "ne": ("train", "episodes"),
     "batch": ("train", "batch_size"),
     "learning_rate": ("train", "learning_rate"),
@@ -130,8 +119,14 @@ def parse_config(text: str) -> ResolvedConfig:
     for key, (section, attr) in KEYS.items():
         if key in values:
             kwargs[section][attr] = _read(key, _KINDS[section, attr], values[key])
-    return ResolvedConfig(**{section: make(**kwargs[section])
-                             for section, make in _SECTIONS.items()})
+    try:
+        return ResolvedConfig(**{section: make(**kwargs[section])
+                                 for section, make in _SECTIONS.items()})
+    except ConfigError as exc:
+        # the error starts with the field's name; report it under the file's key
+        attr, _, rest = str(exc).partition(" ")
+        key = next((k for k, (_, a) in KEYS.items() if a == attr), attr)
+        raise ConfigError(f"key {key}: {rest}") from None
 
 
 def load_config(path: str | Path) -> ResolvedConfig:

@@ -5,7 +5,9 @@ servers to reclaim them.  Both move simultaneously once per time step and
 see only their own side of the world.  A probe on an up server succeeds
 with probability 1 - exp(-gain * (probes + 1)), counted over all probes
 since the server was last reimaged.  A reimaged server is unavailable for
-exactly `downtime` reward evaluations and comes back clean.
+exactly `downtime` reward evaluations and comes back clean.  A probe costs
+`probe_cost` wherever it lands; a probe on a down server changes nothing
+else but teaches the adversary the server's true status.
 
 Step resolution order is fixed and documented here because both players act
 at once: (1) the adversary's probe resolves, (2) the defender's reimage
@@ -52,7 +54,8 @@ class ConfigError(ValueError):
 
 
 # Annotation text -> (types the field may hold, types it may not, the type it is stored as).
-_KINDS = {"int": ((int, np.integer), bool, int), "bool": ((bool, np.bool_), (), bool)}
+_KINDS = {"int": ((int, np.integer), bool, int),
+          "float": ((int, float, np.integer, np.floating), bool, float)}
 
 
 def check_range(obj, interval: str, *names: str) -> None:
@@ -64,13 +67,13 @@ def check_range(obj, interval: str, *names: str) -> None:
     kinds = {f.name: f.type for f in fields(obj)}
     for name in names:
         value, kind = getattr(obj, name), kinds[name]
-        allowed, excluded, store = _KINDS.get(kind, (object, (), None))
+        allowed, excluded, store = _KINDS[kind]
         if not isinstance(value, allowed) or isinstance(value, excluded):
             raise ConfigError(f"{name} must be {kind} in {interval}, got {value!r}")
         if not ((low < value if interval[0] == "(" else low <= value)
                 and (value < high if interval[-1] == ")" else value <= high)):
             raise ConfigError(f"{name} must lie in {interval}, got {value!r}")
-        object.__setattr__(obj, name, store(value) if store else value)
+        object.__setattr__(obj, name, store(value))
 
 
 @dataclass(frozen=True)
@@ -88,11 +91,10 @@ class EnvConfig:
     weight_def: float = 1.0
     horizon: int = 1000
     discount: float = 0.99
-    charge_down_probes: bool = True  # probes on down servers still cost probe_cost
 
     def __post_init__(self):
         check_range(self, "[1, inf)", "num_servers", "downtime", "horizon")
-        check_range(self, "[0, 1]", "miss_prob", "weight_adv", "weight_def", "charge_down_probes")
+        check_range(self, "[0, 1]", "miss_prob", "weight_adv", "weight_def")
         check_range(self, "(0, inf)", "probe_gain", "reward_slope")
         check_range(self, "[0, inf)", "probe_cost")
         check_range(self, "(-inf, inf)", "reward_thresh")
@@ -212,11 +214,9 @@ class MtdEnv:
         resolve = clock + 1  # the clock at which this step's effects are first visible
 
         # 1) adversary probe
-        probed_up = False
         if adv_target >= 0:
             i = adv_target
             if self.up_at[i] <= clock:
-                probed_up = True
                 # The probe being resolved already counts toward rho when the
                 # success formula is applied, so the k-th probe of a clean
                 # server lands with probability 1 - exp(-gain * (k + 1)).
@@ -260,7 +260,7 @@ class MtdEnv:
         n_adv, n_def, n_down = self.counts()
         u_a = self._u_adv[n_adv][n_down]
         u_d = self._u_def[n_def][n_down]
-        if adv_target >= 0 and (probed_up or cfg.charge_down_probes):
+        if adv_target >= 0:
             u_a -= cfg.probe_cost
         return self.observe(ADVERSARY), self.observe(DEFENDER), u_a, u_d
 
@@ -371,10 +371,6 @@ class MtdBatchEnv:
             c = c[seen >= cfg.miss_prob]
             def_probes_seen[c] += 1
             def_last_probe[c] = resolve
-        charged = adv_targets >= 0
-        if not cfg.charge_down_probes:
-            charged[:] = False
-            charged[r] = True
         c = cells[~up]
         adv_up_at[c] = up_at[c]
         adv_progress[c] = 0
@@ -402,7 +398,7 @@ class MtdBatchEnv:
         n_down = (resolve < self.up_at).sum(axis=1)
         n_adv = self.adv_owned.sum(axis=1)
         reward_adv = self._u_adv[n_adv, n_down]
-        reward_adv[charged] -= cfg.probe_cost
+        reward_adv[adv_targets >= 0] -= cfg.probe_cost
         reward_def = self._u_def[m - n_adv - n_down, n_down]
         return self.observe(ADVERSARY), self.observe(DEFENDER), reward_adv, reward_def
 

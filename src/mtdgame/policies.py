@@ -66,8 +66,7 @@ class Heuristic(PurePolicy):
     def __post_init__(self):
         """ConfigError unless each parameter lies in its interval."""
         for name, interval in (("period", "[1, inf)"), ("probe_limit", "[0, inf)"),
-                               ("threshold", "[0, 1]"), ("gain", "(0, inf)"),
-                               ("literal_exponent", "[0, 1]")):
+                               ("threshold", "[0, 1]"), ("gain", "(0, inf)")):
             if hasattr(self, name):
                 check_range(self, interval, name)
 
@@ -260,15 +259,13 @@ class ProbeCountPeriodDefender(Heuristic):
         ), None
 
 
-def expected_defender_control(obs: np.ndarray, gain: float,
-                              literal_exponent: bool = False) -> float | np.ndarray:
+def expected_defender_control(obs: np.ndarray, gain: float) -> float | np.ndarray:
     """Defender's estimate of how many up servers it still controls, for one
     (M, 5) observation (a float) or each matrix of an (n, M, 5) stack.
 
     Treats every observed probe on a server except the last as failed, so a
     server with k observed probes is compromised with probability
-    1 - exp(-gain * k), or zero when never probed.  With literal_exponent
-    the last probe is counted as the (k+1)-th instead.  Down servers are
+    1 - exp(-gain * k), or zero when never probed.  Down servers are
     excluded, they count for nobody.  Servers are added one at a time, in
     server order, so a matrix gives the same bits alone or in a stack.
     """
@@ -276,17 +273,16 @@ def expected_defender_control(obs: np.ndarray, gain: float,
     # a power-of-two table size keeps the number of cached tables small
     size = 1 << int(seen.max()).bit_length()
     survival = np.where(obs[..., COL_STATUS] == 1,
-                        _survival_table(gain, literal_exponent, size)[seen], 0.0)
+                        _survival_table(gain, size)[seen], 0.0)
     # accumulate, unlike a sum, adds strictly left to right
     return np.add.accumulate(survival, axis=-1)[..., -1]
 
 
 @lru_cache(maxsize=16)
-def _survival_table(gain: float, literal_exponent: bool, size: int) -> np.ndarray:
+def _survival_table(gain: float, size: int) -> np.ndarray:
     """1 minus the compromise chance for k = 0 .. size - 1 observed probes,
     kept as 1 - (1 - exp(.)), not exp(.): those are the bits of the sum."""
-    table = np.array([1.0] + [1.0 - (1.0 - math.exp(-gain * (k + 1 if literal_exponent else k)))
-                              for k in range(1, size)])
+    table = np.array([1.0] + [1.0 - (1.0 - math.exp(-gain * k)) for k in range(1, size)])
     table.flags.writeable = False
     return table
 
@@ -300,7 +296,6 @@ class ControlThresholdDefender(Heuristic):
     threshold: float = 0.8
     period: int = 4
     gain: float = 0.05
-    literal_exponent: bool = False
     label: str = "control_threshold"
 
     def choices(self, obs, tau):
@@ -308,7 +303,7 @@ class ControlThresholdDefender(Heuristic):
         acting = obs[..., COL_DEF_SINCE_REIMAGE].min(axis=-1) >= self.period
         if not acting.any():
             return None
-        expected = expected_defender_control(obs, self.gain, self.literal_exponent)
+        expected = expected_defender_control(obs, self.gain)
         acting = acting & ~(expected > obs.shape[-2] * self.threshold)
         if not acting.any():
             return None
@@ -320,7 +315,7 @@ def _default_set(player: str, **params) -> list[PurePolicy]:
             for p, name in HEURISTICS if p == player]
 
 
-def default_adversaries(cfg: EnvConfig) -> list[PurePolicy]:
+def default_adversaries() -> list[PurePolicy]:
     """The standard adversary heuristic set, in registry order."""
     return _default_set(ADVERSARY)
 

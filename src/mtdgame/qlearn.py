@@ -202,9 +202,6 @@ class QNetwork:
             start += fan_out
         return views
 
-    def parameters(self) -> list[np.ndarray]:
-        return self.split(self.params)
-
     def forward(self, x: np.ndarray, inputs: list | None = None) -> np.ndarray:
         """Action values of an input vector, or of each one in a stack of
         them (..., input_dim).  A list passed as `inputs` receives each

@@ -81,7 +81,7 @@ GRID_REFERENCE = {
 @pytest.mark.slow
 def test_c2_heuristic_grid_reproduction():
     t0 = time.monotonic()
-    game = build_game(default_adversaries(BASE), default_defenders(BASE),
+    game = build_game(default_adversaries(), default_defenders(BASE),
                       BASE, episodes=50, seed=123)
     elapsed = time.monotonic() - t0
     failures = []
@@ -165,7 +165,7 @@ def test_c4_gradient_check_against_finite_differences():
         targets = rng.normal(size=8) * 5.0
         _, grad = loss_and_gradients(net, x, actions, targets)
         grads = net.split(grad)
-        params = net.parameters()
+        params = net.split(net.params)
         for _ in range(12):
             k = rng.integers(len(params))
             flat = params[k].ravel()
@@ -274,7 +274,7 @@ def run_desk_do(init: str):
         advs = [NoOpPolicy(ADVERSARY)]
         defs = [NoOpPolicy(DEFENDER)]
     else:
-        advs = default_adversaries(BASE)
+        advs = default_adversaries()
         defs = default_defenders(BASE)
     return run_double_oracle(BASE, advs, defs, DESK_DO,
                              dqn_oracle(BASE, TrainConfig(episodes=30)))

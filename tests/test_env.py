@@ -124,7 +124,9 @@ def test_utility_unknown_player():
     dict(num_servers=True),
     dict(num_servers=2.0),
     dict(horizon=np.int64(0)),
-    dict(charge_down_probes="no"),
+    dict(miss_prob="0.5"),
+    dict(miss_prob=None),
+    dict(probe_gain=True),
 ])
 def test_config_validation_rejects(bad):
     with pytest.raises(ConfigError):
@@ -133,8 +135,10 @@ def test_config_validation_rejects(bad):
 
 def test_config_baseline_validates():
     EnvConfig()
-    cfg = EnvConfig(num_servers=np.int64(5))
-    assert cfg == EnvConfig(num_servers=5) and type(cfg.num_servers) is int
+    cfg = EnvConfig(num_servers=np.int64(5), miss_prob=np.float32(0.5), probe_cost=1)
+    assert cfg == EnvConfig(num_servers=5, miss_prob=0.5, probe_cost=1.0)
+    stored = (cfg.num_servers, cfg.miss_prob, cfg.probe_cost)
+    assert [type(v) for v in stored] == [int, float, float]
 
 
 # ------------------------------------------------------------------- reset
@@ -248,15 +252,14 @@ def test_probe_cost_charged_on_probe(baseline):
 
 
 def test_down_probe_cost_follows_config_flag(baseline):
-    for charge, expect_cost in ((True, 0.2), (False, 0.0)):
-        cfg = replace(baseline, probe_gain=NO_GAIN, charge_down_probes=charge)
-        env = fresh(cfg)
-        env.step(-1, 0)  # server 0 goes down
-        quiet = env.step(-1, -1)[2]
-        env2 = fresh(cfg)
-        env2.step(-1, 0)
-        probed = env2.step(0, -1)[2]
-        assert quiet - probed == pytest.approx(expect_cost, abs=1e-12)
+    cfg = replace(baseline, probe_gain=NO_GAIN)
+    env = fresh(cfg)
+    env.step(-1, 0)  # server 0 goes down
+    quiet = env.step(-1, -1)[2]
+    env2 = fresh(cfg)
+    env2.step(-1, 0)
+    probed = env2.step(0, -1)[2]
+    assert quiet - probed == pytest.approx(cfg.probe_cost, abs=1e-12)
 
 
 def test_reimage_downtime_is_exact(baseline):
@@ -398,13 +401,12 @@ def test_observation_views_expose_player_columns(baseline):
 # ------------------------------------------------------------- lockstep env
 
 
-@pytest.mark.parametrize("charge_down_probes", [True, False])
 @pytest.mark.parametrize("m", range(1, 13))
-def test_batch_env_matches_scalar_env(m, charge_down_probes):
+def test_batch_env_matches_scalar_env(m):
     """Every episode of the lockstep env sees, step by step, exactly the
     observations and rewards of an MtdEnv reset with the same seed."""
     cfg = EnvConfig(num_servers=m, downtime=3, miss_prob=0.3, probe_gain=0.2,
-                    horizon=80, charge_down_probes=charge_down_probes)
+                    horizon=80)
     seeds = [derive_seed(m, "batch", b) for b in range(6)]
     batch = MtdBatchEnv(cfg)
     obs_a, obs_d = batch.reset(seeds)

@@ -85,9 +85,7 @@ def test_heuristic_integer_parameters_checked_when_built():
     for build, name in ((lambda: UniformAdversary(period=0), "period"),
                         (lambda: ControlThresholdDefender(period=-1), "period"),
                         (lambda: ProbeCountPeriodDefender(probe_limit=-4), "probe_limit"),
-                        (lambda: MaxProbeDefender(period=2.5), "period"),
-                        (lambda: ControlThresholdDefender(literal_exponent="no"),
-                         "literal_exponent")):
+                        (lambda: MaxProbeDefender(period=2.5), "period")):
         with pytest.raises(ConfigError, match=name):
             build()
     assert ProbeCountPeriodDefender(period=1, probe_limit=0).probe_limit == 0
@@ -96,6 +94,7 @@ def test_heuristic_integer_parameters_checked_when_built():
 def test_heuristic_float_parameters_checked_when_built():
     for build, name in ((lambda: ControlThresholdAdversary(threshold=-3.0), "threshold"),
                         (lambda: ControlThresholdAdversary(threshold=math.nan), "threshold"),
+                        (lambda: ControlThresholdAdversary(threshold="0.5"), "threshold"),
                         (lambda: ControlThresholdDefender(threshold=7.0), "threshold"),
                         (lambda: ControlThresholdDefender(gain=-1.0), "gain"),
                         (lambda: ControlThresholdDefender(gain=0.0), "gain"),
@@ -203,9 +202,6 @@ def test_expected_control_unprobed_fleet():
 def test_expected_control_single_probed_server():
     obs = obs_of([def_row(progress=4)])
     assert expected_defender_control(obs, 0.05) == pytest.approx(0.818731, abs=1e-6)
-    literal = math.exp(-0.05 * 5)
-    assert expected_defender_control(obs, 0.05, literal_exponent=True) == pytest.approx(
-        literal, abs=1e-12)
 
 
 def test_expected_control_excludes_down_servers():
@@ -230,7 +226,7 @@ def test_control_threshold_defender_cooldown_and_threshold():
 
 
 def test_default_policy_sets(baseline):
-    advs = default_adversaries(baseline)
+    advs = default_adversaries()
     defs = default_defenders(baseline)
     assert [p.label for p in advs] == ["noop", "uniform", "maxprobe",
                                        "control_threshold"]
@@ -341,7 +337,7 @@ BATCH_POLICIES = [
     MaxProbeDefender(period=1),
     ProbeCountPeriodDefender(period=2, probe_limit=3),
     ControlThresholdDefender(threshold=0.9, period=1),
-    ControlThresholdDefender(threshold=0.95, period=2, gain=0.3, literal_exponent=True),
+    ControlThresholdDefender(threshold=0.95, period=2, gain=0.3),
 ]
 
 
@@ -381,8 +377,8 @@ def test_act_batch_matches_act_row_by_row(policy):
     assert acted > 0 or isinstance(policy, NoOpPolicy)
 
 
-@pytest.mark.parametrize("gain,literal", [(0.05, False), (0.05, True), (0.3, False)])
-def test_expected_control_rows_match_scalar_bits(gain, literal):
+@pytest.mark.parametrize("gain", [0.05, 0.3])
+def test_expected_control_rows_match_scalar_bits(gain):
     """On a stack and on each matrix alone, expected_defender_control gives
     the bits of the one-server-at-a-time Python sum it replaced."""
     rng = np.random.default_rng(4)
@@ -394,13 +390,13 @@ def test_expected_control_rows_match_scalar_bits(gain, literal):
         total = 0.0
         for status, k in o[:, [COL_STATUS, COL_PROGRESS]].tolist():
             if status == 1:
-                compromised = 0.0 if k == 0 else 1.0 - math.exp(-gain * (k + 1 if literal else k))
+                compromised = 0.0 if k == 0 else 1.0 - math.exp(-gain * k)
                 total += 1.0 - compromised
         return total
 
     want = [reference(o) for o in obs]
-    assert expected_defender_control(obs, gain, literal).tolist() == want
-    assert [float(expected_defender_control(o, gain, literal)) for o in obs] == want
+    assert expected_defender_control(obs, gain).tolist() == want
+    assert [float(expected_defender_control(o, gain)) for o in obs] == want
 
 
 def reference_payoff(adv, deff, cfg, episodes, seed):
@@ -414,9 +410,9 @@ def reference_payoff(adv, deff, cfg, episodes, seed):
 
 @pytest.mark.parametrize("episodes", [1, 3])
 def test_evaluate_cells_matches_episode_by_episode(episodes):
-    cfg = EnvConfig(num_servers=5, miss_prob=0.1, horizon=120, charge_down_probes=False)
+    cfg = EnvConfig(num_servers=5, miss_prob=0.1, horizon=120)
     rng = np.random.default_rng(4)   # both networks below pick every action, no-op too
-    advs = [*default_adversaries(cfg),
+    advs = [*default_adversaries(),
             QNetworkPolicy(ADVERSARY, QNetwork(25, 6, rng, hidden=(8,)), cfg, "qnet")]
     defs = [*default_defenders(cfg),
             QNetworkPolicy(DEFENDER, QNetwork(25, 6, rng, hidden=(8,)), cfg, "qnet")]
@@ -445,5 +441,5 @@ def test_evaluate_cells_needs_choices(short):
 
 def test_evaluate_cells_chunks_match_one_batch(short):
     cells = [(a, d, derive_seed(8, a.label, d.label))
-             for a in default_adversaries(short) for d in default_defenders(short)]
+             for a in default_adversaries() for d in default_defenders(short)]
     assert evaluate_cells(cells, short, 2, jobs=3) == evaluate_cells(cells, short, 2)

@@ -32,8 +32,7 @@ def toy_net(input_dim=4, output_dim=3, seed=0, hidden=(8, 8)):
 
 
 def zeroed(net: QNetwork) -> QNetwork:
-    for p in net.parameters():
-        p[:] = 0.0
+    net.params[:] = 0.0
     return net
 
 
@@ -229,7 +228,7 @@ def check_against_finite_differences(hidden, seed):
     targets = rng.normal(size=8)
     loss, grad = loss_and_gradients(net, x, actions, targets)
     grads = net.split(grad)
-    params = net.parameters()
+    params = net.split(net.params)
     # the loss is read off the output layer, one gradient per parameter
     q = net.forward(x)[np.arange(8), actions]
     assert loss == pytest.approx(float((q - targets) @ (q - targets)) / 8, rel=1e-12)
@@ -270,13 +269,12 @@ def test_perfect_predictions_leave_parameters_untouched():
     x = np.random.default_rng(3).normal(size=(4, 4))
     actions = np.array([0, 1, 2, 0])
     targets = net.forward(x)[np.arange(4), actions]
-    before = [p.copy() for p in net.parameters()]
+    before = net.params.copy()
     opt = AdamOptimizer(net.params, 0.1)
     # gamma 0 with targets equal to current predictions: zero gradient
     loss = train_step(net, opt, (x, actions, x, targets), 0.0, RewardCenter(0.0))
     assert loss == pytest.approx(0.0, abs=1e-18)
-    for p, b in zip(net.parameters(), before):
-        np.testing.assert_array_equal(p, b)
+    np.testing.assert_array_equal(net.params, before)
 
 
 # --------------------------------------------------------------- optimizers
@@ -296,7 +294,7 @@ def test_adam_matches_array_by_array_reference():
     parameter array in turn, also when the learning rate changes."""
     rng = np.random.default_rng(11)
     net = toy_net(input_dim=5, output_dim=3, hidden=(4, 6))
-    params = net.parameters()
+    params = net.split(net.params)
     ref = [p.copy() for p in params]
     m = [np.zeros_like(p) for p in ref]
     v = [np.zeros_like(p) for p in ref]
@@ -530,8 +528,7 @@ def test_training_is_deterministic(short):
     p1, c1 = run()
     p2, c2 = run()
     assert c1 == c2
-    for a, b in zip(p1.net.parameters(), p2.net.parameters()):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(p1.net.params, p2.net.params)
 
 
 def test_forced_full_exploration_matches_random_play(short):

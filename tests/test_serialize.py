@@ -45,8 +45,7 @@ ALL_HEURISTICS = [
     UniformDefender(period=5),
     MaxProbeDefender(period=6),
     ProbeCountPeriodDefender(period=3, probe_limit=4),
-    ControlThresholdDefender(threshold=0.6, period=2, gain=0.1,
-                             literal_exponent=True),
+    ControlThresholdDefender(threshold=0.6, period=2, gain=0.1),
 ]
 
 
@@ -69,14 +68,6 @@ def test_heuristic_label_not_serialized(baseline, tmp_path):
     p = tmp_path / "x.policy"
     save_policy(pol, p)
     assert load_policy(p, baseline).label == "uniform"
-
-
-@pytest.mark.parametrize("raw,value", [("yes", True), ("false", False)])
-def test_heuristic_booleans_read_like_config_keys(raw, value, baseline, tmp_path):
-    p = tmp_path / "ct.policy"
-    p.write_text(f"heuristic defender control_threshold literal_exponent={raw}\n",
-                 encoding="utf-8")
-    assert load_policy(p, baseline).literal_exponent is value
 
 
 def test_qnet_round_trip_is_exact(baseline, tmp_path):
@@ -239,7 +230,7 @@ def test_registry_entry_bare_line_gets_class_defaults(key, baseline, tmp_path):
 
 
 def test_default_sets_follow_registry_order(baseline):
-    for player, defaults in ((ADVERSARY, default_adversaries(baseline)),
+    for player, defaults in ((ADVERSARY, default_adversaries()),
                              (DEFENDER, default_defenders(baseline))):
         assert [p.label for p in defaults] == [n for pl, n in HEURISTICS if pl == player]
         assert [type(p) for p in defaults] == [c for (pl, _), c in HEURISTICS.items()

@@ -45,8 +45,8 @@ COL_DEF_SINCE_REIMAGE = 4
 # Exponent clamp for the logistic; keeps exp() finite for any slope input.
 _EXP_CLAMP = 500.0
 
-# Uniforms a lockstep episode draws from its generator at a time.
-UNIFORM_BLOCK = 64
+# Raw 64-bit words a lockstep generator takes at a time.
+BLOCK_WORDS = 64
 
 
 class ConfigError(ValueError):
@@ -282,65 +282,86 @@ class MtdEnv:
         return np.array(rows, dtype=np.int64).reshape(-1, 5)
 
 
+class BlockStream:
+    """The numbers of many generators with the bits of their own `random()`
+    and `integers(k)`, read from a block of BLOCK_WORDS `random_raw` words per
+    generator, refilled when used up: a generator runs ahead by its block's
+    unused tail.  The cursor counts 32-bit halves, low half first as PCG64's
+    `next_uint32` gives them.  Nothing else may draw from the generators, a
+    stream serves only uniform pairs or only integers, and rows are distinct."""
+
+    def __init__(self, rngs: list[np.random.Generator]):
+        self.rngs = rngs
+        self.block = np.empty((len(rngs), BLOCK_WORDS), dtype="<u8")
+        self.cursor = np.full(len(rngs), 2 * BLOCK_WORDS)
+
+    def _take(self, rows: np.ndarray, halves: int) -> np.ndarray:
+        """Flat positions, in halves, of each row's next `halves` halves."""
+        for b in rows[self.cursor[rows] > 2 * BLOCK_WORDS - halves].tolist():
+            self.block[b] = self.rngs[b].bit_generator.random_raw(BLOCK_WORDS)
+            self.cursor[b] = 0
+        at = self.cursor[rows]
+        self.cursor[rows] = at + halves
+        return at + rows * (2 * BLOCK_WORDS)
+
+    def uniform_pairs(self, rows: np.ndarray) -> np.ndarray:
+        """Each row's next two `random()` doubles, (word >> 11) * 2**-53, as (2, rows)."""
+        words = self.block.take((self._take(rows, 4) >> 1) + np.arange(2)[:, None])
+        return (words >> 11) * 2.0**-53
+
+    def integers(self, rows: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Each row's `integers(k)`, 2 <= k <= 2**32, by numpy's multiply-and-reject:
+        again while (half * k) & 0xFFFFFFFF < (2**32 - k) % k; masks undo int64 wraps."""
+        m = self.block.view("<u4").take(self._take(rows, 1)) * k
+        i = ((m & 0xFFFFFFFF) < (2**32 - k) % k).nonzero()[0]
+        while i.size:
+            ki = k[i]
+            m[i] = mi = self.block.view("<u4").take(self._take(rows[i], 1)) * ki
+            i = i[(mi & 0xFFFFFFFF) < (2**32 - ki) % ki]
+        return (m >> 32) & 0xFFFFFFFF
+
+
 class MtdBatchEnv:
     """Many independent episodes of the game, stepped in lockstep.
 
     State is one (episodes, num_servers) integer array per `MtdEnv` list,
     each also held flat so that a step indexes it with one array of
     `episode * num_servers + server` positions, and every step follows
-    `MtdEnv.step`'s resolution order.  Each episode keeps its own generator
-    and takes from it exactly the uniforms `MtdEnv` would for the same
-    actions, so episode b run here and an `MtdEnv` reset with `seeds[b]`
-    give identical observations and rewards.  The uniforms are drawn
-    UNIFORM_BLOCK at a time: `random(n)` gives the doubles of n `random()`
-    calls, so a generator only runs ahead by its block's unused tail.
-    Actions are one integer server index per episode, -1 for no-op.
-    Rewards and compromise chances come from the same tables as `MtdEnv`'s.
+    `MtdEnv.step`'s resolution order.  Each episode's generator gives the
+    uniforms `MtdEnv`'s would for the same actions, through a `BlockStream`
+    that runs it ahead by its block's unused tail, so episode b here and an
+    `MtdEnv` reset with `seeds[b]` give identical observations and rewards.
+    Actions are one server index per episode, -1 for no-op.  Rewards and
+    compromise chances come from `MtdEnv`'s tables.
     """
 
     def __init__(self, config: EnvConfig):
         self.cfg = config
         self.tau = 0
-        self.rngs = None
-        u_adv, u_def, compromise = _tables(config)
-        self._u_adv = np.array(u_adv)
-        self._u_def = np.array(u_def)
-        self._compromise = np.array(compromise)
+        self.stream = None
+        self._u_adv, self._u_def, self._compromise = map(np.array, _tables(config))
 
     def reset(self, seeds) -> tuple[np.ndarray, np.ndarray]:
         """Start one fresh episode per seed; returns (episodes, M, 5)
         observation stacks for the adversary and the defender."""
         n, m = len(seeds), self.cfg.num_servers
-        self.rngs = [np.random.default_rng(s) for s in seeds]
+        self.stream = BlockStream([np.random.default_rng(s) for s in seeds])
         self.tau = 0
         self._flat = np.zeros((9, n * m), dtype=np.int64)
         (self.probes, self.adv_owned, self.up_at, self.adv_progress, self.adv_last_probe,
          self.adv_up_at, self.def_probes_seen, self.def_last_probe,
          self.def_last_reimage) = self._flat.reshape(9, n, m)
-        # each episode's next uniforms; a cursor at UNIFORM_BLOCK means none left
-        self._block = np.empty((n, UNIFORM_BLOCK))
-        self._cursor = np.full(n, UNIFORM_BLOCK)
         return self.observe(ADVERSARY), self.observe(DEFENDER)
 
     @property
     def done(self) -> bool:
         return self.tau >= self.cfg.horizon
 
-    def _uniform_pairs(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The next two uniforms of each listed episode, rows distinct."""
-        cursor, block = self._cursor, self._block
-        for b in rows[cursor[rows] == UNIFORM_BLOCK].tolist():
-            block[b] = self.rngs[b].random(UNIFORM_BLOCK)
-            cursor[b] = 0
-        k = cursor[rows]
-        cursor[rows] = k + 2
-        return block[rows, k], block[rows, k + 1]
-
     def step(self, adv_targets: np.ndarray, def_targets: np.ndarray,
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Advance every episode one step; returns (obs_adv, obs_def,
         reward_adv, reward_def)."""
-        if self.rngs is None:
+        if self.stream is None:
             raise RuntimeError("call reset() before step()")
         if self.done:
             raise RuntimeError("episodes are over, call reset()")
@@ -349,7 +370,7 @@ class MtdBatchEnv:
         for targets in (adv_targets, def_targets):
             if not isinstance(targets, np.ndarray):
                 raise TypeError(f"expected an array of server indices, got {targets!r}")
-            if (targets.shape != (len(self.rngs),) or targets.dtype.kind not in "iu"
+            if (targets.shape != (len(self.stream.rngs),) or targets.dtype.kind not in "iu"
                     or ((targets < -1) | (targets >= m)).any()):
                 raise ValueError("expected one integer server index or -1 per episode")
         (probes, adv_owned, up_at, adv_progress, adv_last_probe, adv_up_at,
@@ -364,7 +385,7 @@ class MtdBatchEnv:
         r, c = rows[up], cells[up]
         if r.size:
             probes[c] += 1
-            hit, seen = self._uniform_pairs(r)
+            hit, seen = self.stream.uniform_pairs(r)
             adv_owned[c] |= hit < self._compromise[probes[c]]
             adv_progress[c] += 1
             adv_last_probe[c] = resolve
@@ -403,7 +424,7 @@ class MtdBatchEnv:
         return self.observe(ADVERSARY), self.observe(DEFENDER), reward_adv, reward_def
 
     def observe(self, player: str) -> np.ndarray:
-        if self.rngs is None:
+        if self.stream is None:
             raise RuntimeError("call reset() first")
         tau = self.tau
         if player == ADVERSARY:

@@ -8,10 +8,10 @@ servers would only take them down for nothing.
 Every policy answers in two ways.  `act(obs, tau, rng)` picks the server
 for one episode, -1 for no-op; `run_episode` uses it.  `choices(obs, tau)`
 states, for a stack of episodes, the candidate mask and score that
-`_pick_rows` draws from; `evaluate_cells` gathers the choices of all the
-policies on one side into one mask and resolves them with one pick.  For
-the same observations both choose the same servers and draw the same
-numbers from each episode's generator.  A heuristic states its rule once,
+`_pick_rows` draws from; `evaluate_cells` resolves the choices of all the
+policies of both sides with one pick per step.  For the same observations
+both choose the same servers and draw the same numbers from each episode's
+generator, up to a block's unused tail.  A heuristic states its rule once,
 in `choices`, which reads one (M, 5) observation or an (n, M, 5) stack.
 """
 
@@ -32,6 +32,7 @@ from mtdgame.env import (
     COL_PROGRESS,
     COL_STATUS,
     DEFENDER,
+    BlockStream,
     EnvConfig,
     MtdBatchEnv,
     MtdEnv,
@@ -139,10 +140,11 @@ def _pick(candidates: np.ndarray, score: np.ndarray | None,
 
 
 def _pick_rows(candidates: np.ndarray, score: np.ndarray | None,
-               rngs: list[np.random.Generator]) -> np.ndarray:
+               stream: BlockStream) -> np.ndarray:
     """`_pick` on each row of an (n, M) candidate mask: the chosen server
     per row, -1 where there is none.  `score` is (n, M) and nonnegative.
-    Only rows left with two or more candidates draw, from their own rng."""
+    Only rows left with two or more candidates draw `_pick`'s number from
+    their generator in `stream`, which runs ahead by its block's tail."""
     if score is not None:
         top = np.where(candidates, score, -1).max(axis=1, keepdims=True)
         candidates = candidates & (score == top)
@@ -150,9 +152,8 @@ def _pick_rows(candidates: np.ndarray, score: np.ndarray | None,
     picks = np.where(count > 0, candidates.argmax(axis=1), -1)
     rows = (count > 1).nonzero()[0]
     if rows.size:
-        draws = [rngs[r].integers(k) for r, k in zip(rows.tolist(), count[rows].tolist())]
-        # the server of the draws[i]-th candidate (from 0) in row rows[i]
-        before = np.cumsum(candidates[rows], axis=1) <= np.array(draws)[:, None]
+        # the server of the drawn candidate, counting from 0, in each row of rows
+        before = np.cumsum(candidates[rows], axis=1) <= stream.integers(rows, count[rows])[:, None]
         picks[rows] = before.sum(axis=1)
     return picks
 
@@ -392,15 +393,17 @@ def evaluate_cells(cells: list[tuple[PurePolicy, PurePolicy, int]], cfg: EnvConf
     all episodes of all cells step together in one `MtdBatchEnv`.  With
     jobs > 1 the cells are split into that many contiguous chunks, each
     run in lockstep in its own process; the results do not depend on it.
+    `episodes` and `jobs` must be integers >= 1, else ValueError.
     """
-    if episodes < 1:
-        raise ValueError("episodes must be >= 1")
+    for name, value in (("episodes", episodes), ("jobs", jobs)):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     for adv, deff, _ in cells:
         if adv.player != ADVERSARY or deff.player != DEFENDER:
             raise ValueError("cells need (adversary, defender) in that order")
-    jobs = min(jobs, len(cells))
+    episodes, jobs = int(episodes), min(int(jobs), len(cells))
     if jobs <= 1:
-        return _lockstep(cells, cfg, episodes)
+        return _lockstep(cells, cfg, episodes) if cells else []
     bounds = [len(cells) * k // jobs for k in range(jobs + 1)]
     chunks = [cells[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
     # imported here: a one-process run should not pay its start-up time and memory
@@ -415,47 +418,43 @@ def _lockstep(cells, cfg: EnvConfig, episodes: int) -> list[PairPayoff]:
     seeds = [derive_seed(seed, "episode", e) for _, _, seed in cells for e in range(episodes)]
     env = MtdBatchEnv(cfg)
     obs_a, obs_d = env.reset([derive_seed(s, "env") for s in seeds])
-    # each policy states its choices once per step, on all the episodes it
-    # plays in, into its side's mask and score; one pick per side resolves them
+    # each side lists its episodes policy by policy, so that a policy's rows of
+    # the side's observations, mask and score are one slice
     sides = []
-    for side, col in (("adv", 0), ("def", 1)):
+    for col in (0, 1):
         members: dict[int, tuple[PurePolicy, list[int]]] = {}
         for c, cell in enumerate(cells):
             members.setdefault(id(cell[col]), (cell[col], []))[1].extend(
                 range(c * episodes, (c + 1) * episodes))
-        # a slice where the episodes of a policy are contiguous, so obs[idx] is a view
-        sides.append(([(policy, slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1
-                        else np.array(idx)) for policy, idx in members.values()],
-                      [spawn_rng(s, side) for s in seeds]))
+        rows, groups = [], []
+        for policy, idx in members.values():
+            groups.append((policy, slice(len(rows), len(rows) + len(idx))))
+            rows += idx
+        sides.append((np.array(rows), groups))
+    stream = BlockStream([spawn_rng(seeds[e], side)
+                          for side, (rows, _) in zip(("adv", "def"), sides) for e in rows])
+    # one pick resolves both sides, adversary first; `back` puts its rows in episode order
+    back = np.empty(2 * len(seeds), dtype=np.int64)
+    back[np.concatenate([sides[0][0], sides[1][0] + len(seeds)])] = np.arange(2 * len(seeds))
     mask = np.empty((2, len(seeds), cfg.num_servers), dtype=bool)
     score = np.empty((2, len(seeds), cfg.num_servers), dtype=np.int64)
-    ret_a = np.zeros(len(seeds))
-    ret_d = np.zeros(len(seeds))
+    ret = np.zeros((2, len(seeds)))
     g = 1.0
     for t in range(cfg.horizon):
-        acts = []
-        for obs, (groups, rngs), side_mask, side_score in zip((obs_a, obs_d), sides, mask, score):
+        for obs, (rows, groups), side_mask, side_score in zip((obs_a, obs_d), sides, mask, score):
+            obs = obs.take(rows, axis=0)
             for policy, idx in groups:
-                found = policy.choices(obs[idx], t)
-                if found is None:
-                    side_mask[idx] = False
-                else:
-                    side_mask[idx] = found[0]
-                    side_score[idx] = 0 if found[1] is None else found[1]
-            acts.append(_pick_rows(side_mask, side_score, rngs))
-        obs_a, obs_d, r_a, r_d = env.step(*acts)
-        ret_a += g * r_a
-        ret_d += g * r_d
+                side_mask[idx], policy_score = policy.choices(obs[idx], t) or (False, None)
+                side_score[idx] = 0 if policy_score is None else policy_score
+        acts = _pick_rows(mask.reshape(-1, cfg.num_servers),
+                          score.reshape(-1, cfg.num_servers), stream)[back]
+        obs_a, obs_d, *rewards = env.step(*acts.reshape(2, -1))
+        ret += g * np.array(rewards)
         g *= cfg.discount
-    payoffs = []
-    for ra, rd in zip(ret_a.reshape(-1, episodes), ret_d.reshape(-1, episodes)):
-        if episodes == 1:
-            se_a = se_d = 0.0
-        else:
-            se_a = float(ra.std(ddof=1) / math.sqrt(episodes))
-            se_d = float(rd.std(ddof=1) / math.sqrt(episodes))
-        payoffs.append(PairPayoff(float(ra.mean()), float(rd.mean()), se_a, se_d, episodes))
-    return payoffs
+    ret = ret.reshape(2, -1, episodes)   # (player, cell, episode)
+    u = ret.mean(axis=2)
+    se = ret.std(axis=2, ddof=1) / math.sqrt(episodes) if episodes > 1 else np.zeros_like(u)
+    return [PairPayoff(*map(float, cell), episodes) for cell in zip(*u, *se)]
 
 
 def evaluate_pair(adv: PurePolicy, deff: PurePolicy, cfg: EnvConfig,

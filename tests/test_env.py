@@ -12,8 +12,9 @@ from mtdgame.env import (
     COL_PROGRESS,
     COL_STATUS,
     COL_TIME_TO_UP,
+    BLOCK_WORDS,
     DEFENDER,
-    UNIFORM_BLOCK,
+    BlockStream,
     ConfigError,
     EnvConfig,
     MtdBatchEnv,
@@ -401,6 +402,44 @@ def test_observation_views_expose_player_columns(baseline):
 # ------------------------------------------------------------- lockstep env
 
 
+@pytest.mark.parametrize("k", [*range(2, 11), 2**31 + 1, 2**32 - 5, 2**32])
+def test_block_stream_integers_match_numpy(k, catch_up):
+    """From fresh generators, BlockStream.integers gives the installed
+    numpy's Generator.integers(k) and leaves each generator where it does,
+    up to its block's unused tail.  At k = 2**31 + 1 about half the halves
+    are rejected, so the rejection path is checked against numpy too; near
+    2**32 the int64 product wraps for about half the halves."""
+    rngs = [np.random.default_rng(s) for s in range(6)]
+    stream = BlockStream([np.random.default_rng(s) for s in range(6)])
+    pick = np.random.default_rng(k)
+    draws = np.zeros(6, dtype=int)
+    halves = 0
+    for _ in range(300):
+        rows = np.flatnonzero(pick.random(6) < 0.7)
+        before = stream.cursor.copy()
+        got = stream.integers(rows, np.full(rows.size, k))
+        assert got.tolist() == [rngs[r].integers(k) for r in rows]
+        draws[rows] += 1
+        halves += ((stream.cursor - before) % (2 * BLOCK_WORDS)).sum()
+    catch_up(rngs, stream)
+    assert (draws > 2 * BLOCK_WORDS).all()   # every block was refilled
+    assert halves > 1.5 * draws.sum() if k == 2**31 + 1 else halves == draws.sum()
+
+
+def test_block_stream_uniforms_match_random(catch_up):
+    rngs = [np.random.default_rng(s) for s in range(5)]
+    stream = BlockStream([np.random.default_rng(s) for s in range(5)])
+    pick = np.random.default_rng(0)
+    draws = np.zeros(5, dtype=int)
+    for _ in range(200):
+        rows = np.flatnonzero(pick.random(5) < 0.5)
+        want = np.array([[rngs[r].random(), rngs[r].random()] for r in rows]).reshape(-1, 2)
+        np.testing.assert_array_equal(stream.uniform_pairs(rows), want.T)
+        draws[rows] += 2
+    catch_up(rngs, stream)
+    assert (draws > BLOCK_WORDS).all()   # every block was refilled
+
+
 @pytest.mark.parametrize("m", range(1, 13))
 def test_batch_env_matches_scalar_env(m):
     """Every episode of the lockstep env sees, step by step, exactly the
@@ -429,11 +468,12 @@ def test_batch_env_matches_scalar_env(m):
             np.testing.assert_array_equal(obs_d[b], one_d)
             assert (rew_a[b], rew_d[b]) == (one_ra, one_rd)
     # the batch draws its uniforms a block at a time, so its generator is
-    # ahead of MtdEnv's by exactly the unused tail of the current block
-    for env, rng_b, cursor in zip(envs, batch.rngs, batch._cursor):
-        env.rng.random(UNIFORM_BLOCK - cursor)
+    # ahead of MtdEnv's by exactly the unused tail of the current block,
+    # whose cursor counts 32-bit halves
+    for env, rng_b, cursor in zip(envs, batch.stream.rngs, batch.stream.cursor):
+        env.rng.random(BLOCK_WORDS - cursor // 2)
         assert env.rng.bit_generator.state == rng_b.bit_generator.state
-    assert (draws > UNIFORM_BLOCK).any()   # some episode refilled its block
+    assert (draws > BLOCK_WORDS).any()   # some episode refilled its block
     assert all(env.done for env in envs)
 
 

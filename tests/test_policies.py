@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mtdgame import policies
 from mtdgame.env import (
     ADVERSARY,
     COL_PROGRESS,
     COL_STATUS,
     DEFENDER,
+    BlockStream,
     ConfigError,
     EnvConfig,
     MtdBatchEnv,
@@ -350,30 +353,29 @@ BATCH_CASE_NUMBERS = [424, 64, 488, 832, 856, 0, 24, 152, 128,
 @pytest.mark.parametrize("policy", BATCH_POLICIES, ids=[
     f"{p.player[:3]}-{p.label}-{k}"
     for p, k in zip(BATCH_POLICIES, BATCH_CASE_NUMBERS, strict=True)])
-def test_act_batch_matches_act_row_by_row(policy):
+def test_act_batch_matches_act_row_by_row(policy, catch_up):
     """On the observations of real episodes, `_pick_rows` over `choices`
     picks what act picks for every episode, and leaves every episode's
-    generator where act does."""
+    generator where act does, up to its block's unused tail."""
     cfg = EnvConfig(num_servers=6, downtime=3, probe_gain=0.15, miss_prob=0.2, horizon=150)
     n = 12
     env = MtdBatchEnv(cfg)
     obs = env.reset([derive_seed(5, "obs", b) for b in range(n)])[policy.player != ADVERSARY]
     row_rngs = [np.random.default_rng(b) for b in range(n)]
-    batch_rngs = [np.random.default_rng(b) for b in range(n)]
+    stream = BlockStream([np.random.default_rng(b) for b in range(n)])
     play = np.random.default_rng(9)
     acted = 0
     while not env.done:
         tau = env.tau
         want = [policy.act(o, tau, rng) for o, rng in zip(obs, row_rngs)]
         found = policy.choices(obs, tau)
-        got = [-1] * n if found is None else _pick_rows(*found, batch_rngs).tolist()
+        got = [-1] * n if found is None else _pick_rows(*found, stream).tolist()
         assert got == want, f"step {tau}"
         acted += sum(a >= 0 for a in want)
         adv = np.where(play.random(n) < 0.8, play.integers(0, 6, n), -1)
         deff = np.where(play.random(n) < 0.15, play.integers(0, 6, n), -1)
         obs = env.step(adv, deff)[policy.player != ADVERSARY]
-    assert [r.bit_generator.state for r in row_rngs] == \
-        [r.bit_generator.state for r in batch_rngs]
+    catch_up(row_rngs, stream)
     assert acted > 0 or isinstance(policy, NoOpPolicy)
 
 
@@ -443,3 +445,43 @@ def test_evaluate_cells_chunks_match_one_batch(short):
     cells = [(a, d, derive_seed(8, a.label, d.label))
              for a in default_adversaries() for d in default_defenders(short)]
     assert evaluate_cells(cells, short, 2, jobs=3) == evaluate_cells(cells, short, 2)
+
+
+def test_evaluate_cells_takes_cells_in_any_order(short):
+    """Policies that recur in scattered cells, and a cell given twice, get
+    the payoffs that each cell gets alone."""
+    advs, defs = default_adversaries(), default_defenders(short)
+    rng = np.random.default_rng(6)
+    cells = [(advs[a], defs[d], int(s)) for a, d, s in
+             zip(rng.integers(0, 4, 12), rng.integers(0, 5, 12), rng.integers(0, 3, 12))]
+    cells.append(cells[0])
+    assert evaluate_cells(cells, short, 2) == [evaluate_cells([c], short, 2)[0] for c in cells]
+
+
+def test_evaluate_cells_without_cells_steps_nothing(short, monkeypatch):
+    def no_batch(*args):
+        raise AssertionError("stepped a batch without cells")
+
+    monkeypatch.setattr(policies, "_lockstep", no_batch)
+    assert evaluate_cells([], short, 3) == []
+    assert evaluate_cells([], short, 3, jobs=4) == []
+
+
+@pytest.mark.parametrize("counts", [
+    {"episodes": 0}, {"episodes": -1}, {"episodes": 2.0}, {"episodes": True},
+    {"episodes": np.bool_(True)}, {"jobs": 0}, {"jobs": -2}, {"jobs": 1.0}, {"jobs": True}])
+def test_evaluate_cells_rejects_bad_counts(short, counts):
+    cells = [(NoOpPolicy(ADVERSARY), NoOpPolicy(DEFENDER), 0)]
+    name, value = next(iter(counts.items()))
+    message = f"^{name} must be an integer >= 1, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        evaluate_cells(cells, short, **{"episodes": 1, **counts})
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        evaluate_cells([], short, **{"episodes": 1, **counts})
+
+
+def test_evaluate_cells_stores_counts_as_int(short):
+    cells = [(NoOpPolicy(ADVERSARY), NoOpPolicy(DEFENDER), 0)]
+    [pp] = evaluate_cells(cells, short, np.int64(2), jobs=np.int32(1))
+    assert type(pp.episodes) is int and pp.episodes == 2
+    assert evaluate_cells(cells, short, 2) == [pp]

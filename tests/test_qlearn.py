@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mtdgame.env import ADVERSARY, DEFENDER, ConfigError, EnvConfig, MtdEnv
+from mtdgame.env import ADVERSARY, DEFENDER, BlockStream, ConfigError, EnvConfig, MtdEnv
 from mtdgame.policies import MixedStrategy, NoOpPolicy, UniformAdversary, _pick_rows
 from mtdgame.qlearn import (
     AdamOptimizer,
@@ -158,7 +158,7 @@ def test_canonical_order_downtime_limit(player, others):
 
 
 @pytest.mark.parametrize("hidden", [(32, 32), (7,), ()])
-def test_greedy_policy_act_batch_matches_act(hidden):
+def test_greedy_policy_act_batch_matches_act(hidden, catch_up):
     rng = np.random.default_rng(len(hidden))
     cfg = EnvConfig(num_servers=6)
     for trial in range(30):
@@ -169,12 +169,11 @@ def test_greedy_policy_act_batch_matches_act(hidden):
         pol = QNetworkPolicy(player, net, cfg, "qnet")
         obs = random_observations(rng, int(rng.integers(1, 80)), 6, cfg.downtime)
         row_rngs = [np.random.default_rng(i) for i in range(len(obs))]
-        batch_rngs = [np.random.default_rng(i) for i in range(len(obs))]
+        stream = BlockStream([np.random.default_rng(i) for i in range(len(obs))])
         want = [pol.act(o, 0, r) for o, r in zip(obs, row_rngs)]
-        got = _pick_rows(*pol.choices(obs, 0), batch_rngs)
+        got = _pick_rows(*pol.choices(obs, 0), stream)
         assert got.tolist() == want
-        assert [r.bit_generator.state for r in row_rngs] == \
-            [r.bit_generator.state for r in batch_rngs]
+        catch_up(row_rngs, stream)
 
 
 # ------------------------------------------------------------------ network

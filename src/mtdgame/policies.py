@@ -436,13 +436,17 @@ def _lockstep(cells, cfg: EnvConfig, episodes: int) -> list[PairPayoff]:
     # one pick resolves both sides, adversary first; `back` puts its rows in episode order
     back = np.empty(2 * len(seeds), dtype=np.int64)
     back[np.concatenate([sides[0][0], sides[1][0] + len(seeds)])] = np.arange(2 * len(seeds))
+    # a side whose rows are already in episode order needs no copy of its observations
+    sides = [(None if (rows == np.arange(len(rows))).all() else rows, groups)
+             for rows, groups in sides]
     mask = np.empty((2, len(seeds), cfg.num_servers), dtype=bool)
     score = np.empty((2, len(seeds), cfg.num_servers), dtype=np.int64)
     ret = np.zeros((2, len(seeds)))
     g = 1.0
     for t in range(cfg.horizon):
         for obs, (rows, groups), side_mask, side_score in zip((obs_a, obs_d), sides, mask, score):
-            obs = obs.take(rows, axis=0)
+            if rows is not None:
+                obs = obs.take(rows, axis=0)
             for policy, idx in groups:
                 side_mask[idx], policy_score = policy.choices(obs[idx], t) or (False, None)
                 side_score[idx] = 0 if policy_score is None else policy_score

@@ -31,6 +31,15 @@ Three rules make the trained response a real best response at desk scale:
   zero over training, so the final network, whose greedy policy is
   returned, is not the last point of a jittering walk over nearly tied
   action values.
+
+Each update runs one forward pass, over the (2, batch, input_dim) stack of
+a replay sample's states and next states, which the buffer's rows hold
+side by side: slice 0 feeds backpropagation, slice 1 the targets.  numpy's
+stacked matmul runs the same gemm on each slice, with the strides of a
+(batch, input_dim) product, so the update keeps the bits of two separate
+passes; one (2 * batch, input_dim) matrix would round differently (it did
+in 300 of 300 trials).  A training run keeps its update's arrays in one
+`Workspace`, so an update allocates no array.
 """
 
 from __future__ import annotations
@@ -202,50 +211,91 @@ class QNetwork:
             start += fan_out
         return views
 
-    def forward(self, x: np.ndarray, inputs: list | None = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, inputs: list | None = None,
+                out: list[np.ndarray] | None = None) -> np.ndarray:
         """Action values of an input vector, or of each one in a stack of
         them (..., input_dim).  A list passed as `inputs` receives each
-        layer's input, for backpropagation.  Stacks shaped (n, 1, input_dim)
-        give each row the same value bits as a call on that row alone; an
-        (n, input_dim) matrix product may round differently."""
+        layer's input, for backpropagation; arrays passed as `out`, one per
+        layer, receive each layer's output, and the result is `out[-1]`.
+        Stacks shaped (n, 1, input_dim) give each row the same value bits
+        as a call on that row alone; an (n, input_dim) matrix product may
+        round differently."""
         h = x
         last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             if inputs is not None:
                 inputs.append(h)
-            h = h @ w.T
+            h = np.matmul(h, w.T, out=None if out is None else out[k])
             h += b
             if k != last:
                 np.tanh(h, out=h)
         return h
 
 
-def loss_and_gradients(net: QNetwork, x: np.ndarray, actions: np.ndarray,
-                       targets: np.ndarray, out: np.ndarray | None = None,
-                       ) -> tuple[float, np.ndarray]:
+class Workspace:
+    """The arrays of one update at fixed shapes, reused by a training run,
+    so that an update allocates none; each update overwrites the last.
+    `rows` takes a replay sample, `layers` each layer's output over its
+    (2, batch, input_dim) stack, `grad` the gradient."""
+
+    def __init__(self, net: QNetwork, batch: int):
+        self.rows = np.empty((batch, 2 * net.input_dim + 2))
+        self.layers = [np.empty((2, batch, n)) for n in net.dims[1:]]
+        # backpropagation runs on slice 0 of the stack, the obs half
+        self.hidden = [h[0] for h in self.layers[:-1]]
+        self.dz = [np.empty((batch, n)) for n in net.dims[1:]]
+        self.slope = [np.empty((batch, n)) for n in net.dims[1:-1]]
+        self.offsets = np.arange(batch) * net.output_dim   # of each row of q, flattened
+        self.index = np.empty(batch, dtype=np.int64)
+        self.diff = np.empty(batch)
+        self.centered = np.empty(batch)
+        self.targets = np.empty(batch)
+        self.grad = np.empty_like(net.params)
+        self.grads = net.split(self.grad)
+
+
+def loss_and_gradients(net: QNetwork, inputs: list[np.ndarray], q: np.ndarray,
+                       actions: np.ndarray, targets: np.ndarray,
+                       work: Workspace | None = None) -> tuple[float, np.ndarray]:
     """Mean squared error on the taken actions' values, with its gradient.
 
-    Only the chosen action's output contributes per sample; the gradient is
-    one vector laid out like net.params, written into `out` if given.
+    `inputs` and `q` are one forward pass's layer inputs and output
+    (`net.forward(x, inputs)`), at the parameters the gradient is for.
+    Only the chosen action's output contributes per sample; `actions`
+    holds action indices, as integers or integral floats.  The
+    gradient is one vector laid out like net.params: `work.grad`, which
+    the next update overwrites, when a Workspace is given, else a new one.
     """
-    batch = x.shape[0]
-    inputs: list[np.ndarray] = []
-    q = net.forward(x, inputs)
-    rows = np.arange(batch)
-    diff = q[rows, actions] - targets
+    batch = len(q)
+    if work is None:
+        work = Workspace(net, batch)
+    index, diff = work.index, work.diff
+    index[:] = actions
+    # one test for both ends: a negative action wraps to a huge unsigned one
+    if index.view(np.uint64).max() >= q.shape[1]:
+        raise IndexError(f"actions must lie in [0, {q.shape[1]})")
+    # q[rows, actions] as one gather from q flattened
+    index += work.offsets
+    q.take(index, out=diff, mode="clip")
+    diff -= targets
     loss = float(diff @ diff) / batch
     # backward, from the linear head down to the first layer
-    dz = np.zeros_like(q)
-    dz[rows, actions] = 2.0 * diff / batch
-    grad = np.empty_like(net.params) if out is None else out
-    views = net.split(grad)
+    dz = work.dz[-1]
+    dz.fill(0.0)
+    diff *= 2.0
+    diff /= batch
+    dz.put(index, diff)
+    grads = work.grads
     for k in range(len(inputs) - 1, -1, -1):
-        np.add.reduce(dz, axis=0, out=views[2 * k + 1])
-        np.matmul(dz.T, inputs[k], out=views[2 * k])
+        np.add.reduce(dz, axis=0, out=grads[2 * k + 1])
+        np.matmul(dz.T, inputs[k], out=grads[2 * k])
         if k:
-            below = inputs[k]
-            dz = (dz @ net.weights[k]) * (1.0 - below * below)
-    return loss, grad
+            slope = work.slope[k - 1]
+            np.multiply(inputs[k], inputs[k], out=slope)
+            np.subtract(1.0, slope, out=slope)
+            dz = np.matmul(dz, net.weights[k], out=work.dz[k - 1])
+            dz *= slope
+    return loss, work.grad
 
 
 class AdamOptimizer:
@@ -275,7 +325,8 @@ class AdamOptimizer:
         b2c = 1.0 - self.beta2 ** self.t
         m, v, step, denom = self.m, self.v, self._step, self._denom
         m *= self.beta1
-        m += (1.0 - self.beta1) * grad
+        np.multiply(grad, 1.0 - self.beta1, out=step)
+        m += step
         v *= self.beta2
         np.multiply(grad, grad, out=denom)
         denom *= 1.0 - self.beta2
@@ -294,9 +345,11 @@ class SgdOptimizer:
     def __init__(self, params: np.ndarray, learning_rate: float):
         self.params = params
         self.lr = learning_rate
+        self._step = np.empty(params.size)
 
     def apply(self, grad: np.ndarray) -> None:
-        self.params -= self.lr * grad
+        np.multiply(grad, self.lr, out=self._step)
+        self.params -= self._step
 
 
 class ReplayBuffer:
@@ -325,10 +378,14 @@ class ReplayBuffer:
         self._pos = (self._pos + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
-    def sample(self, batch: int, rng: np.random.Generator):
+    def sample(self, batch: int, rng: np.random.Generator, out: np.ndarray | None = None):
+        """`batch` transitions drawn uniformly with replacement, as views
+        (states, actions, rewards) of `out`, which the next sample into it
+        overwrites, or of a new array; `states` stacks obs and next_obs as
+        (2, batch, obs_dim), and actions are floats."""
         d = self.obs_dim
-        rows = self.rows[rng.integers(self.size, size=batch)]
-        return rows[:, :d], rows[:, -2].astype(np.int64), rows[:, d:2 * d], rows[:, -1]
+        rows = self.rows.take(rng.integers(self.size, size=batch), axis=0, out=out, mode="clip")
+        return rows[:, :2 * d].reshape(batch, 2, d).transpose(1, 0, 2), rows[:, -2], rows[:, -1]
 
 
 def epsilon_value(tc: TrainConfig, step: int, total_steps: int) -> float:
@@ -356,26 +413,34 @@ class RewardCenter:
     value: float = 0.0
 
 
-def td_targets(net: QNetwork, next_obs: np.ndarray, rewards: np.ndarray,
-               gamma: float) -> np.ndarray:
-    """One-step targets r + gamma * max_a' Q(s', a'), bootstrapped also at
-    an episode's last step (see the module docstring)."""
-    q_next = net.forward(np.atleast_2d(next_obs))
-    return rewards + gamma * q_next.max(axis=1)
+def td_targets(q_next: np.ndarray, rewards: np.ndarray, gamma: float,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """One-step targets r + gamma * max_a' Q(s', a') from the next states'
+    action values `q_next` (batch, actions), bootstrapped also at an
+    episode's last step (see the module docstring).  Written into `out`
+    if given, which must not be `rewards`, else into a new array."""
+    out = np.maximum.reduce(q_next, axis=1, out=out)
+    out *= gamma
+    out += rewards
+    return out
 
 
 def train_step(net: QNetwork, optimizer, batch, gamma: float,
-               center: RewardCenter, grad: np.ndarray | None = None) -> float:
-    """One gradient update; returns the pre-update loss.
+               center: RewardCenter, work: Workspace) -> float:
+    """One gradient update from a batch (states, actions, rewards) laid out
+    as `ReplayBuffer.sample` returns it; returns the pre-update loss.
 
-    Targets use r - center.value, and the center then follows the batch's
-    mean TD error.  `grad`, laid out like net.params, receives the gradient.
+    One forward pass over the (2, batch, input_dim) stack gives Q(s, .)
+    and Q(s', .).  Targets use r - center.value, and the center then
+    follows the batch's mean TD error.  `work` holds the update's arrays.
     """
-    obs, actions, next_obs, rewards = batch
-    y = td_targets(net, next_obs, rewards - center.value, gamma)
-    loss, grad = loss_and_gradients(net, obs, actions, y, grad)
-    # the output-bias gradient, the tail of grad, sums to 2 * mean(Q(s, a) - y)
-    center.value -= 0.5 * center.step * float(grad[-net.output_dim:].sum())
+    states, actions, rewards = batch
+    q = net.forward(states, out=work.layers)
+    np.subtract(rewards, center.value, out=work.centered)
+    y = td_targets(q[1], work.centered, gamma, out=work.targets)
+    loss, grad = loss_and_gradients(net, [states[0], *work.hidden], q[0], actions, y, work)
+    # the output-bias gradient sums to 2 * mean(Q(s, a) - y)
+    center.value -= 0.5 * center.step * float(work.grads[-1].sum())
     optimizer.apply(grad)
     return loss
 
@@ -392,7 +457,7 @@ class QNetworkPolicy(PurePolicy):
 
     def act(self, obs, tau, rng):
         x, order = canonical_input(self.player, obs, self.cfg)
-        a = int(np.argmax(self.net.forward(x)))
+        a = int(self.net.forward(x).argmax())
         return -1 if a == self.cfg.num_servers else int(order[a])
 
     def choices(self, obs, tau):
@@ -440,7 +505,7 @@ def train_best_response(player: str, opponents: list[PurePolicy],
     optimizer = (SgdOptimizer if tc.optimizer == "sgd" else AdamOptimizer)(
         net.params, tc.learning_rate)
     buf = ReplayBuffer(tc.replay_capacity, obs_dim)
-    grad = np.empty_like(net.params)
+    work = Workspace(net, tc.batch_size)
     center = RewardCenter(_CENTER_STEP)
     explore_rng = spawn_rng(tc.seed, "explore")
     replay_rng = spawn_rng(tc.seed, "replay")
@@ -463,7 +528,7 @@ def train_best_response(player: str, opponents: list[PurePolicy],
             if explore_rng.random() < epsilon_value(tc, gstep, total_steps):
                 a_idx = int(explore_rng.integers(n_actions))
             else:
-                a_idx = int(np.argmax(net.forward(x)))
+                a_idx = int(net.forward(x).argmax())
             my_action = -1 if a_idx == m else int(order[a_idx])
             opp_action = opponent.act(opp_obs, t, opp_rng)
             if player == ADVERSARY:
@@ -475,8 +540,8 @@ def train_best_response(player: str, opponents: list[PurePolicy],
             optimizer.lr = learning_rate_value(tc, gstep, total_steps)
             center.step = _CENTER_STEP * (optimizer.lr / tc.learning_rate)
             if len(buf) >= tc.batch_size:
-                loss = train_step(net, optimizer, buf.sample(tc.batch_size, replay_rng),
-                                  env_cfg.discount, center, grad)
+                loss = train_step(net, optimizer, buf.sample(tc.batch_size, replay_rng, work.rows),
+                                  env_cfg.discount, center, work)
                 if not math.isfinite(loss):
                     raise NumericalError(f"non-finite loss at step {gstep}")
             disc += g * r

@@ -19,11 +19,6 @@ def short(baseline) -> EnvConfig:
     return replace(baseline, horizon=50)
 
 
-def discounted_constant(reward: float, gamma: float, horizon: int) -> float:
-    """Closed-form discounted sum of a constant per-step reward."""
-    return reward * (1.0 - gamma ** horizon) / (1.0 - gamma)
-
-
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(7)

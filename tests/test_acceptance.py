@@ -154,6 +154,13 @@ def test_c3_nash_solver_property_suite():
     assert elapsed < 60.0, f"property suite took {elapsed:.0f}s, budget 60s"
 
 
+def loss_at(net, x, actions, targets):
+    """Loss and gradient at one forward pass over the inputs x."""
+    inputs: list = []
+    q = net.forward(x, inputs)
+    return loss_and_gradients(net, inputs, q, actions, targets)
+
+
 def test_c4_gradient_check_against_finite_differences():
     t0 = time.monotonic()
     rng = np.random.default_rng(8)
@@ -163,7 +170,7 @@ def test_c4_gradient_check_against_finite_differences():
         x = rng.normal(size=(8, 10))
         actions = rng.integers(0, 3, size=8)
         targets = rng.normal(size=8) * 5.0
-        _, grad = loss_and_gradients(net, x, actions, targets)
+        _, grad = loss_at(net, x, actions, targets)
         grads = net.split(grad)
         params = net.split(net.params)
         for _ in range(12):
@@ -173,9 +180,9 @@ def test_c4_gradient_check_against_finite_differences():
             saved = flat[idx]
             h = 1e-5 * (1.0 + abs(saved))
             flat[idx] = saved + h
-            plus, _ = loss_and_gradients(net, x, actions, targets)
+            plus, _ = loss_at(net, x, actions, targets)
             flat[idx] = saved - h
-            minus, _ = loss_and_gradients(net, x, actions, targets)
+            minus, _ = loss_at(net, x, actions, targets)
             flat[idx] = saved
             fd = (plus - minus) / (2 * h)
             an = grads[k].ravel()[idx]

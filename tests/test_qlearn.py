@@ -16,6 +16,7 @@ from mtdgame.qlearn import (
     RewardCenter,
     SgdOptimizer,
     TrainConfig,
+    Workspace,
     canonical_input,
     epsilon_value,
     learning_rate_value,
@@ -218,6 +219,13 @@ def test_forward_batch_consistent_with_single():
 # ---------------------------------------------------------------- gradients
 
 
+def loss_at(net, x, actions, targets):
+    """Loss and gradient at one forward pass over the inputs x."""
+    inputs: list = []
+    q = net.forward(x, inputs)
+    return loss_and_gradients(net, inputs, q, actions, targets)
+
+
 def check_against_finite_differences(hidden, seed):
     """Compare every returned gradient with central differences of the loss."""
     rng = np.random.default_rng(seed)
@@ -225,7 +233,7 @@ def check_against_finite_differences(hidden, seed):
     x = rng.normal(size=(8, 6))
     actions = rng.integers(4, size=8)
     targets = rng.normal(size=8)
-    loss, grad = loss_and_gradients(net, x, actions, targets)
+    loss, grad = loss_at(net, x, actions, targets)
     grads = net.split(grad)
     params = net.split(net.params)
     # the loss is read off the output layer, one gradient per parameter
@@ -238,9 +246,9 @@ def check_against_finite_differences(hidden, seed):
         for idx in rng.choice(flat.size, size=min(10, flat.size), replace=False):
             orig = flat[idx]
             flat[idx] = orig + eps
-            hi, _ = loss_and_gradients(net, x, actions, targets)
+            hi, _ = loss_at(net, x, actions, targets)
             flat[idx] = orig - eps
-            lo, _ = loss_and_gradients(net, x, actions, targets)
+            lo, _ = loss_at(net, x, actions, targets)
             flat[idx] = orig
             fd = (hi - lo) / (2 * eps)
             assert g.reshape(-1)[idx] == pytest.approx(fd, rel=1e-5, abs=1e-9)
@@ -259,8 +267,15 @@ def test_loss_only_counts_taken_actions():
     net = zeroed(toy_net(input_dim=3, output_dim=3, hidden=(2, 2)))
     x = np.zeros((2, 3))
     # predictions are all zero; only the chosen entries enter the loss
-    loss, _ = loss_and_gradients(net, x, np.array([0, 2]), np.array([1.0, -2.0]))
+    loss, _ = loss_at(net, x, np.array([0, 2]), np.array([1.0, -2.0]))
     assert loss == pytest.approx((1.0 + 4.0) / 2, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_loss_rejects_out_of_range_actions(bad):
+    net = toy_net(input_dim=3, output_dim=3, hidden=(2,))
+    with pytest.raises(IndexError):
+        loss_at(net, np.zeros((2, 3)), np.array([0, bad]), np.zeros(2))
 
 
 def test_perfect_predictions_leave_parameters_untouched():
@@ -271,7 +286,8 @@ def test_perfect_predictions_leave_parameters_untouched():
     before = net.params.copy()
     opt = AdamOptimizer(net.params, 0.1)
     # gamma 0 with targets equal to current predictions: zero gradient
-    loss = train_step(net, opt, (x, actions, x, targets), 0.0, RewardCenter(0.0))
+    loss = train_step(net, opt, (np.stack([x, x]), actions, targets), 0.0, RewardCenter(0.0),
+                      Workspace(net, 4))
     assert loss == pytest.approx(0.0, abs=1e-18)
     np.testing.assert_array_equal(net.params, before)
 
@@ -330,7 +346,7 @@ def test_replay_overwrites_oldest():
     seen = set()
     rng = np.random.default_rng(0)
     for _ in range(50):
-        obs, actions, *_ = buf.sample(4, rng)
+        _, actions, _ = buf.sample(4, rng)
         seen.update(int(a) for a in actions)
     assert seen == {2, 3, 4}
 
@@ -338,8 +354,9 @@ def test_replay_overwrites_oldest():
 def test_replay_sampling_uses_replacement():
     buf = ReplayBuffer(8, obs_dim=1)
     buf.push(np.array([1.0]), 0, np.array([0.0]), 0.5)
-    obs, actions, next_obs, rewards = buf.sample(6, np.random.default_rng(1))
-    assert obs.shape == (6, 1)
+    states, actions, rewards = buf.sample(6, np.random.default_rng(1))
+    assert states.shape == (2, 6, 1)
+    assert states[0].shape == (6, 1)
     assert (rewards == 0.5).all()
 
 
@@ -383,20 +400,20 @@ def test_td_targets_zero_gamma_returns_rewards():
     net = toy_net()
     r = np.array([0.1, -0.3])
     x = np.zeros((2, 4))
-    np.testing.assert_allclose(td_targets(net, x, r, 0.0), r, atol=1e-15)
+    np.testing.assert_allclose(td_targets(net.forward(x), r, 0.0), r, atol=1e-15)
 
 
 def test_td_targets_hand_value():
     net = zeroed(toy_net(input_dim=2, output_dim=2, hidden=(2,)))
     net.biases[-1][:] = [0.0, 2.0]  # constant q-values (0, 2)
-    y = td_targets(net, np.zeros((1, 2)), np.array([0.5]), 0.99)
+    y = td_targets(net.forward(np.zeros((1, 2))), np.array([0.5]), 0.99)
     assert y[0] == pytest.approx(2.48, abs=1e-12)
 
 
 def test_td_targets_bootstrap_survives_truncation():
     net = zeroed(toy_net(input_dim=2, output_dim=2, hidden=(2,)))
     net.biases[-1][:] = [1.0, 0.0]
-    y = td_targets(net, np.zeros((1, 2)), np.array([0.0]), 0.9)
+    y = td_targets(net.forward(np.zeros((1, 2))), np.array([0.0]), 0.9)
     assert y[0] == pytest.approx(0.9, abs=1e-12)
 
 
@@ -407,9 +424,9 @@ def test_train_step_centers_rewards_hand_value():
     net = zeroed(toy_net(input_dim=2, output_dim=2, hidden=(2,)))
     net.biases[-1][:] = [0.0, 2.0]  # constant q-values (0, 2)
     center = RewardCenter(step=0.1, value=0.3)
-    batch = (np.zeros((1, 2)), np.array([0]), np.zeros((1, 2)), np.array([0.5]))
+    batch = (np.zeros((2, 1, 2)), np.array([0]), np.array([0.5]))
     loss = train_step(net, SgdOptimizer(net.params, 0.0), batch, 0.99,
-                      center=center)
+                      center=center, work=Workspace(net, 1))
     # target (0.5 - 0.3) + 0.99 * 2 = 2.18 against a prediction of 0
     assert loss == pytest.approx(2.18 ** 2, abs=1e-12)
     # the center moves by step * mean TD error
@@ -421,12 +438,12 @@ def test_train_step_reports_pre_update_loss():
     opt = SgdOptimizer(net.params, 0.01)
     rng = np.random.default_rng(4)
     x = rng.normal(size=(8, 4))
-    batch = (x, rng.integers(3, size=8), x.copy(), rng.normal(size=8))
+    batch = (np.stack([x, x]), rng.integers(3, size=8), rng.normal(size=8))
     q = net.forward(x)
-    y = td_targets(net, x, batch[3], 0.9)
+    y = td_targets(q, batch[2], 0.9)
     diff = q[np.arange(8), batch[1]] - y
     expect = float(diff @ diff) / 8
-    assert train_step(net, opt, batch, 0.9, RewardCenter(0.0)) == pytest.approx(
+    assert train_step(net, opt, batch, 0.9, RewardCenter(0.0), Workspace(net, 8)) == pytest.approx(
         expect, rel=1e-12)
 
 
@@ -437,11 +454,139 @@ def test_repeated_batch_drives_loss_down():
     x = rng.normal(size=(16, 4))
     actions = rng.integers(3, size=16)
     rewards = rng.normal(size=16)
-    batch = (x, actions, x.copy(), rewards)
-    losses = [train_step(net, opt, batch, 0.0, RewardCenter(0.0)) for _ in range(1000)]
+    batch = (np.stack([x, x]), actions, rewards)
+    work = Workspace(net, 16)
+    losses = [train_step(net, opt, batch, 0.0, RewardCenter(0.0), work) for _ in range(1000)]
     warm = losses[100:]
     assert all(b <= a + 1e-9 for a, b in zip(warm, warm[1:]))
     assert losses[-1] < losses[0] * 0.01
+
+
+# ------------------------------------------------ same bits as a plain update
+
+
+def reference_forward(net, x, inputs=None):
+    """`QNetwork.forward` written with fresh arrays throughout."""
+    h = x
+    last = len(net.weights) - 1
+    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        if inputs is not None:
+            inputs.append(h)
+        h = h @ w.T
+        h += b
+        if k != last:
+            np.tanh(h, out=h)
+    return h
+
+
+def reference_update(net, moments, rows, lr, gamma, center, t):
+    """One update written plainly from replay rows (obs | next_obs | action |
+    reward): one forward pass for the targets, another for the loss, fresh
+    arrays throughout, then Adam (with `moments`) or SGD (without).
+    Returns the pre-update loss."""
+    d = net.input_dim
+    obs, next_obs = rows[:, :d], rows[:, d:2 * d]
+    actions, rewards = rows[:, -2].astype(np.int64), rows[:, -1]
+    y = (rewards - center.value) + gamma * reference_forward(net, next_obs).max(axis=1)
+    inputs = []
+    q = reference_forward(net, obs, inputs)
+    batch = len(rows)
+    at = np.arange(batch)
+    diff = q[at, actions] - y
+    loss = float(diff @ diff) / batch
+    dz = np.zeros_like(q)
+    dz[at, actions] = 2.0 * diff / batch
+    grads = [None] * (2 * len(inputs))
+    for k in range(len(inputs) - 1, -1, -1):
+        grads[2 * k + 1] = dz.sum(axis=0)
+        grads[2 * k] = dz.T @ inputs[k]
+        if k:
+            below = inputs[k]
+            dz = (dz @ net.weights[k]) * (1.0 - below * below)
+    grad = np.concatenate([g.ravel() for g in grads])
+    center.value -= 0.5 * center.step * float(grad[-net.output_dim:].sum())
+    if moments is None:
+        net.params -= lr * grad
+    else:
+        m, v = moments
+        m *= 0.9
+        m += (1.0 - 0.9) * grad
+        v *= 0.999
+        v += (grad * grad) * (1.0 - 0.999)
+        b1c, b2c = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+        net.params -= ((m / b1c) * lr) / (np.sqrt(v / b2c) + 1e-8)
+    return loss
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("hidden", [(32, 32), (32, 32, 32)])
+def test_update_keeps_the_bits_of_a_plain_update(optimizer, hidden):
+    """Training's update (one forward pass over the stacked sample, a reused
+    Workspace) gives exactly the parameters, losses and reward center of
+    `reference_update`, over 200 updates with a decaying step size."""
+    rng = np.random.default_rng(21)
+    buf = ReplayBuffer(500, obs_dim=50)
+    for _ in range(500):
+        buf.push(rng.integers(0, 4, 50) / 3, rng.integers(11), rng.integers(0, 4, 50) / 3,
+                 rng.normal(4.0, 2.0))
+    net, ref = (QNetwork(50, 11, np.random.default_rng(3), hidden) for _ in range(2))
+    start = net.params.copy()
+    opt = (AdamOptimizer if optimizer == "adam" else SgdOptimizer)(net.params, 0.01)
+    moments = (np.zeros(ref.params.size), np.zeros(ref.params.size)) if optimizer == "adam" else None
+    center, ref_center = RewardCenter(0.001), RewardCenter(0.001)
+    work = Workspace(net, 32)
+    draws, ref_draws = np.random.default_rng(5), np.random.default_rng(5)
+    losses, ref_losses = [], []
+    updates = 200
+    for t in range(updates):
+        opt.lr = 0.01 * (1.0 - t / updates)
+        center.step = ref_center.step = 0.001 * (1.0 - t / updates)
+        losses.append(train_step(net, opt, buf.sample(32, draws, work.rows), 0.99, center, work))
+        rows = buf.rows[ref_draws.integers(len(buf), size=32)]
+        ref_losses.append(reference_update(ref, moments, rows, opt.lr, 0.99, ref_center, t + 1))
+    assert not np.array_equal(net.params, start)
+    assert np.array_equal(net.params, ref.params)
+    assert np.array_equal(losses, ref_losses)
+    assert center.value == ref_center.value
+
+
+def test_public_results_belong_to_the_caller(baseline):
+    """Arrays returned by the learner's public calls are not overwritten by
+    a later call."""
+    rng = np.random.default_rng(6)
+    net = toy_net()
+    buf = ReplayBuffer(16, obs_dim=4)
+    for k in range(16):
+        buf.push(rng.normal(size=4), k % 3, rng.normal(size=4), rng.normal())
+    pol = QNetworkPolicy(ADVERSARY, QNetwork(50, 11, np.random.default_rng(1)), baseline, "q")
+
+    def forward(seed):
+        return (net.forward(np.random.default_rng(seed).normal(size=(5, 4))),)
+
+    def targets(seed):
+        g = np.random.default_rng(seed)
+        return (td_targets(g.normal(size=(5, 3)), g.normal(size=5), 0.9),)
+
+    def gradient(seed):
+        g = np.random.default_rng(seed)
+        return (loss_at(net, g.normal(size=(5, 4)), g.integers(3, size=5), g.normal(size=5))[1],)
+
+    def sample(seed):
+        return buf.sample(6, np.random.default_rng(seed))
+
+    def choices(seed):
+        obs = np.random.default_rng(seed).integers(0, 3, size=(4, 10, 5))
+        return (pol.choices(obs, 0)[0],)
+
+    for call in (forward, targets, gradient, sample, choices):
+        first = call(1)
+        kept = [a.copy() for a in first]
+        second = call(2)
+        for a, b, c in zip(first, kept, second, strict=True):
+            np.testing.assert_array_equal(a, b)
+            assert not np.shares_memory(a, c)
+    obs = np.random.default_rng(3).integers(0, 3, size=(10, 5))
+    assert type(pol.act(obs, 0, rng)) is int
 
 
 # ------------------------------------------------------------ greedy policy

@@ -62,26 +62,19 @@ def build_game(adv_policies: list[PurePolicy], def_policies: list[PurePolicy],
                jobs: int = 1) -> EmpiricalGame:
     """Evaluate every policy pair and assemble the empirical game.
 
-    `evaluate_cells` gets every cell at once, as (adversary, defender, cell
-    seed) in row-major order.
+    `evaluate_cells` steps the whole grid at once: adversaries are rows, defenders columns.
     """
-    rows, cols = len(adv_policies), len(def_policies)
-    if rows == 0 or cols == 0:
+    if not adv_policies or not def_policies:
         raise ValueError("both policy sets must be nonempty")
     # The cell seed depends on the labels only, so growing the game never
     # changes previously computed entries.
-    cells = evaluate_cells([(a, d, derive_seed(seed, "pair", a.label, d.label))
-                            for a in adv_policies for d in def_policies],
-                           env_cfg, episodes, jobs)
-
-    def matrix(attr):
-        return np.array([getattr(pp, attr) for pp in cells], dtype=float).reshape(rows, cols)
-
+    u, se = evaluate_cells(adv_policies, def_policies,
+                           [[derive_seed(seed, "pair", a.label, d.label) for d in def_policies]
+                            for a in adv_policies], env_cfg, episodes, jobs)
     return EmpiricalGame(
         row_labels=tuple(p.label for p in adv_policies),
         col_labels=tuple(p.label for p in def_policies),
-        u_adv=matrix("u_adv"), u_def=matrix("u_def"),
-        se_adv=matrix("se_adv"), se_def=matrix("se_def"),
+        u_adv=u[0], u_def=u[1], se_adv=se[0], se_def=se[1],
         episodes=episodes,
         row_policies=tuple(adv_policies), col_policies=tuple(def_policies),
     )

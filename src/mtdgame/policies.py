@@ -8,8 +8,8 @@ servers would only take them down for nothing.
 Every policy answers in two ways.  `act(obs, tau, rng)` picks the server
 for one episode, -1 for no-op; `run_episode` uses it.  `choices(obs, tau)`
 states, for a stack of episodes, the candidate mask and score that
-`_pick_rows` draws from; `evaluate_cells` resolves the choices of all the
-policies of both sides with one pick per step.  For the same observations
+`_pick_rows` draws from; `evaluate_cells` steps a grid of adversaries by
+defenders with one pick per step for both sides.  For the same observations
 both choose the same servers and draw the same numbers from each episode's
 generator, up to a block's unused tail.  A heuristic states its rule once,
 in `choices`, which reads one (M, 5) observation or an (n, M, 5) stack.
@@ -384,84 +384,81 @@ def run_episode(adv: PurePolicy, deff: PurePolicy, cfg: EnvConfig,
     return ret_a, ret_d
 
 
-def evaluate_cells(cells: list[tuple[PurePolicy, PurePolicy, int]], cfg: EnvConfig,
-                   episodes: int, jobs: int = 1) -> list[PairPayoff]:
-    """Average discounted returns of each (adversary, defender, seed) cell.
+def evaluate_cells(advs: list[PurePolicy], defs: list[PurePolicy], seeds: list[list[int]],
+                   cfg: EnvConfig, episodes: int, jobs: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Average discounted returns of every (adversary, defender) cell of a grid.
 
-    Cell (adv, deff, seed) plays `episodes` episodes, episode e seeded
-    derive_seed(seed, "episode", e) exactly as `run_episode` seeds it, and
-    all episodes of all cells step together in one `MtdBatchEnv`.  With
-    jobs > 1 the cells are split into that many contiguous chunks, each
-    run in lockstep in its own process; the results do not depend on it.
-    `episodes` and `jobs` must be integers >= 1, else ValueError.
+    Cell (i, j) plays advs[i] against defs[j] for `episodes` episodes, episode
+    e seeded derive_seed(seeds[i][j], "episode", e) as `run_episode` seeds it,
+    all stepping together in one `MtdBatchEnv`.  Returns the means and the
+    standard errors, each a (2, len(advs), len(defs)) array, adversary first.
+    jobs > 1 splits the rows or the columns, whichever leaves fewer cells in
+    the largest part, into at most that many contiguous parts, each run in
+    lockstep in its own process; the results do not depend on it.  `episodes`
+    and `jobs` must be integers >= 1, else ValueError.
     """
     for name, value in (("episodes", episodes), ("jobs", jobs)):
         if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    for adv, deff, _ in cells:
-        if adv.player != ADVERSARY or deff.player != DEFENDER:
-            raise ValueError("cells need (adversary, defender) in that order")
-    episodes, jobs = int(episodes), min(int(jobs), len(cells))
+    if any(a.player != ADVERSARY for a in advs) or any(d.player != DEFENDER for d in defs):
+        raise ValueError("advs must be adversaries and defs defenders")
+    rows, cols = len(advs), len(defs)
+    if len(seeds) != rows or any(len(row) != cols for row in seeds):
+        raise ValueError(f"seeds must be a {rows}x{cols} grid")
+    if not rows or not cols:
+        return np.zeros((2, rows, cols)), np.zeros((2, rows, cols))
+    # jobs split the side that leaves fewer cells in the largest part, rows on a tie
+    axis = int(-(-rows // int(jobs)) * cols > rows * -(-cols // int(jobs)))
+    n = (rows, cols)[axis]
+    episodes, jobs = int(episodes), min(int(jobs), n)
     if jobs <= 1:
-        return _lockstep(cells, cfg, episodes) if cells else []
-    bounds = [len(cells) * k // jobs for k in range(jobs + 1)]
-    chunks = [cells[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        return _lockstep(advs, defs, seeds, cfg, episodes)
+    parts = [(advs[c], defs, seeds[c]) if axis == 0 else (advs, defs[c], [r[c] for r in seeds])
+             for c in (slice(n * k // jobs, n * (k + 1) // jobs) for k in range(jobs))]
     # imported here: a one-process run should not pay its start-up time and memory
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return [pp for part in pool.map(_lockstep, chunks, repeat(cfg), repeat(episodes))
-                for pp in part]
+        done = zip(*pool.map(_lockstep, *zip(*parts), repeat(cfg), repeat(episodes)))
+        return tuple(np.concatenate(part, axis=1 + axis) for part in done)
 
 
-def _lockstep(cells, cfg: EnvConfig, episodes: int) -> list[PairPayoff]:
-    seeds = [derive_seed(seed, "episode", e) for _, _, seed in cells for e in range(episodes)]
+def _lockstep(advs, defs, seeds, cfg: EnvConfig, episodes: int):
+    # episodes step by adversary, then defender; the defenders pick by defender, then adversary
+    rows, cols, m = len(advs), len(defs), cfg.num_servers
+    seeds = np.array([[[derive_seed(s, "episode", e) for e in range(episodes)] for s in row]
+                      for row in seeds], dtype=np.uint64)
+    in_order, by_defender = seeds.ravel().tolist(), seeds.transpose(1, 0, 2).ravel().tolist()
     env = MtdBatchEnv(cfg)
-    obs_a, obs_d = env.reset([derive_seed(s, "env") for s in seeds])
-    # each side lists its episodes policy by policy, so that a policy's rows of
-    # the side's observations, mask and score are one slice
-    sides = []
-    for col in (0, 1):
-        members: dict[int, tuple[PurePolicy, list[int]]] = {}
-        for c, cell in enumerate(cells):
-            members.setdefault(id(cell[col]), (cell[col], []))[1].extend(
-                range(c * episodes, (c + 1) * episodes))
-        rows, groups = [], []
-        for policy, idx in members.values():
-            groups.append((policy, slice(len(rows), len(rows) + len(idx))))
-            rows += idx
-        sides.append((np.array(rows), groups))
-    stream = BlockStream([spawn_rng(seeds[e], side)
-                          for side, (rows, _) in zip(("adv", "def"), sides) for e in rows])
-    # one pick resolves both sides, adversary first; `back` puts its rows in episode order
-    back = np.empty(2 * len(seeds), dtype=np.int64)
-    back[np.concatenate([sides[0][0], sides[1][0] + len(seeds)])] = np.arange(2 * len(seeds))
-    # a side whose rows are already in episode order needs no copy of its observations
-    sides = [(None if (rows == np.arange(len(rows))).all() else rows, groups)
-             for rows, groups in sides]
-    mask = np.empty((2, len(seeds), cfg.num_servers), dtype=bool)
-    score = np.empty((2, len(seeds), cfg.num_servers), dtype=np.int64)
-    ret = np.zeros((2, len(seeds)))
+    obs_a, obs_d = env.reset([derive_seed(s, "env") for s in in_order])
+    stream = BlockStream([spawn_rng(s, "adv") for s in in_order]
+                         + [spawn_rng(s, "def") for s in by_defender])
+    mask = np.empty((2, seeds.size, m), dtype=bool)
+    score = np.empty((2, seeds.size, m), dtype=np.int64)
+    sides = [(policies, mask[s].reshape(len(policies), -1, m),
+              score[s].reshape(len(policies), -1, m)) for s, policies in enumerate((advs, defs))]
+    ret = np.zeros((2, seeds.size))
     g = 1.0
     for t in range(cfg.horizon):
-        for obs, (rows, groups), side_mask, side_score in zip((obs_a, obs_d), sides, mask, score):
-            if rows is not None:
-                obs = obs.take(rows, axis=0)
-            for policy, idx in groups:
-                side_mask[idx], policy_score = policy.choices(obs[idx], t) or (False, None)
-                side_score[idx] = 0 if policy_score is None else policy_score
-        acts = _pick_rows(mask.reshape(-1, cfg.num_servers),
-                          score.reshape(-1, cfg.num_servers), stream)[back]
-        obs_a, obs_d, *rewards = env.step(*acts.reshape(2, -1))
+        # one transposed copy puts each defender's observations in one slice
+        obs_d = obs_d.reshape(rows, cols, -1).transpose(1, 0, 2).reshape(cols, -1, m, 5)
+        for obs, (policies, side_mask, side_score) in zip(
+                (obs_a.reshape(rows, -1, m, 5), obs_d), sides):
+            for k, policy in enumerate(policies):
+                side_mask[k], policy_score = policy.choices(obs[k], t) or (False, None)
+                side_score[k] = 0 if policy_score is None else policy_score
+        acts = _pick_rows(mask.reshape(-1, m), score.reshape(-1, m), stream).reshape(2, -1)
+        def_acts = acts[1].reshape(cols, rows, episodes).transpose(1, 0, 2).ravel()
+        obs_a, obs_d, *rewards = env.step(acts[0], def_acts)
         ret += g * np.array(rewards)
         g *= cfg.discount
-    ret = ret.reshape(2, -1, episodes)   # (player, cell, episode)
-    u = ret.mean(axis=2)
-    se = ret.std(axis=2, ddof=1) / math.sqrt(episodes) if episodes > 1 else np.zeros_like(u)
-    return [PairPayoff(*map(float, cell), episodes) for cell in zip(*u, *se)]
+    ret = ret.reshape(2, *seeds.shape)
+    se = ret.std(axis=3, ddof=1) / math.sqrt(episodes) if episodes > 1 else np.zeros(ret.shape[:3])
+    return ret.mean(axis=3), se
 
 
 def evaluate_pair(adv: PurePolicy, deff: PurePolicy, cfg: EnvConfig,
                   episodes: int, seed: int) -> PairPayoff:
-    """Average discounted return of a policy pair over seeded episodes."""
-    return evaluate_cells([(adv, deff, seed)], cfg, episodes)[0]
+    """Average discounted return of a policy pair over seeded episodes: a 1x1 grid."""
+    u, se = evaluate_cells([adv], [deff], [[seed]], cfg, episodes)
+    return PairPayoff(*map(float, (*u[:, 0, 0], *se[:, 0, 0])), int(episodes))

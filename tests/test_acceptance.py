@@ -8,6 +8,7 @@ of silently eating CI time.
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 import numpy as np
@@ -26,6 +27,7 @@ from mtdgame.policies import (
 )
 from mtdgame.qlearn import QNetwork, TrainConfig, loss_and_gradients, train_best_response
 from mtdgame.seeds import derive_seed
+from mtdgame.serialize import save_game
 
 BASE = EnvConfig()
 
@@ -78,8 +80,13 @@ GRID_REFERENCE = {
 }
 
 
+# sha256 of the full c2 game.csv as save_game writes it; any change to a bit
+# of the grid's payoffs or standard errors changes it
+C2_GAME_SHA256 = "ee76e8f2d24a5f5e675459e4a9b63a66516858074de9c1ecc2ad884790f4dc67"
+
+
 @pytest.mark.slow
-def test_c2_heuristic_grid_reproduction():
+def test_c2_heuristic_grid_reproduction(tmp_path):
     t0 = time.monotonic()
     game = build_game(default_adversaries(), default_defenders(BASE),
                       BASE, episodes=50, seed=123)
@@ -104,6 +111,8 @@ def test_c2_heuristic_grid_reproduction():
     assert abs(game.u_adv[i, j] - 26.8929) <= 1e-3
     assert abs(game.u_def[i, j] - 98.1972) <= 1e-3
     assert elapsed < 600.0, f"grid took {elapsed:.0f}s, budget 600s"
+    save_game(game, tmp_path / "game.csv")
+    assert hashlib.sha256((tmp_path / "game.csv").read_bytes()).hexdigest() == C2_GAME_SHA256
 
 
 def regret_of(u_a, u_d, sa, sd):

@@ -244,9 +244,9 @@ def test_parallel_build_matches_serial(short):
 def test_extend_game_keeps_old_cells_and_counts_new_evaluations(short, monkeypatch):
     calls = []
 
-    def counting(cells, cfg, episodes, jobs):
-        calls.extend((adv.label, deff.label) for adv, deff, _ in cells)
-        return evaluate_cells(cells, cfg, episodes, jobs)
+    def counting(advs, defs, seeds, cfg, episodes, jobs):
+        calls.extend((adv.label, deff.label) for adv in advs for deff in defs)
+        return evaluate_cells(advs, defs, seeds, cfg, episodes, jobs)
 
     monkeypatch.setattr(nash, "evaluate_cells", counting)
 

@@ -410,6 +410,15 @@ def reference_payoff(adv, deff, cfg, episodes, seed):
     return (float(ra.mean()), float(rd.mean()), *se)
 
 
+def grid_seeds(master, advs, defs):
+    return [[derive_seed(master, a.label, d.label) for d in defs] for a in advs]
+
+
+def cell(u, se, i, j):
+    """Cell (i, j) of `evaluate_cells`'s arrays as (u_adv, u_def, se_adv, se_def)."""
+    return (*u[:, i, j].tolist(), *se[:, i, j].tolist())
+
+
 @pytest.mark.parametrize("episodes", [1, 3])
 def test_evaluate_cells_matches_episode_by_episode(episodes):
     cfg = EnvConfig(num_servers=5, miss_prob=0.1, horizon=120)
@@ -418,12 +427,13 @@ def test_evaluate_cells_matches_episode_by_episode(episodes):
             QNetworkPolicy(ADVERSARY, QNetwork(25, 6, rng, hidden=(8,)), cfg, "qnet")]
     defs = [*default_defenders(cfg),
             QNetworkPolicy(DEFENDER, QNetwork(25, 6, rng, hidden=(8,)), cfg, "qnet")]
-    cells = [(a, d, derive_seed(3, a.label, d.label)) for a in advs for d in defs]
-    got = evaluate_cells(cells, cfg, episodes)
-    for (adv, deff, seed), pp in zip(cells, got):
-        want = reference_payoff(adv, deff, cfg, episodes, seed)
-        assert (pp.u_adv, pp.u_def, pp.se_adv, pp.se_def) == want, (adv.label, deff.label)
-        assert pp.episodes == episodes
+    seeds = grid_seeds(3, advs, defs)
+    u, se = evaluate_cells(advs, defs, seeds, cfg, episodes)
+    assert u.shape == se.shape == (2, len(advs), len(defs))
+    for i, adv in enumerate(advs):
+        for j, deff in enumerate(defs):
+            want = reference_payoff(adv, deff, cfg, episodes, seeds[i][j])
+            assert cell(u, se, i, j) == want, (adv.label, deff.label)
 
 
 class ActOnlyAdversary(PurePolicy):
@@ -438,24 +448,39 @@ class ActOnlyAdversary(PurePolicy):
 
 def test_evaluate_cells_needs_choices(short):
     with pytest.raises(NotImplementedError):
-        evaluate_cells([(ActOnlyAdversary(), NoOpPolicy(DEFENDER), 0)], short, 1)
+        evaluate_cells([ActOnlyAdversary()], [NoOpPolicy(DEFENDER)], [[0]], short, 1)
 
 
 def test_evaluate_cells_chunks_match_one_batch(short):
-    cells = [(a, d, derive_seed(8, a.label, d.label))
-             for a in default_adversaries() for d in default_defenders(short)]
-    assert evaluate_cells(cells, short, 2, jobs=3) == evaluate_cells(cells, short, 2)
-
-
-def test_evaluate_cells_takes_cells_in_any_order(short):
-    """Policies that recur in scattered cells, and a cell given twice, get
-    the payoffs that each cell gets alone."""
     advs, defs = default_adversaries(), default_defenders(short)
-    rng = np.random.default_rng(6)
-    cells = [(advs[a], defs[d], int(s)) for a, d, s in
-             zip(rng.integers(0, 4, 12), rng.integers(0, 5, 12), rng.integers(0, 3, 12))]
-    cells.append(cells[0])
-    assert evaluate_cells(cells, short, 2) == [evaluate_cells([c], short, 2)[0] for c in cells]
+    seeds = grid_seeds(8, advs, defs)
+    got, want = (evaluate_cells(advs, defs, seeds, short, 2, jobs=j) for j in (3, 1))
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (4, 1), (4, 5)])
+def test_evaluate_cells_splits_a_row_or_a_column(short, shape):
+    """jobs=2 splits a 1xn row or an mx1 column, as `extend_game` evaluates
+    them, and the rows of a 4x5 table, and gives the bits of one batch."""
+    advs, defs = default_adversaries()[:shape[0]], default_defenders(short)[:shape[1]]
+    seeds = grid_seeds(2, advs, defs)
+    got, want = (evaluate_cells(advs, defs, seeds, short, 2, jobs=j) for j in (2, 1))
+    np.testing.assert_array_equal(got, want)
+
+
+def test_evaluate_cells_grid_cells_match_sub_grids(short):
+    """Each cell of a grid gets the payoffs it gets alone, in its row and in
+    its column: `extend_game` evaluates a new row or column by itself."""
+    advs, defs = default_adversaries(), default_defenders(short)
+    seeds = grid_seeds(6, advs, defs)
+    u, se = evaluate_cells(advs, defs, seeds, short, 2)
+    for i, adv in enumerate(advs):
+        row = evaluate_cells([adv], defs, seeds[i:i + 1], short, 2)
+        for j, deff in enumerate(defs):
+            col = evaluate_cells(advs, [deff], [r[j:j + 1] for r in seeds], short, 2)
+            alone = evaluate_cells([adv], [deff], [[seeds[i][j]]], short, 2)
+            want = cell(u, se, i, j)
+            assert cell(*row, 0, j) == cell(*col, i, 0) == cell(*alone, 0, 0) == want
 
 
 def test_evaluate_cells_without_cells_steps_nothing(short, monkeypatch):
@@ -463,25 +488,38 @@ def test_evaluate_cells_without_cells_steps_nothing(short, monkeypatch):
         raise AssertionError("stepped a batch without cells")
 
     monkeypatch.setattr(policies, "_lockstep", no_batch)
-    assert evaluate_cells([], short, 3) == []
-    assert evaluate_cells([], short, 3, jobs=4) == []
+    advs, defs = default_adversaries(), default_defenders(short)
+    for grid, shape in (((advs, [], [[]] * 4), (2, 4, 0)), (([], defs, []), (2, 0, 5))):
+        for jobs in (1, 4):
+            u, se = evaluate_cells(*grid, short, 3, jobs=jobs)
+            assert u.shape == se.shape == shape
 
 
 @pytest.mark.parametrize("counts", [
     {"episodes": 0}, {"episodes": -1}, {"episodes": 2.0}, {"episodes": True},
     {"episodes": np.bool_(True)}, {"jobs": 0}, {"jobs": -2}, {"jobs": 1.0}, {"jobs": True}])
 def test_evaluate_cells_rejects_bad_counts(short, counts):
-    cells = [(NoOpPolicy(ADVERSARY), NoOpPolicy(DEFENDER), 0)]
+    grid = ([NoOpPolicy(ADVERSARY)], [NoOpPolicy(DEFENDER)], [[0]])
     name, value = next(iter(counts.items()))
     message = f"^{name} must be an integer >= 1, got {re.escape(repr(value))}$"
     with pytest.raises(ValueError, match=message):
-        evaluate_cells(cells, short, **{"episodes": 1, **counts})
+        evaluate_cells(*grid, short, **{"episodes": 1, **counts})
     with pytest.raises(ValueError, match=f"^{name} must be"):
-        evaluate_cells([], short, **{"episodes": 1, **counts})
+        evaluate_cells([], [], [], short, **{"episodes": 1, **counts})
 
 
-def test_evaluate_cells_stores_counts_as_int(short):
-    cells = [(NoOpPolicy(ADVERSARY), NoOpPolicy(DEFENDER), 0)]
-    [pp] = evaluate_cells(cells, short, np.int64(2), jobs=np.int32(1))
+@pytest.mark.parametrize("seeds", [[], [[0]], [[0, 1]], [[0, 1], [2]], [[0, 1], [2, 3], [4, 5]]])
+def test_evaluate_cells_rejects_seeds_off_the_grid(short, seeds):
+    advs, defs = [NoOpPolicy(ADVERSARY), UniformAdversary()], [NoOpPolicy(DEFENDER)] * 2
+    with pytest.raises(ValueError, match="^seeds must be a 2x2 grid$"):
+        evaluate_cells(advs, defs, seeds, short, 1)
+
+
+def test_evaluate_pair_stores_counts_as_int(short):
+    pair = (NoOpPolicy(ADVERSARY), NoOpPolicy(DEFENDER), short)
+    pp = evaluate_pair(*pair, np.int64(2), 0)
     assert type(pp.episodes) is int and pp.episodes == 2
-    assert evaluate_cells(cells, short, 2) == [pp]
+    assert all(type(v) is float for v in (pp.u_adv, pp.u_def, pp.se_adv, pp.se_def))
+    assert evaluate_pair(*pair, 2, 0) == pp
+    u, se = evaluate_cells(*([p] for p in pair[:2]), [[0]], short, np.int64(2), jobs=np.int32(1))
+    assert cell(u, se, 0, 0) == (pp.u_adv, pp.u_def, pp.se_adv, pp.se_def)

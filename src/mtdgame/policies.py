@@ -128,12 +128,12 @@ def _pick(candidates: np.ndarray, score: np.ndarray | None,
     """A uniformly drawn server of an (M,) candidate mask, -1 if there is
     none.  With `score` (M,) the draw is among the top-scoring candidates
     only.  Nothing is drawn from `rng` for zero or one candidate."""
-    candidates = np.flatnonzero(candidates)
+    candidates = candidates.nonzero()[0]
     if candidates.size == 0:
         return -1
     if score is not None:
         score = score[candidates]
-        candidates = candidates[score == score.max()]
+        candidates = candidates[score == np.maximum.reduce(score)]
     if candidates.size == 1:
         return int(candidates[0])
     return int(candidates[rng.integers(candidates.size)])
@@ -201,8 +201,8 @@ class ControlThresholdAdversary(Heuristic):
     label: str = "control_threshold"
 
     def choices(self, obs, tau):
-        below = ~(obs[..., COL_CONTROL].sum(axis=-1) / obs.shape[-2] >= self.threshold)
-        if not below.any():
+        below = ~(np.add.reduce(obs[..., COL_CONTROL], axis=-1) / obs.shape[-2] >= self.threshold)
+        if not np.logical_or.reduce(below, axis=None):
             return None
         return _believed_takeable(obs) & below[..., None], obs[..., COL_PROGRESS]
 
@@ -272,7 +272,7 @@ def expected_defender_control(obs: np.ndarray, gain: float) -> float | np.ndarra
     """
     seen = obs[..., COL_PROGRESS]
     # a power-of-two table size keeps the number of cached tables small
-    size = 1 << int(seen.max()).bit_length()
+    size = 1 << int(np.maximum.reduce(seen, axis=None)).bit_length()
     survival = np.where(obs[..., COL_STATUS] == 1,
                         _survival_table(gain, size)[seen], 0.0)
     # accumulate, unlike a sum, adds strictly left to right
@@ -301,12 +301,12 @@ class ControlThresholdDefender(Heuristic):
 
     def choices(self, obs, tau):
         # time since this defender's most recent reimage anywhere
-        acting = obs[..., COL_DEF_SINCE_REIMAGE].min(axis=-1) >= self.period
-        if not acting.any():
+        acting = np.minimum.reduce(obs[..., COL_DEF_SINCE_REIMAGE], axis=-1) >= self.period
+        if not np.logical_or.reduce(acting, axis=None):
             return None
         expected = expected_defender_control(obs, self.gain)
         acting = acting & ~(expected > obs.shape[-2] * self.threshold)
-        if not acting.any():
+        if not np.logical_or.reduce(acting, axis=None):
             return None
         return (obs[..., COL_STATUS] == 1) & acting[..., None], obs[..., COL_PROGRESS]
 

@@ -52,6 +52,7 @@ import numpy as np
 
 from mtdgame.env import (
     ADVERSARY,
+    BLOCK_WORDS,
     COL_ADV_SINCE_PROBE,
     COL_CONTROL,
     COL_DEF_SINCE_PROBE,
@@ -144,7 +145,8 @@ class TrainConfig:
         check_range(self, "[0, 1]", "epsilon_final")
         check_range(self, "(0, inf)", "learning_rate")
         check_range(self, "[1, inf)", "batch_size", "episodes")
-        check_range(self, f"[{self.batch_size}, inf)", "replay_capacity")
+        # `ReplayBuffer.sample` draws with numpy's bits for at most 2**32 rows
+        check_range(self, f"[{self.batch_size}, {2**32}]", "replay_capacity")
         check_range(self, "(-inf, inf)", "seed")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
@@ -174,7 +176,7 @@ def canonical_input(player: str, obs: np.ndarray,
     scale, weights = _input_plan(player, cfg.downtime)
     order = (np.minimum(obs, scale) @ weights).argsort(axis=-1, kind="stable")
     # plain indexing is several times cheaper than np.take_along_axis here
-    rows = obs[order] if obs.ndim == 2 else obs[np.arange(len(obs))[:, None], order]
+    rows = obs.take(order, axis=0) if obs.ndim == 2 else obs[np.arange(len(obs))[:, None], order]
     return network_input(player, rows, cfg), order
 
 
@@ -235,11 +237,15 @@ class QNetwork:
 class Workspace:
     """The arrays of one update at fixed shapes, reused by a training run,
     so that an update allocates none; each update overwrites the last.
-    `rows` takes a replay sample, `layers` each layer's output over its
-    (2, batch, input_dim) stack, `grad` the gradient."""
+    `rows` takes a replay sample, `batch` holds its views (states, actions,
+    rewards), states stacking obs and next_obs as (2, batch, input_dim),
+    `layers` each layer's output over that stack, `grad` the gradient."""
 
     def __init__(self, net: QNetwork, batch: int):
-        self.rows = np.empty((batch, 2 * net.input_dim + 2))
+        d = net.input_dim
+        self.rows = np.empty((batch, 2 * d + 2))
+        self.batch = (self.rows[:, :2 * d].reshape(batch, 2, d).transpose(1, 0, 2),
+                      self.rows[:, -2], self.rows[:, -1])
         self.layers = [np.empty((2, batch, n)) for n in net.dims[1:]]
         # backpropagation runs on slice 0 of the stack, the obs half
         self.hidden = [h[0] for h in self.layers[:-1]]
@@ -272,7 +278,7 @@ def loss_and_gradients(net: QNetwork, inputs: list[np.ndarray], q: np.ndarray,
     index, diff = work.index, work.diff
     index[:] = actions
     # one test for both ends: a negative action wraps to a huge unsigned one
-    if index.view(np.uint64).max() >= q.shape[1]:
+    if np.maximum.reduce(index.view(np.uint64)) >= q.shape[1]:
         raise IndexError(f"actions must lie in [0, {q.shape[1]})")
     # q[rows, actions] as one gather from q flattened
     index += work.offsets
@@ -352,11 +358,49 @@ class SgdOptimizer:
         self.params -= self._step
 
 
-class ReplayBuffer:
-    """Fixed-capacity FIFO of transitions with uniform sampling.  Each
-    transition is one row: obs, next_obs, action, reward."""
+class BlockIntegers:
+    """`rng.integers(k, size=n)`, 1 <= k <= 2**32, bit for bit, read from a
+    block of BLOCK_WORDS `random_raw` words at a time; nothing else may draw
+    from `rng`.  numpy maps each 32-bit half h, low half first, to
+    (h * k) >> 32 unless (h * k) mod 2**32 < (2**32 - k) % k, when it takes
+    the next half instead.  Unused halves carry over to the next call, so
+    `rng` runs ahead by at most one block; `cursor` counts the used ones."""
 
-    def __init__(self, capacity: int, obs_dim: int):
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.cursor = rng, 2 * BLOCK_WORDS
+        self.block = np.empty(BLOCK_WORDS, dtype="<u8")
+        self.halves = np.empty(2 * BLOCK_WORDS, dtype=np.int64)   # the block's, widened
+
+    def integers(self, k: int, n: int) -> np.ndarray:
+        if not 1 <= k <= 2**32:
+            raise ValueError(f"k must lie in [1, 2**32], got {k}")
+        if k == 1 or n == 0:   # numpy draws nothing then
+            return np.zeros(n, dtype=np.int64)
+        reject, at, parts = (2**32 - k) % k, self.cursor, []
+        while n:
+            if at == 2 * BLOCK_WORDS:
+                self.block[:] = self.rng.bit_generator.random_raw(BLOCK_WORDS)
+                self.halves[:], at = self.block.view("<u4"), 0
+            m = self.halves[at:at + n] * k
+            at += m.size
+            low = m.astype(np.uint32)   # argmin is several times cheaper than a min here
+            if low[low.argmin()] < reject:
+                m = m[low >= reject]
+            parts.append(m)
+            n -= m.size
+        self.cursor = at
+        m = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        m >>= 32
+        if k > 2**31:   # h * k wrapped past 2**63; the mask undoes it
+            m &= 0xFFFFFFFF
+        return m
+
+
+class ReplayBuffer:
+    """Fixed-capacity FIFO of transitions, one row each (obs, next_obs,
+    action, reward), sampled uniformly by `BlockIntegers` draws from `rng`."""
+
+    def __init__(self, capacity: int, obs_dim: int, rng: np.random.Generator):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
@@ -364,6 +408,7 @@ class ReplayBuffer:
         self.rows = np.empty((capacity, 2 * obs_dim + 2))
         self.size = 0
         self._pos = 0
+        self.draws = BlockIntegers(rng)
 
     def __len__(self) -> int:
         return self.size
@@ -378,14 +423,11 @@ class ReplayBuffer:
         self._pos = (self._pos + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
-    def sample(self, batch: int, rng: np.random.Generator, out: np.ndarray | None = None):
-        """`batch` transitions drawn uniformly with replacement, as views
-        (states, actions, rewards) of `out`, which the next sample into it
-        overwrites, or of a new array; `states` stacks obs and next_obs as
-        (2, batch, obs_dim), and actions are floats."""
-        d = self.obs_dim
-        rows = self.rows.take(rng.integers(self.size, size=batch), axis=0, out=out, mode="clip")
-        return rows[:, :2 * d].reshape(batch, 2, d).transpose(1, 0, 2), rows[:, -2], rows[:, -1]
+    def sample(self, batch: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The `batch` rows `rng.integers(len(self), size=batch)` names, copied
+        into `out`, which the next sample into it overwrites, or into a new
+        array."""
+        return self.rows.take(self.draws.integers(self.size, batch), axis=0, out=out, mode="clip")
 
 
 def epsilon_value(tc: TrainConfig, step: int, total_steps: int) -> float:
@@ -428,7 +470,7 @@ def td_targets(q_next: np.ndarray, rewards: np.ndarray, gamma: float,
 def train_step(net: QNetwork, optimizer, batch, gamma: float,
                center: RewardCenter, work: Workspace) -> float:
     """One gradient update from a batch (states, actions, rewards) laid out
-    as `ReplayBuffer.sample` returns it; returns the pre-update loss.
+    as `Workspace.batch` holds it; returns the pre-update loss.
 
     One forward pass over the (2, batch, input_dim) stack gives Q(s, .)
     and Q(s', .).  Targets use r - center.value, and the center then
@@ -440,7 +482,7 @@ def train_step(net: QNetwork, optimizer, batch, gamma: float,
     y = td_targets(q[1], work.centered, gamma, out=work.targets)
     loss, grad = loss_and_gradients(net, [states[0], *work.hidden], q[0], actions, y, work)
     # the output-bias gradient sums to 2 * mean(Q(s, a) - y)
-    center.value -= 0.5 * center.step * float(work.grads[-1].sum())
+    center.value -= 0.5 * center.step * float(np.add.reduce(work.grads[-1]))
     optimizer.apply(grad)
     return loss
 
@@ -504,11 +546,11 @@ def train_best_response(player: str, opponents: list[PurePolicy],
     net = QNetwork(obs_dim, n_actions, spawn_rng(tc.seed, "init"))
     optimizer = (SgdOptimizer if tc.optimizer == "sgd" else AdamOptimizer)(
         net.params, tc.learning_rate)
-    buf = ReplayBuffer(tc.replay_capacity, obs_dim)
+    # a run pushes total_steps rows, so a larger FIFO would never wrap either
+    buf = ReplayBuffer(min(tc.replay_capacity, total_steps), obs_dim, spawn_rng(tc.seed, "replay"))
     work = Workspace(net, tc.batch_size)
     center = RewardCenter(_CENTER_STEP)
     explore_rng = spawn_rng(tc.seed, "explore")
-    replay_rng = spawn_rng(tc.seed, "replay")
     mix_rng = spawn_rng(tc.seed, "mixture")
 
     # test_benchmark_tracer_installs_and_measures counts these MtdEnv.step calls
@@ -540,8 +582,8 @@ def train_best_response(player: str, opponents: list[PurePolicy],
             optimizer.lr = learning_rate_value(tc, gstep, total_steps)
             center.step = _CENTER_STEP * (optimizer.lr / tc.learning_rate)
             if len(buf) >= tc.batch_size:
-                loss = train_step(net, optimizer, buf.sample(tc.batch_size, replay_rng, work.rows),
-                                  env_cfg.discount, center, work)
+                buf.sample(tc.batch_size, work.rows)
+                loss = train_step(net, optimizer, work.batch, env_cfg.discount, center, work)
                 if not math.isfinite(loss):
                     raise NumericalError(f"non-finite loss at step {gstep}")
             disc += g * r

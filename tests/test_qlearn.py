@@ -2,14 +2,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from mtdgame import qlearn
 from mtdgame.env import ADVERSARY, DEFENDER, BlockStream, ConfigError, EnvConfig, MtdEnv
 from mtdgame.policies import MixedStrategy, NoOpPolicy, UniformAdversary, _pick_rows
 from mtdgame.qlearn import (
     AdamOptimizer,
+    BlockIntegers,
     QNetwork,
     QNetworkPolicy,
     ReplayBuffer,
@@ -339,30 +342,61 @@ def test_sgd_step():
 
 
 def test_replay_overwrites_oldest():
-    buf = ReplayBuffer(3, obs_dim=1)
+    buf = ReplayBuffer(3, obs_dim=1, rng=np.random.default_rng(0))
     for k in range(5):
         buf.push(np.array([float(k)]), k, np.array([0.0]), 0.0)
     assert len(buf) == 3
     seen = set()
-    rng = np.random.default_rng(0)
     for _ in range(50):
-        _, actions, _ = buf.sample(4, rng)
-        seen.update(int(a) for a in actions)
+        seen.update(int(a) for a in buf.sample(4)[:, -2])
     assert seen == {2, 3, 4}
 
 
 def test_replay_sampling_uses_replacement():
-    buf = ReplayBuffer(8, obs_dim=1)
+    buf = ReplayBuffer(8, obs_dim=1, rng=np.random.default_rng(1))
     buf.push(np.array([1.0]), 0, np.array([0.0]), 0.5)
-    states, actions, rewards = buf.sample(6, np.random.default_rng(1))
+    work = Workspace(QNetwork(1, 2, None, hidden=(3,)), 6)
+    assert buf.sample(6, work.rows) is work.rows
+    states, actions, rewards = work.batch
     assert states.shape == (2, 6, 1)
-    assert states[0].shape == (6, 1)
-    assert (rewards == 0.5).all()
+    assert (states[0] == 1.0).all() and (states[1] == 0.0).all()
+    assert (actions == 0.0).all() and (rewards == 0.5).all()
 
 
 def test_replay_rejects_zero_capacity():
     with pytest.raises(ValueError):
-        ReplayBuffer(0, obs_dim=1)
+        ReplayBuffer(0, obs_dim=1, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="k must lie in"):
+        ReplayBuffer(1, obs_dim=1, rng=np.random.default_rng(0)).sample(1)
+
+
+@pytest.mark.parametrize("n", [1, 5, 32, 48, 100])
+@pytest.mark.parametrize("k", [2, 3, 500, 5000, 2**31 + 1, 3 * 2**30, 2**32])
+def test_block_integers_keep_numpys_bits(k, n, catch_up):
+    """Many calls in a row give numpy's `integers(k, size=n)` bit for bit:
+    rejected halves shift the later draws (about half of them at
+    k = 2**31 + 1, a quarter at 3 * 2**30, where a third of the products
+    pass 2**63), and n need not divide a block's 128 halves.  The
+    generator then stands where one that drew number by number does, once
+    that one has drawn the block's unused tail."""
+    rng, ahead = np.random.default_rng(11), np.random.default_rng(11)
+    draws = BlockIntegers(ahead)
+    for _ in range(40):
+        assert np.array_equal(draws.integers(k, n), rng.integers(k, size=n))
+    catch_up([rng], SimpleNamespace(rngs=[ahead], cursor=np.array([draws.cursor])))
+
+
+def test_block_integers_follow_a_growing_bound(catch_up):
+    """k from 1 up, as a filling replay buffer asks: k = 1 draws nothing,
+    and the calls after it still match."""
+    rng, ahead = np.random.default_rng(12), np.random.default_rng(12)
+    draws = BlockIntegers(ahead)
+    for k in range(1, 600):
+        assert np.array_equal(draws.integers(k, 1 + k % 37), rng.integers(k, size=1 + k % 37))
+    assert np.array_equal(draws.integers(7, 0), rng.integers(7, size=0))
+    catch_up([rng], SimpleNamespace(rngs=[ahead], cursor=np.array([draws.cursor])))
+    with pytest.raises(ValueError):
+        draws.integers(2**32 + 1, 1)
 
 
 # ----------------------------------------------------------------- schedule
@@ -525,7 +559,7 @@ def test_update_keeps_the_bits_of_a_plain_update(optimizer, hidden):
     Workspace) gives exactly the parameters, losses and reward center of
     `reference_update`, over 200 updates with a decaying step size."""
     rng = np.random.default_rng(21)
-    buf = ReplayBuffer(500, obs_dim=50)
+    buf = ReplayBuffer(500, obs_dim=50, rng=np.random.default_rng(5))
     for _ in range(500):
         buf.push(rng.integers(0, 4, 50) / 3, rng.integers(11), rng.integers(0, 4, 50) / 3,
                  rng.normal(4.0, 2.0))
@@ -535,13 +569,14 @@ def test_update_keeps_the_bits_of_a_plain_update(optimizer, hidden):
     moments = (np.zeros(ref.params.size), np.zeros(ref.params.size)) if optimizer == "adam" else None
     center, ref_center = RewardCenter(0.001), RewardCenter(0.001)
     work = Workspace(net, 32)
-    draws, ref_draws = np.random.default_rng(5), np.random.default_rng(5)
+    ref_draws = np.random.default_rng(5)
     losses, ref_losses = [], []
     updates = 200
     for t in range(updates):
         opt.lr = 0.01 * (1.0 - t / updates)
         center.step = ref_center.step = 0.001 * (1.0 - t / updates)
-        losses.append(train_step(net, opt, buf.sample(32, draws, work.rows), 0.99, center, work))
+        buf.sample(32, work.rows)
+        losses.append(train_step(net, opt, work.batch, 0.99, center, work))
         rows = buf.rows[ref_draws.integers(len(buf), size=32)]
         ref_losses.append(reference_update(ref, moments, rows, opt.lr, 0.99, ref_center, t + 1))
     assert not np.array_equal(net.params, start)
@@ -555,7 +590,7 @@ def test_public_results_belong_to_the_caller(baseline):
     a later call."""
     rng = np.random.default_rng(6)
     net = toy_net()
-    buf = ReplayBuffer(16, obs_dim=4)
+    buf = ReplayBuffer(16, obs_dim=4, rng=np.random.default_rng(2))
     for k in range(16):
         buf.push(rng.normal(size=4), k % 3, rng.normal(size=4), rng.normal())
     pol = QNetworkPolicy(ADVERSARY, QNetwork(50, 11, np.random.default_rng(1)), baseline, "q")
@@ -572,7 +607,7 @@ def test_public_results_belong_to_the_caller(baseline):
         return (loss_at(net, g.normal(size=(5, 4)), g.integers(3, size=5), g.normal(size=5))[1],)
 
     def sample(seed):
-        return buf.sample(6, np.random.default_rng(seed))
+        return (buf.sample(6),)
 
     def choices(seed):
         obs = np.random.default_rng(seed).integers(0, 3, size=(4, 10, 5))
@@ -635,11 +670,16 @@ def test_greedy_policy_maps_through_canonical_order():
     dict(episodes=2.5),
     dict(batch_size=True),
     dict(replay_capacity=math.nan),
+    dict(replay_capacity=2**32 + 1),
     dict(seed=1.5),
 ])
 def test_train_config_validation(bad):
     with pytest.raises(ConfigError):
         replace(TrainConfig(), **bad)
+
+
+def test_train_config_accepts_replay_capacity_2_32():
+    assert TrainConfig(replay_capacity=2**32).replay_capacity == 2**32
 
 
 # ----------------------------------------------------------------- training
@@ -660,6 +700,42 @@ def test_training_smoke_and_curve_shape(short):
     assert [c.episode for c in curve] == [0, 1]
     assert curve[-1].end_step == 100
     assert all(math.isfinite(c.return_discounted) for c in curve)
+
+
+class NumpyDrawBuffer(ReplayBuffer):
+    """The reference buffer: its samples' rows come from `rng.integers`."""
+
+    def sample(self, batch, out=None):
+        return self.rows.take(self.draws.rng.integers(self.size, size=batch), axis=0, out=out)
+
+
+def test_training_keeps_the_bits_of_numpy_replay_draws(short, monkeypatch):
+    """A run with batches of 5 from a 7-row FIFO, which wraps, gives the
+    learning curve, parameters, losses and reward centers of the same run
+    drawing its replay rows with `rng.integers`."""
+    def run(buffer_cls):
+        losses, centers = [], []
+        step = qlearn.train_step
+
+        def recording(net, optimizer, batch, gamma, center, work):
+            losses.append(step(net, optimizer, batch, gamma, center, work))
+            centers.append(center.value)
+            return losses[-1]
+
+        with monkeypatch.context() as patched:
+            patched.setattr(qlearn, "train_step", recording)
+            patched.setattr(qlearn, "ReplayBuffer", buffer_cls)
+            pol, curve = train_best_response(
+                ADVERSARY, [NoOpPolicy(DEFENDER)], MixedStrategy(np.array([1.0])),
+                replace(short, horizon=30), small_tc(batch_size=5, replay_capacity=7))
+        return curve, pol.net.params, losses, centers
+
+    curve, params, losses, centers = run(ReplayBuffer)
+    ref_curve, ref_params, ref_losses, ref_centers = run(NumpyDrawBuffer)
+    assert len(losses) == 56 and centers[-1] != 0.0
+    assert curve == ref_curve
+    assert np.array_equal(params, ref_params)
+    assert losses == ref_losses and centers == ref_centers
 
 
 def test_training_is_deterministic(short):

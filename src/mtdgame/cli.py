@@ -1,10 +1,11 @@
 """Command line harness.
 
 Subcommands: simulate, payoff-table, train-br, nash, solve.  Every run that
-writes artifacts records a manifest first (resolved config, seed, command)
-and finalizes it with timestamps and artifact paths afterwards, so a run
-can be reproduced exactly from its output directory.  A run that fails
-after writing its manifest finalizes it with status "error" and the error.
+writes artifacts, except `nash`, records a manifest first (resolved config
+with the count flags applied, seed, command) and finalizes it with
+timestamps and artifact paths afterwards, so a run can be reproduced
+exactly from its output directory.  A run that fails after writing its
+manifest finalizes it with status "error" and the error.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 the double oracle loop stopped without converging.
@@ -138,6 +139,8 @@ def _load_rc(args) -> ResolvedConfig:
         rc = replace(rc, env=replace(rc.env, horizon=args.t))
     if getattr(args, "ne", None) is not None:
         rc = replace(rc, train=replace(rc.train, episodes=args.ne))
+    if getattr(args, "episodes", None) is not None:
+        rc = replace(rc, do=replace(rc.do, eval_episodes=args.episodes))
     return rc
 
 
@@ -148,7 +151,7 @@ def cmd_payoff_table(args) -> int:
                    {"episodes": args.episodes, "jobs": args.jobs}) as manifest:
         advs = default_adversaries()
         defs = default_defenders(rc.env)
-        game = build_game(advs, defs, rc.env, args.episodes, args.seed, jobs=args.jobs)
+        game = build_game(advs, defs, rc.env, rc.do.eval_episodes, args.seed, jobs=args.jobs)
         path = out_dir / "game.csv"
         save_game(game, path)
         manifest.finish([path])
@@ -194,12 +197,10 @@ def cmd_solve(args) -> int:
     else:
         advs = default_adversaries()
         defs = default_defenders(rc.env)
-    do_cfg = replace(rc.do, eval_episodes=args.episodes or rc.do.eval_episodes,
-                     seed=args.seed)
     with _Manifest(out_dir, "solve", args.seed, rc,
                    {"init": args.init, "episodes": args.episodes,
                     "jobs": args.jobs}) as manifest:
-        state, eq = run_double_oracle(rc.env, advs, defs, do_cfg,
+        state, eq = run_double_oracle(rc.env, advs, defs, replace(rc.do, seed=args.seed),
                                       dqn_oracle(rc.env, rc.train), jobs=args.jobs)
         pol_dir = out_dir / "policies"
         pol_dir.mkdir(parents=True, exist_ok=True)
@@ -259,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("payoff-table", help="evaluate the heuristic grid")
     common(p)
-    p.add_argument("--episodes", type=_count, default=50)
+    p.add_argument("--episodes", type=_count, default=None, help="override eval_episodes")
     p.add_argument("--jobs", type=_count, default=1)
     p.add_argument("--t", type=_count, default=None, help="override horizon")
     p.set_defaults(func=cmd_payoff_table)
@@ -280,8 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run the double oracle loop")
     common(p)
-    p.add_argument("--episodes", type=_count, default=None,
-                   help="override evaluation episodes per payoff cell")
+    p.add_argument("--episodes", type=_count, default=None, help="override eval_episodes")
     p.add_argument("--jobs", type=_count, default=1)
     p.add_argument("--init", choices=["heuristics", "noop"], default="heuristics")
     p.add_argument("--ne", type=_count, default=None, help="override training episodes")

@@ -49,7 +49,6 @@ _TextValue = namedtuple("_TextValue", "read write expected")
 TEXT_VALUES = {
     "int": _TextValue(int, lambda v: str(int(v)), "an integer"),
     "float": _TextValue(parse_finite, lambda v: repr(float(v)), "a finite number"),
-    "str": _TextValue(str, str, "a string"),
 }
 
 # section of ResolvedConfig -> the config class it holds; (section,
@@ -78,7 +77,6 @@ KEYS = {
     "epsilon_fraction": ("train", "epsilon_fraction"),
     "epsilon_final": ("train", "epsilon_final"),
     "replay_capacity": ("train", "replay_capacity"),
-    "optimizer": ("train", "optimizer"),
     "eps_do": ("do", "eps_do"),
     "max_iterations": ("do", "max_iterations"),
     "eval_episodes": ("do", "eval_episodes"),

@@ -137,7 +137,6 @@ class TrainConfig:
     batch_size: int = 32
     episodes: int = 500
     replay_capacity: int = 5000
-    optimizer: str = "adam"         # "adam" or "sgd"
     seed: int = 0
 
     def __post_init__(self):
@@ -148,8 +147,6 @@ class TrainConfig:
         # `ReplayBuffer.sample` draws with numpy's bits for at most 2**32 rows
         check_range(self, f"[{self.batch_size}, {2**32}]", "replay_capacity")
         check_range(self, "(-inf, inf)", "seed")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
 
 
 def network_input(player: str, obs: np.ndarray, cfg: EnvConfig) -> np.ndarray:
@@ -312,13 +309,11 @@ class AdamOptimizer:
     same order as an update array by array, so results are identical.
     """
 
-    def __init__(self, params: np.ndarray, learning_rate: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: np.ndarray, learning_rate: float):
         self.params = params
         self.lr = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros(params.size)
         self.v = np.zeros(params.size)
@@ -347,7 +342,7 @@ class AdamOptimizer:
         self.params -= step
 
 
-class SgdOptimizer:
+class SgdOptimizer:  # training uses Adam; tests and perfbench/layertrace.py use this
     def __init__(self, params: np.ndarray, learning_rate: float):
         self.params = params
         self.lr = learning_rate
@@ -544,8 +539,7 @@ def train_best_response(player: str, opponents: list[PurePolicy],
     n_actions = m + 1
 
     net = QNetwork(obs_dim, n_actions, spawn_rng(tc.seed, "init"))
-    optimizer = (SgdOptimizer if tc.optimizer == "sgd" else AdamOptimizer)(
-        net.params, tc.learning_rate)
+    optimizer = AdamOptimizer(net.params, tc.learning_rate)
     # a run pushes total_steps rows, so a larger FIFO would never wrap either
     buf = ReplayBuffer(min(tc.replay_capacity, total_steps), obs_dim, spawn_rng(tc.seed, "replay"))
     work = Workspace(net, tc.batch_size)

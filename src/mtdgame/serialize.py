@@ -152,7 +152,12 @@ def _load_qnet(path, lines, env_cfg):
 
 def save_mixture(policies: list[PurePolicy], mix: MixedStrategy,
                  directory: str | Path) -> Path:
-    """Write each policy beside mixture.txt, which references them by filename."""
+    """Write each policy to `<label>.policy` beside mixture.txt, which
+    references them by filename; ValueError if two policies share a label."""
+    labels = [policy.label for policy in policies]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ValueError(f"two policies share the label {label!r}, which names their file")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     lines = []

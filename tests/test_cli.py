@@ -244,7 +244,7 @@ def test_train_br_sizes_replay_to_the_run(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the run diverges on purpose
 def test_failed_run_finalizes_manifest_as_error(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "T=50\nlearning_rate=1e30\noptimizer=sgd\n")
+    cfg = write_cfg(tmp_path, "T=50\nlearning_rate=1e300\n")
     out = tmp_path / "br"
     rc = main(["train-br", "--config", cfg, "--player", "adversary",
                "--opponent", opponent_mixture(tmp_path, DEFENDER),
@@ -415,6 +415,43 @@ def test_solve_rerun_is_byte_identical(tmp_path, capsys):
     for name in ("game.csv", "do_curve.csv", "equilibrium.csv"):
         assert ((tmp_path / "s1" / name).read_bytes()
                 == (tmp_path / "s2" / name).read_bytes())
+
+
+def test_solve_reruns_from_its_config_txt(tmp_path, capsys):
+    """`--episodes` is recorded as the `eval_episodes` that ran, so a rerun
+    from the run's config.txt, without the flag, reproduces every artifact."""
+    cfg = write_cfg(tmp_path, "T=50\nne=1\nmax_iterations=1\neval_episodes=7\n")
+    first, again = tmp_path / "first", tmp_path / "again"
+    code = main(["solve", "--config", cfg, "--episodes", "2", "--seed", "1", "--out", str(first)])
+    assert code in (EXIT_OK, EXIT_NO_CONVERGENCE)
+    assert "eval_episodes=2\n" in (first / "config.txt").read_text(encoding="utf-8")
+    doc = json.loads((first / "manifest.json").read_text(encoding="utf-8"))
+    assert doc["config"]["eval_episodes"] == "2"
+    assert main(["solve", "--config", str(first / "config.txt"), "--seed", "1",
+                 "--out", str(again)]) == code
+    names = ["game.csv", "do_curve.csv", "equilibrium.csv", "config.txt",
+             *(f"policies/{p.name}" for p in (first / "policies").iterdir())]
+    assert len(names) > 4
+    for name in names:
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+
+def test_payoff_table_episodes_come_from_the_config(tmp_path, capsys):
+    """Without `--episodes` a payoff table plays the file's `eval_episodes`;
+    the flag overrides it, and the manifest's config shows the count used."""
+    cfg = write_cfg(tmp_path, "T=20\neval_episodes=3\n")
+
+    def table(name, *argv):
+        out = tmp_path / name
+        assert main(["payoff-table", *argv, "--seed", "2", "--out", str(out)]) == EXIT_OK
+        doc = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        return doc["config"]["eval_episodes"], (out / "game.csv").read_bytes()
+
+    from_file = table("file", "--config", cfg)
+    assert from_file == table("flag", "--t", "20", "--episodes", "3")
+    assert from_file[0] == "3"
+    overridden = table("both", "--config", cfg, "--episodes", "2")
+    assert overridden[0] == "2" and overridden[1] != from_file[1]
 
 
 def run_cli_module(*args: str) -> subprocess.CompletedProcess:

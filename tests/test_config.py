@@ -83,6 +83,7 @@ def test_horizon_and_discount_flow_into_training():
     "max_iterations=-2\n",
     "eval_episodes=0\n",
     "charge_down_probes=1\n",
+    "optimizer=adam\n",
 ])
 def test_bad_inputs_rejected(text):
     # a bad value is reported under the key the file used, never the field's name
@@ -107,11 +108,11 @@ def test_repeated_key_rejected(text):
 
 def test_training_keys():
     rc = parse_config("ne=40\nbatch=16\nlearning_rate=0.001\nepsilon_fraction=0.3\n"
-                      "epsilon_final=0.05\nreplay_capacity=512\noptimizer=sgd\n")
+                      "epsilon_final=0.05\nreplay_capacity=512\n")
     t = rc.train
     assert (t.episodes, t.batch_size, t.learning_rate) == (40, 16, 0.001)
     assert (t.epsilon_fraction, t.epsilon_final) == (0.3, 0.05)
-    assert (t.replay_capacity, t.optimizer) == (512, "sgd")
+    assert t.replay_capacity == 512
 
 
 def test_solver_keys():

@@ -664,7 +664,6 @@ def test_greedy_policy_maps_through_canonical_order():
     dict(batch_size=0),
     dict(episodes=0),
     dict(replay_capacity=4, batch_size=8),
-    dict(optimizer="rmsprop"),
     dict(learning_rate=math.nan),
     dict(learning_rate=math.inf),
     dict(episodes=2.5),

@@ -269,6 +269,25 @@ def test_mixture_round_trip(baseline, tmp_path):
     np.testing.assert_array_equal(loaded_mix.weights, mix.weights)
 
 
+def test_mixture_labels_name_distinct_files(baseline, tmp_path):
+    """Two policies under one label would share `<label>.policy`: that
+    raises before anything is written.  Distinct labels round-trip."""
+    mix = MixedStrategy(np.array([0.5, 0.5]))
+    clash = tmp_path / "clash"
+    clash.mkdir()
+    with pytest.raises(ValueError, match="'pcp'"):
+        save_mixture([ProbeCountPeriodDefender(period=4), ProbeCountPeriodDefender(period=8)],
+                     mix, clash)
+    assert list(clash.iterdir()) == []
+    policies = [ProbeCountPeriodDefender(period=4, label="pcp4"),
+                ProbeCountPeriodDefender(period=8, label="pcp8")]
+    path = save_mixture(policies, mix, tmp_path / "ok")
+    assert path.read_text(encoding="utf-8") == "0.5 pcp4.policy\n0.5 pcp8.policy\n"
+    loaded, _ = load_mixture(path, baseline)
+    assert [(type(p), p.period) for p in loaded] == [(ProbeCountPeriodDefender, 4),
+                                                     (ProbeCountPeriodDefender, 8)]
+
+
 def test_mixture_comments_and_blanks(baseline, tmp_path):
     save_policy(NoOpPolicy(ADVERSARY), tmp_path / "noop.policy")
     f = tmp_path / "m.txt"

@@ -147,8 +147,7 @@ def _load_rc(args) -> ResolvedConfig:
 def cmd_payoff_table(args) -> int:
     rc = _load_rc(args)
     out_dir = Path(args.out)
-    with _Manifest(out_dir, "payoff-table", args.seed, rc,
-                   {"episodes": args.episodes, "jobs": args.jobs}) as manifest:
+    with _Manifest(out_dir, "payoff-table", args.seed, rc, {"jobs": args.jobs}) as manifest:
         advs = default_adversaries()
         defs = default_defenders(rc.env)
         game = build_game(advs, defs, rc.env, rc.do.eval_episodes, args.seed, jobs=args.jobs)
@@ -198,14 +197,13 @@ def cmd_solve(args) -> int:
         advs = default_adversaries()
         defs = default_defenders(rc.env)
     with _Manifest(out_dir, "solve", args.seed, rc,
-                   {"init": args.init, "episodes": args.episodes,
-                    "jobs": args.jobs}) as manifest:
+                   {"init": args.init, "jobs": args.jobs}) as manifest:
         state, eq = run_double_oracle(rc.env, advs, defs, replace(rc.do, seed=args.seed),
                                       dqn_oracle(rc.env, rc.train), jobs=args.jobs)
         pol_dir = out_dir / "policies"
         pol_dir.mkdir(parents=True, exist_ok=True)
         artifacts = []
-        for policy in [*state.adv_policies, *state.def_policies]:
+        for policy in state.game.row_policies + state.game.col_policies:
             p = pol_dir / f"{policy.player}_{policy.label}.policy"
             save_policy(policy, p)
             artifacts.append(p)

@@ -50,8 +50,6 @@ class DoRecord:
 
 @dataclass
 class DoState:
-    adv_policies: list[PurePolicy]
-    def_policies: list[PurePolicy]
     game: EmpiricalGame
     history: list[DoRecord]
     oracle_calls: int
@@ -80,24 +78,22 @@ def run_double_oracle(env_cfg: EnvConfig, initial_adv: list[PurePolicy],
                       oracle, jobs: int = 1) -> tuple[DoState, EquilibriumResult]:
     """Run the loop and return the final state and equilibrium.  `oracle`, e.g.
     `dqn_oracle`, maps (player, opponents, mix, seed, label) to a new policy."""
-    adv = list(initial_adv)
-    deff = list(initial_def)
-    game = build_game(adv, deff, env_cfg, do_cfg.eval_episodes,
+    game = build_game(initial_adv, initial_def, env_cfg, do_cfg.eval_episodes,
                       derive_seed(do_cfg.seed, "game"), jobs=jobs)
     eq = solve_msne(game)
     history = [DoRecord(0, eq.value_adv, eq.value_def, "", float("nan"), False, False)]
     for it in range(1, do_cfg.max_iterations + 1):
         # a defender row carries the adversary flag of the row before it
         conv = {ADVERSARY: history[-1].converged_adv}
-        for player, own, opponents in ((DEFENDER, deff, adv), (ADVERSARY, adv, deff)):
+        for player in (DEFENDER, ADVERSARY):
             # the player responds to the opponent's current equilibrium mixture
-            opp_sigma = eq.sigma_adv if player == DEFENDER else eq.sigma_def
-            policy = oracle(player, opponents, MixedStrategy(opp_sigma),
+            opponents, opp_sigma = ((game.row_policies, eq.sigma_adv) if player == DEFENDER
+                                    else (game.col_policies, eq.sigma_def))
+            policy = oracle(player, list(opponents), MixedStrategy(opp_sigma),
                             derive_seed(do_cfg.seed, "oracle", it, player),
                             f"{player[:3]}_br_{it:02d}")
             game = extend_game(game, policy, env_cfg, derive_seed(do_cfg.seed, "game"),
                                jobs=jobs)
-            own.append(policy)
             if player == DEFENDER:
                 br, value = float(eq.sigma_adv @ game.u_def[:, -1]), eq.value_def
             else:
@@ -109,5 +105,5 @@ def run_double_oracle(env_cfg: EnvConfig, initial_adv: list[PurePolicy],
         if conv[ADVERSARY] and conv[DEFENDER]:
             break
     last = history[-1]
-    return DoState(adv, deff, game, history, len(history) - 1,
+    return DoState(game, history, len(history) - 1,
                    last.converged_adv and last.converged_def), eq

@@ -128,6 +128,11 @@ class EquilibriumResult:
     method: str
 
 
+def _result(game: EmpiricalGame, x: np.ndarray, y: np.ndarray,
+            method: str) -> EquilibriumResult:
+    return EquilibriumResult(x, y, *mixed_utility(game, x, y), *regret(game, x, y), method)
+
+
 # ---------------------------------------------------------------------------
 # Lemke-Howson.
 #
@@ -180,38 +185,41 @@ def _lex_pivot(tab: np.ndarray, basis: list[int], col: int,
 def _lemke_howson(a_pos: np.ndarray, b_pos: np.ndarray, first_label: int,
                   max_pivots: int) -> tuple[np.ndarray, np.ndarray]:
     m, n = a_pos.shape
-    tx = np.hstack([b_pos.T, np.eye(n), np.ones((n, 1))])
-    ty = np.hstack([np.eye(m), a_pos, np.ones((m, 1))])
-    basis_x = list(range(m, m + n))
-    basis_y = list(range(m))
-    lex_x = range(m, m + n)
-    lex_y = range(m)
-    entering = first_label
-    in_x = first_label < m
+    # side 0 is TX, side 1 is TY; each side's slack labels are its lex columns
+    tabs = (np.hstack([b_pos.T, np.eye(n), np.ones((n, 1))]),
+            np.hstack([np.eye(m), a_pos, np.ones((m, 1))]))
+    slacks = (range(m, m + n), range(m))
+    bases = [list(labels) for labels in slacks]
+    entering, side = first_label, int(first_label >= m)
     for _ in range(max_pivots):
-        if in_x:
-            leaving = _lex_pivot(tx, basis_x, entering, lex_x)
-        else:
-            leaving = _lex_pivot(ty, basis_y, entering, lex_y)
+        leaving = _lex_pivot(tabs[side], bases[side], entering, slacks[side])
         if leaving == first_label:
             break
-        entering = leaving
-        in_x = not in_x
+        entering, side = leaving, 1 - side
     else:
         raise _PivotFailure("pivot limit exceeded")
-    x = np.zeros(m)
-    y = np.zeros(n)
-    for r, lab in enumerate(basis_x):
-        if lab < m:
-            x[lab] = tx[r, -1]
-    for r, lab in enumerate(basis_y):
-        if lab >= m:
-            y[lab - m] = ty[r, -1]
-    if x.sum() <= 0 or y.sum() <= 0:
+    xy = np.zeros(m + n)
+    for tab, basis, slack in zip(tabs, bases, slacks):
+        for r, lab in enumerate(basis):
+            if lab not in slack:
+                xy[lab] = tab[r, -1]
+    if xy[:m].sum() <= 0 or xy[m:].sum() <= 0:
         raise _PivotFailure("returned to the artificial equilibrium")
-    x = np.clip(x, 0.0, None)
-    y = np.clip(y, 0.0, None)
+    x, y = np.split(np.clip(xy, 0.0, None), [m])
     return x / x.sum(), y / y.sum()
+
+
+def _indifference(sub: np.ndarray) -> np.ndarray:
+    """Weights on a k x k block's columns, summing to 1, that make its rows
+    indifferent, then the common payoff: k + 1 values, or LinAlgError."""
+    k = len(sub)
+    left = np.zeros((k + 1, k + 1))
+    left[:k, :k] = sub
+    left[:k, k] = -1.0
+    left[k, :k] = 1.0
+    rhs = np.zeros(k + 1)
+    rhs[k] = 1.0
+    return np.linalg.solve(left, rhs)
 
 
 def _support_enumeration(u_a: np.ndarray, u_d: np.ndarray, tol: float):
@@ -222,22 +230,10 @@ def _support_enumeration(u_a: np.ndarray, u_d: np.ndarray, tol: float):
             a_rows = u_a[list(rows)]
             d_rows = u_d[list(rows)]
             for cols in itertools.combinations(range(n), k):
-                a_sub = a_rows[:, list(cols)]
-                d_sub = d_rows[:, list(cols)]
-                # y makes the chosen rows indifferent, x the chosen columns
-                left_y = np.zeros((k + 1, k + 1))
-                left_y[:k, :k] = a_sub
-                left_y[:k, k] = -1.0
-                left_y[k, :k] = 1.0
-                left_x = np.zeros((k + 1, k + 1))
-                left_x[:k, :k] = d_sub.T
-                left_x[:k, k] = -1.0
-                left_x[k, :k] = 1.0
-                rhs = np.zeros(k + 1)
-                rhs[k] = 1.0
                 try:
-                    sol_y = np.linalg.solve(left_y, rhs)
-                    sol_x = np.linalg.solve(left_x, rhs)
+                    # y makes the chosen rows indifferent, x the chosen columns
+                    sol_y = _indifference(a_rows[:, list(cols)])
+                    sol_x = _indifference(d_rows[:, list(cols)].T)
                 except np.linalg.LinAlgError:
                     continue
                 if (sol_y[:k] < -1e-9).any() or (sol_x[:k] < -1e-9).any():
@@ -279,19 +275,15 @@ def solve_msne(game: EmpiricalGame, tol: float | None = None) -> EquilibriumResu
     max_pivots = 200 + 20 * (m + n)
     for label in range(m + n):
         try:
-            x, y = _lemke_howson(a_pos, b_pos, label, max_pivots)
+            result = _result(game, *_lemke_howson(a_pos, b_pos, label, max_pivots),
+                             "lemke_howson")
         except _PivotFailure:
             continue
-        reg_a, reg_d = regret(game, x, y)
-        if reg_a <= tol and reg_d <= tol:
-            va, vd = mixed_utility(game, x, y)
-            return EquilibriumResult(x, y, va, vd, reg_a, reg_d, "lemke_howson")
+        if result.regret_adv <= tol and result.regret_def <= tol:
+            return result
     if min(m, n) <= _SUPPORT_ENUM_LIMIT:
         found = _support_enumeration(u_a, u_d, tol)
         if found is not None:
-            x, y = found
-            reg_a, reg_d = regret(game, x, y)
-            va, vd = mixed_utility(game, x, y)
-            return EquilibriumResult(x, y, va, vd, reg_a, reg_d, "support_enumeration")
+            return _result(game, *found, "support_enumeration")
     raise EquilibriumError(
         f"no equilibrium within regret tolerance {tol:g} for a {m}x{n} game")

@@ -85,8 +85,13 @@ HEURISTICS: dict[tuple[str, str], type[Heuristic]] = {}
 
 def _heuristic(name: str, *players: str):
     """Class decorator: make a heuristic a dataclass(eq=False), so that it
-    keeps identity equality and hashing, and register it for `players`."""
+    keeps identity equality and hashing, and register it for `players`.
+    The class gets `name`, `label`'s default, and, when it plays one side
+    only, its `player`; a class for both sides keeps `player` a field."""
     def register(cls):
+        cls.name = cls.label = name
+        if len(players) == 1:
+            cls.player = players[0]
         cls = dataclass(eq=False)(cls)
         for player in players:
             HEURISTICS[(player, name)] = cls
@@ -103,10 +108,7 @@ def heuristic(player: str, name: str, **params) -> Heuristic:
 
 def heuristic_name(policy: PurePolicy) -> str | None:
     """The registry name of a heuristic policy, None for anything else."""
-    for (player, name), cls in HEURISTICS.items():
-        if player == policy.player and isinstance(policy, cls):
-            return name
-    return None
+    return getattr(policy, "name", None)
 
 
 def heuristic_params(policy) -> list[Field]:
@@ -117,7 +119,7 @@ def heuristic_params(policy) -> list[Field]:
 @_heuristic("noop", ADVERSARY, DEFENDER)
 class NoOpPolicy(Heuristic):
     player: str
-    label: str = "noop"
+    label: str
 
     def choices(self, obs, tau):
         return None
@@ -167,9 +169,8 @@ def _believed_takeable(obs: np.ndarray) -> np.ndarray:
 class UniformAdversary(Heuristic):
     """Every `period` steps, probe a random server believed up and uncontrolled."""
 
-    player = ADVERSARY
     period: int = 1
-    label: str = "uniform"
+    label: str
 
     def choices(self, obs, tau):
         if tau % self.period:
@@ -181,9 +182,8 @@ class UniformAdversary(Heuristic):
 class MaxProbeAdversary(Heuristic):
     """Every `period` steps, probe the most-probed server it does not control."""
 
-    player = ADVERSARY
     period: int = 1
-    label: str = "maxprobe"
+    label: str
 
     def choices(self, obs, tau):
         if tau % self.period:
@@ -196,9 +196,8 @@ class ControlThresholdAdversary(Heuristic):
     """Probe (most-probed targeting) only while controlling less than a
     threshold fraction of the servers."""
 
-    player = ADVERSARY
     threshold: float = 0.5
-    label: str = "control_threshold"
+    label: str
 
     def choices(self, obs, tau):
         below = ~(np.add.reduce(obs[..., COL_CONTROL], axis=-1) / obs.shape[-2] >= self.threshold)
@@ -211,9 +210,8 @@ class ControlThresholdAdversary(Heuristic):
 class UniformDefender(Heuristic):
     """Every `period` steps, reimage a random up server."""
 
-    player = DEFENDER
     period: int = 4
-    label: str = "uniform"
+    label: str
 
     def choices(self, obs, tau):
         if tau % self.period:
@@ -226,9 +224,8 @@ class MaxProbeDefender(Heuristic):
     """Every `period` steps, reimage the up server with the most observed
     probes, provided anything was probed at all."""
 
-    player = DEFENDER
     period: int = 4
-    label: str = "maxprobe"
+    label: str
 
     def choices(self, obs, tau):
         if tau % self.period:
@@ -248,10 +245,9 @@ class ProbeCountPeriodDefender(Heuristic):
     step, chosen uniformly.
     """
 
-    player = DEFENDER
     period: int = 4
     probe_limit: int = 7
-    label: str = "pcp"
+    label: str
 
     def choices(self, obs, tau):
         seen = obs[..., COL_PROGRESS]
@@ -293,11 +289,10 @@ class ControlThresholdDefender(Heuristic):
     """Reimage the most-suspect server when expected control drops below a
     threshold fraction, at most once per `period` steps."""
 
-    player = DEFENDER
     threshold: float = 0.8
     period: int = 4
     gain: float = 0.05
-    label: str = "control_threshold"
+    label: str
 
     def choices(self, obs, tau):
         # time since this defender's most recent reimage anywhere

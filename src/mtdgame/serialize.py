@@ -44,7 +44,16 @@ def _heuristic_line(policy: PurePolicy) -> str:
         raise PolicyFormatError(f"cannot serialize policy type {type(policy).__name__}")
     parts = [f"{f.name}={TEXT_VALUES[f.type].write(getattr(policy, f.name))}"
              for f in heuristic_params(policy)]
+    if policy.label != name:
+        parts.append(f"label={_read_label(policy.label)}")
     return " ".join(["heuristic", policy.player, name, *parts])
+
+
+def _read_label(text: str) -> str:
+    """A label as a policy file token: nonempty, without whitespace."""
+    if text.split() != [text]:
+        raise PolicyFormatError(f"label {text!r} is empty or contains whitespace")
+    return text
 
 
 def save_policy(policy: PurePolicy, path: str | Path) -> None:
@@ -83,18 +92,19 @@ def load_policy(path: str | Path, env_cfg: EnvConfig) -> PurePolicy:
     cls = HEURISTICS.get((player, name))
     if cls is None:
         raise PolicyFormatError(f"{path}: unknown heuristic {player}/{name}")
-    types = {f.name: f.type for f in heuristic_params(cls)}
+    readers = {f.name: TEXT_VALUES[f.type].read for f in heuristic_params(cls)}
+    readers["label"] = _read_label
     params = {}
     for tok in head[3:]:
         if "=" not in tok:
             raise PolicyFormatError(f"{path}: malformed parameter {tok!r}")
         k, _, v = tok.partition("=")
-        if k not in types:
+        if k not in readers:
             raise PolicyFormatError(f"{path}: {player}/{name} has no parameter {k!r}")
         if k in params:
             raise PolicyFormatError(f"{path}: parameter {k!r} given twice")
         try:
-            params[k] = TEXT_VALUES[types[k]].read(v)
+            params[k] = readers[k](v)
         except ValueError:
             raise PolicyFormatError(f"{path}: bad value for {k}: {v!r}") from None
     try:

@@ -186,7 +186,7 @@ def test_payoff_table_writes_default_grid(tmp_path, capsys):
                                "control_threshold")
     doc = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert doc["artifacts"] == ["game.csv"]
-    assert doc["args"]["episodes"] == 1
+    assert doc["config"]["eval_episodes"] == "1"
 
 
 def test_payoff_table_rerun_and_jobs_are_identical(tmp_path, capsys):

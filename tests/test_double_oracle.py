@@ -97,7 +97,7 @@ def test_improving_response_extends_the_game(short):
     # the probing response enters and lifts the adversary's value well above
     # the idle-pair equilibrium; two-episode payoff noise may legitimately
     # keep fresh copies "improving", so convergence itself is not asserted
-    assert len(state.adv_policies) >= 2
+    assert len(state.game.row_policies) >= 2
     assert state.oracle_calls == len(state.history) - 1 <= 6
     idle_value = 0.268941 * (1 - 0.99 ** 50) / 0.01
     assert eq.value_adv > idle_value + 2.0
@@ -205,9 +205,9 @@ def test_full_loop_with_learned_oracles(short):
     state, eq = run_double_oracle(short, [NoOpPolicy(ADVERSARY)],
                                   [NoOpPolicy(DEFENDER)], tiny_do(max_iterations=1), oracle)
     assert state.oracle_calls == 2
-    assert isinstance(state.def_policies[-1], QNetworkPolicy)
-    assert isinstance(state.adv_policies[-1], QNetworkPolicy)
-    assert state.def_policies[-1].label == "def_br_01"
+    assert isinstance(state.game.col_policies[-1], QNetworkPolicy)
+    assert isinstance(state.game.row_policies[-1], QNetworkPolicy)
+    assert state.game.col_policies[-1].label == "def_br_01"
     assert state.game.u_adv.shape == (2, 2)
 
 

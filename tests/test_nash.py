@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -289,3 +291,36 @@ def test_solve_empirical_noop_game(baseline):
     r = solve_msne(g)
     assert r.value_adv == pytest.approx(26.8929, abs=1e-3)
     assert r.value_def == pytest.approx(98.1972, abs=1e-3)
+
+
+# sha256 over solve_msne's strategies and method on solver_games(); a change
+# to any bit of any of these solves fails it.
+SOLVER_BITS_SHA256 = "3f467cdc34534f934a4177c9f2a213c087ba55fff19a7f747875a9b8e3d16b8d"
+
+
+def solver_games():
+    """300 seeded games up to 7x7: Gaussian, small-integer (degenerate) and
+    zero-sum with a duplicated row, in turn."""
+    rng = np.random.default_rng(22)
+    for i in range(300):
+        m, n = (int(k) for k in rng.integers(1, 8, size=2))
+        if i % 3 == 0:
+            u_a, u_d = rng.normal(size=(m, n)), rng.normal(size=(m, n))
+        elif i % 3 == 1:
+            u_a, u_d = rng.integers(-2, 3, size=(2, m, n)).astype(float)
+        else:
+            u_a = rng.normal(size=(m, n))
+            u_a[-1] = u_a[0]
+            u_d = -u_a
+        yield game_of(u_a, u_d)
+
+
+def test_solver_keeps_its_bits():
+    """Every one of these games is solved by Lemke-Howson, which pivots
+    elementwise, so the strategies hash the same under any BLAS."""
+    digest = hashlib.sha256()
+    for game in solver_games():
+        result = solve_msne(game)
+        digest.update(result.sigma_adv.tobytes() + result.sigma_def.tobytes()
+                      + result.method.encode())
+    assert digest.hexdigest() == SOLVER_BITS_SHA256

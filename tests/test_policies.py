@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -37,6 +37,7 @@ from mtdgame.policies import (
     evaluate_pair,
     expected_defender_control,
     heuristic,
+    heuristic_name,
     run_episode,
 )
 from mtdgame.qlearn import QNetwork, QNetworkPolicy
@@ -237,6 +238,18 @@ def test_default_policy_sets(baseline):
                                        "control_threshold"]
     assert all(p.player == ADVERSARY for p in advs)
     assert all(p.player == DEFENDER for p in defs)
+
+
+@pytest.mark.parametrize("player,name", list(HEURISTICS), ids=["/".join(k) for k in HEURISTICS])
+def test_registry_states_each_heuristic_once(player, name):
+    """The decorator's name and player are the class's: its `name`, its
+    `label` default and the player of what `heuristic` builds."""
+    cls = HEURISTICS[(player, name)]
+    assert cls.name == name
+    assert {f.name: f.default for f in fields(cls)}["label"] == name
+    policy = heuristic(player, name)
+    assert (policy.player, policy.label, heuristic_name(policy)) == (player, name, name)
+    assert heuristic_name(QNetworkPolicy(player, QNetwork(5, 2, None), EnvConfig(), name)) is None
 
 
 # ----------------------------------------------------------------- mixtures

@@ -62,12 +62,36 @@ def test_heuristic_round_trip(policy, baseline, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_heuristic_label_not_serialized(baseline, tmp_path):
-    pol = UniformAdversary(period=2)
-    pol.label = "fast"
+def test_heuristic_label_written_only_when_not_the_name(baseline, tmp_path):
+    """A label other than the registry name ends the line as `label=`; the
+    default label adds nothing, so files without one keep their bytes."""
     p = tmp_path / "x.policy"
-    save_policy(pol, p)
+    save_policy(UniformAdversary(period=2), p)
+    assert p.read_text(encoding="utf-8") == "heuristic adversary uniform period=2\n"
     assert load_policy(p, baseline).label == "uniform"
+    save_policy(UniformAdversary(period=2, label="fast"), p)
+    assert p.read_text(encoding="utf-8") == "heuristic adversary uniform period=2 label=fast\n"
+    loaded = load_policy(p, baseline)
+    assert (type(loaded), loaded.period, loaded.label) == (UniformAdversary, 2, "fast")
+    p.write_text("heuristic defender noop label=idle\n", encoding="utf-8")
+    loaded = load_policy(p, baseline)
+    assert (type(loaded), loaded.player, loaded.label) == (NoOpPolicy, DEFENDER, "idle")
+    p.write_text("heuristic defender pcp label=pcp\n", encoding="utf-8")
+    assert load_policy(p, baseline).label == "pcp"
+    p.write_text("heuristic defender uniform label=\n", encoding="utf-8")
+    with pytest.raises(PolicyFormatError, match="bad value for label"):
+        load_policy(p, baseline)
+    p.write_text("heuristic defender uniform label=a label=b\n", encoding="utf-8")
+    with pytest.raises(PolicyFormatError, match="given twice"):
+        load_policy(p, baseline)
+
+
+@pytest.mark.parametrize("label", ["", "two words", "tab\there", " lead", "trail\n"])
+def test_heuristic_label_must_be_one_token(label, tmp_path):
+    p = tmp_path / "x.policy"
+    with pytest.raises(PolicyFormatError, match="empty or contains whitespace"):
+        save_policy(UniformDefender(label=label), p)
+    assert not p.exists()
 
 
 def test_qnet_round_trip_is_exact(baseline, tmp_path):
@@ -284,8 +308,12 @@ def test_mixture_labels_name_distinct_files(baseline, tmp_path):
     path = save_mixture(policies, mix, tmp_path / "ok")
     assert path.read_text(encoding="utf-8") == "0.5 pcp4.policy\n0.5 pcp8.policy\n"
     loaded, _ = load_mixture(path, baseline)
-    assert [(type(p), p.period) for p in loaded] == [(ProbeCountPeriodDefender, 4),
-                                                     (ProbeCountPeriodDefender, 8)]
+    assert [(type(p), p.period, p.label) for p in loaded] == [
+        (ProbeCountPeriodDefender, 4, "pcp4"), (ProbeCountPeriodDefender, 8, "pcp8")]
+    # the reloaded mixture saves again, to the same bytes
+    again = save_mixture(loaded, mix, tmp_path / "again")
+    for name in ("mixture.txt", "pcp4.policy", "pcp8.policy"):
+        assert (again.parent / name).read_bytes() == (path.parent / name).read_bytes()
 
 
 def test_mixture_comments_and_blanks(baseline, tmp_path):

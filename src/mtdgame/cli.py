@@ -159,14 +159,13 @@ def cmd_payoff_table(args) -> int:
 
 def cmd_train_br(args) -> int:
     rc = _load_rc(args)
-    player = ADVERSARY if args.player == "adversary" else DEFENDER
     opponents, mix = load_mixture(args.opponent, rc.env)
     out_dir = Path(args.out)
     with _Manifest(out_dir, "train-br", args.seed, rc,
-                   {"player": player, "opponent": str(args.opponent)}) as manifest:
+                   {"player": args.player, "opponent": str(args.opponent)}) as manifest:
         tc = replace(rc.train, seed=args.seed)
-        policy, curve = train_best_response(player, opponents, mix, rc.env, tc,
-                                            label=f"{player}_br")
+        policy, curve = train_best_response(args.player, opponents, mix, rc.env, tc,
+                                            label=f"{args.player}_br")
         pol_path = out_dir / f"{policy.label}.policy"
         curve_path = out_dir / "learning_curve.csv"
         save_policy(policy, pol_path)
@@ -265,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-br", help="train a best response to a mixture")
     common(p)
-    p.add_argument("--player", choices=["adversary", "defender"], required=True)
+    p.add_argument("--player", choices=[ADVERSARY, DEFENDER], required=True)
     p.add_argument("--opponent", type=str, required=True, help="mixture file")
     p.add_argument("--ne", type=_count, default=None, help="override training episodes")
     p.add_argument("--t", type=_count, default=None, help="override horizon")

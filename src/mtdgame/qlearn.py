@@ -52,7 +52,6 @@ import numpy as np
 
 from mtdgame.env import (
     ADVERSARY,
-    BLOCK_WORDS,
     COL_ADV_SINCE_PROBE,
     COL_CONTROL,
     COL_DEF_SINCE_PROBE,
@@ -144,8 +143,7 @@ class TrainConfig:
         check_range(self, "[0, 1]", "epsilon_final")
         check_range(self, "(0, inf)", "learning_rate")
         check_range(self, "[1, inf)", "batch_size", "episodes")
-        # `ReplayBuffer.sample` draws with numpy's bits for at most 2**32 rows
-        check_range(self, f"[{self.batch_size}, {2**32}]", "replay_capacity")
+        check_range(self, f"[{self.batch_size}, inf)", "replay_capacity")
         check_range(self, "(-inf, inf)", "seed")
 
 
@@ -353,47 +351,9 @@ class SgdOptimizer:  # training uses Adam; tests and perfbench/layertrace.py use
         self.params -= self._step
 
 
-class BlockIntegers:
-    """`rng.integers(k, size=n)`, 1 <= k <= 2**32, bit for bit, read from a
-    block of BLOCK_WORDS `random_raw` words at a time; nothing else may draw
-    from `rng`.  numpy maps each 32-bit half h, low half first, to
-    (h * k) >> 32 unless (h * k) mod 2**32 < (2**32 - k) % k, when it takes
-    the next half instead.  Unused halves carry over to the next call, so
-    `rng` runs ahead by at most one block; `cursor` counts the used ones."""
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng, self.cursor = rng, 2 * BLOCK_WORDS
-        self.block = np.empty(BLOCK_WORDS, dtype="<u8")
-        self.halves = np.empty(2 * BLOCK_WORDS, dtype=np.int64)   # the block's, widened
-
-    def integers(self, k: int, n: int) -> np.ndarray:
-        if not 1 <= k <= 2**32:
-            raise ValueError(f"k must lie in [1, 2**32], got {k}")
-        if k == 1 or n == 0:   # numpy draws nothing then
-            return np.zeros(n, dtype=np.int64)
-        reject, at, parts = (2**32 - k) % k, self.cursor, []
-        while n:
-            if at == 2 * BLOCK_WORDS:
-                self.block[:] = self.rng.bit_generator.random_raw(BLOCK_WORDS)
-                self.halves[:], at = self.block.view("<u4"), 0
-            m = self.halves[at:at + n] * k
-            at += m.size
-            low = m.astype(np.uint32)   # argmin is several times cheaper than a min here
-            if low[low.argmin()] < reject:
-                m = m[low >= reject]
-            parts.append(m)
-            n -= m.size
-        self.cursor = at
-        m = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        m >>= 32
-        if k > 2**31:   # h * k wrapped past 2**63; the mask undoes it
-            m &= 0xFFFFFFFF
-        return m
-
-
 class ReplayBuffer:
     """Fixed-capacity FIFO of transitions, one row each (obs, next_obs,
-    action, reward), sampled uniformly by `BlockIntegers` draws from `rng`."""
+    action, reward), sampled uniformly with `rng.integers`."""
 
     def __init__(self, capacity: int, obs_dim: int, rng: np.random.Generator):
         if capacity < 1:
@@ -403,7 +363,7 @@ class ReplayBuffer:
         self.rows = np.empty((capacity, 2 * obs_dim + 2))
         self.size = 0
         self._pos = 0
-        self.draws = BlockIntegers(rng)
+        self.rng = rng
 
     def __len__(self) -> int:
         return self.size
@@ -422,7 +382,7 @@ class ReplayBuffer:
         """The `batch` rows `rng.integers(len(self), size=batch)` names, copied
         into `out`, which the next sample into it overwrites, or into a new
         array."""
-        return self.rows.take(self.draws.integers(self.size, batch), axis=0, out=out, mode="clip")
+        return self.rows.take(self.rng.integers(self.size, size=batch), axis=0, out=out, mode="clip")
 
 
 def epsilon_value(tc: TrainConfig, step: int, total_steps: int) -> float:

@@ -50,25 +50,29 @@ def _heuristic_line(policy: PurePolicy) -> str:
 
 
 def _read_label(text: str) -> str:
-    """A label as a policy file token: nonempty, without whitespace."""
-    if text.split() != [text]:
-        raise PolicyFormatError(f"label {text!r} is empty or contains whitespace")
+    """A label as a policy file token and a file name: nonempty, without
+    whitespace, `/` or `\\`, and neither `.` nor `..`."""
+    if text.split() != [text] or "/" in text or "\\" in text or text in (".", ".."):
+        raise PolicyFormatError(f"label {text!r} is empty or contains whitespace, / or \\, "
+                                "or is . or ..")
     return text
 
 
+def _policy_text(policy: PurePolicy) -> str:
+    if not isinstance(policy, QNetworkPolicy):
+        return _heuristic_line(policy) + "\n"
+    lines = [f"{MAGIC} {FORMAT_VERSION} qnet {policy.player} {policy.cfg.num_servers}"]
+    net = policy.net
+    for w, b in zip(net.weights, net.biases):
+        lines.append(f"{w.shape[0]} {w.shape[1]}")
+        for row in w:
+            lines.append(" ".join(repr(float(v)) for v in row))
+        lines.append(" ".join(repr(float(v)) for v in b))
+    return "\n".join(lines) + "\n"
+
+
 def save_policy(policy: PurePolicy, path: str | Path) -> None:
-    path = Path(path)
-    if isinstance(policy, QNetworkPolicy):
-        lines = [f"{MAGIC} {FORMAT_VERSION} qnet {policy.player} {policy.cfg.num_servers}"]
-        net = policy.net
-        for w, b in zip(net.weights, net.biases):
-            lines.append(f"{w.shape[0]} {w.shape[1]}")
-            for row in w:
-                lines.append(" ".join(repr(float(v)) for v in row))
-            lines.append(" ".join(repr(float(v)) for v in b))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    else:
-        path.write_text(_heuristic_line(policy) + "\n", encoding="utf-8")
+    Path(path).write_text(_policy_text(policy), encoding="utf-8")
 
 
 def load_policy(path: str | Path, env_cfg: EnvConfig) -> PurePolicy:
@@ -163,19 +167,21 @@ def _load_qnet(path, lines, env_cfg):
 def save_mixture(policies: list[PurePolicy], mix: MixedStrategy,
                  directory: str | Path) -> Path:
     """Write each policy to `<label>.policy` beside mixture.txt, which
-    references them by filename; ValueError if two policies share a label."""
-    labels = [policy.label for policy in policies]
-    for label in labels:
-        if labels.count(label) > 1:
+    references them by filename.  Every label must name a file of its own
+    (`_read_label`; ValueError if two policies share one), and nothing is
+    written unless all of them do."""
+    texts = {}
+    for policy in policies:
+        label = _read_label(policy.label)
+        if label in texts:
             raise ValueError(f"two policies share the label {label!r}, which names their file")
+        texts[label] = _policy_text(policy)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for policy, w in zip(policies, mix.weights):
-        fname = f"{policy.label}.policy"
-        save_policy(policy, directory / fname)
-        lines.append(f"{float(w)!r} {fname}")
+    for label, text in texts.items():
+        (directory / f"{label}.policy").write_text(text, encoding="utf-8")
     out = directory / "mixture.txt"
+    lines = [f"{float(w)!r} {label}.policy" for label, w in zip(texts, mix.weights)]
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return out
 

@@ -221,10 +221,10 @@ def test_train_br_writes_policy_and_curve(tmp_path, capsys):
     assert doc["artifacts"] == ["adversary_br.policy", "learning_curve.csv"]
 
 
-def test_train_br_sizes_replay_to_the_run(tmp_path, capsys):
-    """A billion-row replay capacity allocates only the rows a 5-step run
-    pushes, and trains to the bytes of the default capacity; above 2**32
-    rows it is a configuration error."""
+def test_train_br_sizes_replay_to_the_run(tmp_path):
+    """A billion-row replay capacity, or one above 2**32 rows, allocates only
+    the rows a 5-step run pushes, and trains to the bytes of the default
+    capacity."""
     mix = opponent_mixture(tmp_path, DEFENDER)
 
     def train(name, text):
@@ -237,9 +237,8 @@ def test_train_br_sizes_replay_to_the_run(tmp_path, capsys):
     for batch in ("", "batch=2\n"):   # batches of 2 train from the second step on
         default = train("default", "T=5\n" + batch)
         assert default[0] == EXIT_OK and len(default[1]) == 2
-        assert train("huge", f"T=5\n{batch}replay_capacity=1000000000\n") == default
-    assert train("over", "T=5\nreplay_capacity=4294967297\n") == (EXIT_CONFIG, [])
-    assert "key replay_capacity: must lie in [32, 4294967296]" in capsys.readouterr().err
+        for capacity in ("1000000000", "4294967297"):
+            assert train("huge", f"T=5\n{batch}replay_capacity={capacity}\n") == default
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the run diverges on purpose

@@ -316,6 +316,24 @@ def test_mixture_labels_name_distinct_files(baseline, tmp_path):
         assert (again.parent / name).read_bytes() == (path.parent / name).read_bytes()
 
 
+@pytest.mark.parametrize("bad", ["b c", "sub/x", "../escaped", "back\\slash", ".", ".."])
+def test_mixture_labels_must_name_files_or_nothing_is_written(bad, baseline, tmp_path):
+    """A label that is not a file name of its own fails the whole save
+    before anything is written, even after a good label; a policy file's
+    `label=` token obeys the same rule."""
+    root = tmp_path / "root"
+    root.mkdir()
+    policies = [ProbeCountPeriodDefender(label="a"), ProbeCountPeriodDefender(label=bad)]
+    with pytest.raises(PolicyFormatError, match="empty or contains whitespace"):
+        save_mixture(policies, MixedStrategy(np.array([0.5, 0.5])), root / "mix")
+    assert list(root.rglob("*")) == []
+    if bad.split() == [bad]:
+        p = tmp_path / "one.policy"
+        p.write_text(f"heuristic defender pcp label={bad}\n", encoding="utf-8")
+        with pytest.raises(PolicyFormatError, match="bad value for label"):
+            load_policy(p, baseline)
+
+
 def test_mixture_comments_and_blanks(baseline, tmp_path):
     save_policy(NoOpPolicy(ADVERSARY), tmp_path / "noop.policy")
     f = tmp_path / "m.txt"

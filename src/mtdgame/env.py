@@ -332,7 +332,8 @@ class MtdBatchEnv:
     that runs it ahead by its block's unused tail, so episode b here and an
     `MtdEnv` reset with `seeds[b]` give identical observations and rewards.
     Actions are one server index per episode, -1 for no-op.  Rewards and
-    compromise chances come from `MtdEnv`'s tables.
+    compromise chances come from `MtdEnv`'s tables.  An observation stack is
+    a view of one C-contiguous (episodes, M) plane per column.
     """
 
     def __init__(self, config: EnvConfig):
@@ -370,8 +371,10 @@ class MtdBatchEnv:
         for targets in (adv_targets, def_targets):
             if not isinstance(targets, np.ndarray):
                 raise TypeError(f"expected an array of server indices, got {targets!r}")
+            # initial 0 keeps unsigned indices reducible and empty batches steppable
             if (targets.shape != (len(self.stream.rngs),) or targets.dtype.kind not in "iu"
-                    or ((targets < -1) | (targets >= m)).any()):
+                    or np.minimum.reduce(targets, initial=0) < -1
+                    or np.maximum.reduce(targets, initial=0) >= m):
                 raise ValueError("expected one integer server index or -1 per episode")
         (probes, adv_owned, up_at, adv_progress, adv_last_probe, adv_up_at,
          def_probes_seen, def_last_probe, def_last_reimage) = self._flat
@@ -416,14 +419,15 @@ class MtdBatchEnv:
         self.tau = resolve
 
         # 4) rewards on the post-transition state
-        n_down = (resolve < self.up_at).sum(axis=1)
-        n_adv = self.adv_owned.sum(axis=1)
+        n_down = np.add.reduce(resolve < self.up_at, axis=1)
+        n_adv = np.add.reduce(self.adv_owned, axis=1)
         reward_adv = self._u_adv[n_adv, n_down]
         reward_adv[adv_targets >= 0] -= cfg.probe_cost
         reward_def = self._u_def[m - n_adv - n_down, n_down]
         return self.observe(ADVERSARY), self.observe(DEFENDER), reward_adv, reward_def
 
     def observe(self, player: str) -> np.ndarray:
+        """The player's (episodes, M, 5) stack: a view of one (episodes, M) plane per column."""
         if self.stream is None:
             raise RuntimeError("call reset() first")
         tau = self.tau
@@ -435,10 +439,10 @@ class MtdBatchEnv:
             col3 = tau - self.def_last_probe
         else:
             raise ValueError(f"unknown player {player!r}")
-        obs = np.empty((*up_at.shape, 5), dtype=np.int64)
-        np.less_equal(up_at, tau, out=obs[..., 0])
-        np.maximum(up_at - tau, 0, out=obs[..., 1])
-        obs[..., 2] = progress
-        obs[..., 3] = col3
-        np.subtract(tau, last, out=obs[..., 4])
-        return obs
+        planes = np.empty((5, *up_at.shape), dtype=np.int64)
+        np.less_equal(up_at, tau, out=planes[0])
+        np.maximum(up_at - tau, 0, out=planes[1])
+        planes[2] = progress
+        planes[3] = col3
+        np.subtract(tau, last, out=planes[4])
+        return planes.transpose(1, 2, 0)

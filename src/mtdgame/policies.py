@@ -148,9 +148,9 @@ def _pick_rows(candidates: np.ndarray, score: np.ndarray | None,
     Only rows left with two or more candidates draw `_pick`'s number from
     their generator in `stream`, which runs ahead by its block's tail."""
     if score is not None:
-        top = np.where(candidates, score, -1).max(axis=1, keepdims=True)
+        top = np.maximum.reduce(np.where(candidates, score, -1), axis=1, keepdims=True)
         candidates = candidates & (score == top)
-    count = candidates.sum(axis=1)
+    count = np.add.reduce(candidates, axis=1)
     picks = np.where(count > 0, candidates.argmax(axis=1), -1)
     rows = (count > 1).nonzero()[0]
     if rows.size:
@@ -435,8 +435,9 @@ def _lockstep(advs, defs, seeds, cfg: EnvConfig, episodes: int):
     ret = np.zeros((2, seeds.size))
     g = 1.0
     for t in range(cfg.horizon):
-        # one transposed copy puts each defender's observations in one slice
-        obs_d = obs_d.reshape(rows, cols, -1).transpose(1, 0, 2).reshape(cols, -1, m, 5)
+        # one copy of the defender's planes, regrouped by defender, gives each defender a slice
+        planes_d = obs_d.transpose(2, 0, 1).reshape(5, rows, cols, -1).transpose(0, 2, 1, 3)
+        obs_d = planes_d.reshape(5, cols, -1, m).transpose(1, 2, 3, 0)
         for obs, (policies, side_mask, side_score) in zip(
                 (obs_a.reshape(rows, -1, m, 5), obs_d), sides):
             for k, policy in enumerate(policies):

@@ -85,7 +85,6 @@ GRID_REFERENCE = {
 C2_GAME_SHA256 = "ee76e8f2d24a5f5e675459e4a9b63a66516858074de9c1ecc2ad884790f4dc67"
 
 
-@pytest.mark.slow
 def test_c2_heuristic_grid_reproduction(tmp_path):
     t0 = time.monotonic()
     game = build_game(default_adversaries(), default_defenders(BASE),

@@ -493,7 +493,35 @@ def test_batch_env_rejects_bad_actions(short):
         with pytest.raises(TypeError):
             batch.step(adv, deff)
     assert batch.tau == 0 and not batch.probes.any() and not batch.up_at.any()
+    # the first and last server and the no-op pass, in any integer dtype
+    for dtype in (np.int64, np.int8, np.uint8):
+        batch.step(np.array([0, 9], dtype=dtype), np.array([9, 0], dtype=dtype))
+    batch.step(np.array([-1, 9]), np.array([9, -1]))
+    for adv in (np.array([10, 0], dtype=np.uint8), np.array([0, -2], dtype=np.int8)):
+        with pytest.raises(ValueError):
+            batch.step(adv, np.array([-1, -1]))
+    assert batch.tau == 4
     while not batch.done:
         batch.step(np.array([-1, -1]), np.array([-1, -1]))
     with pytest.raises(RuntimeError):
         batch.step(np.array([-1, -1]), np.array([-1, -1]))
+    # a batch of no episodes steps to the horizon
+    obs_a, obs_d = batch.reset([])
+    assert obs_a.shape == obs_d.shape == (0, 10, 5)
+    nothing = np.array([], dtype=np.int64)
+    while not batch.done:
+        obs_a, obs_d, rew_a, rew_d = batch.step(nothing, nothing)
+    assert obs_a.shape == obs_d.shape == (0, 10, 5) and rew_a.shape == rew_d.shape == (0,)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_batch_observations_are_column_planes(n):
+    """Each player's observation stack is (n, M, 5) int64 whose every column
+    is one C-contiguous (n, M) plane, at reset and after a step."""
+    cfg = EnvConfig(num_servers=4, horizon=3)
+    batch = MtdBatchEnv(cfg)
+    stacks = batch.reset(list(range(n)))
+    targets = np.arange(n) % 5 - 1
+    for obs in (*stacks, *batch.step(targets, targets[::-1])[:2]):
+        assert obs.shape == (n, 4, 5) and obs.dtype == np.int64
+        assert all(obs[..., c].flags.c_contiguous for c in range(5))

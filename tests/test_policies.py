@@ -12,6 +12,7 @@ from mtdgame.env import (
     ADVERSARY,
     COL_PROGRESS,
     COL_STATUS,
+    BLOCK_WORDS,
     DEFENDER,
     BlockStream,
     ConfigError,
@@ -390,6 +391,42 @@ def test_act_batch_matches_act_row_by_row(policy, catch_up):
         obs = env.step(adv, deff)[policy.player != ADVERSARY]
     catch_up(row_rngs, stream)
     assert acted > 0 or isinstance(policy, NoOpPolicy)
+
+
+def test_choices_and_picks_ignore_the_observation_layout():
+    """On the env's plane-backed stacks and on C-contiguous copies of them,
+    every policy's choices are equal arrays, and `_pick_rows` over them
+    picks the same servers and leaves the same cursors."""
+    cfg = EnvConfig(num_servers=6, downtime=3, probe_gain=0.15, miss_prob=0.2, horizon=150)
+    n = 12
+    rng = np.random.default_rng(4)
+    policies = [*BATCH_POLICIES, *(QNetworkPolicy(player, QNetwork(30, 7, rng, hidden=(8,)),
+                                                  cfg, "qnet") for player in (ADVERSARY, DEFENDER))]
+    streams = [[BlockStream([np.random.default_rng(b) for b in range(n)]) for _ in "ab"]
+               for _ in policies]
+    env = MtdBatchEnv(cfg)
+    stacks = env.reset([derive_seed(6, "obs", b) for b in range(n)])
+    play = np.random.default_rng(9)
+    while not env.done:
+        for policy, (plane_stream, copy_stream) in zip(policies, streams):
+            obs = stacks[policy.player != ADVERSARY]
+            dense = np.ascontiguousarray(obs)
+            assert not obs.flags.c_contiguous and dense.flags.c_contiguous
+            got, want = policy.choices(obs, env.tau), policy.choices(dense, env.tau)
+            assert (got is None) == (want is None), policy.label
+            if got is None:
+                continue
+            for g, w in zip(got, want, strict=True):
+                assert (g is None) == (w is None) and (g is None or g.dtype == w.dtype)
+                np.testing.assert_array_equal(g, w)
+            np.testing.assert_array_equal(_pick_rows(*got, plane_stream),
+                                          _pick_rows(*want, copy_stream))
+            np.testing.assert_array_equal(plane_stream.cursor, copy_stream.cursor)
+        adv = np.where(play.random(n) < 0.8, play.integers(0, 6, n), -1)
+        deff = np.where(play.random(n) < 0.15, play.integers(0, 6, n), -1)
+        stacks = env.step(adv, deff)[:2]
+    # ties were drawn: some stream left its first, still unfilled, block
+    assert any((plane_stream.cursor != 2 * BLOCK_WORDS).any() for plane_stream, _ in streams)
 
 
 @pytest.mark.parametrize("gain", [0.05, 0.3])

@@ -163,9 +163,8 @@ def cmd_train_br(args) -> int:
     out_dir = Path(args.out)
     with _Manifest(out_dir, "train-br", args.seed, rc,
                    {"player": args.player, "opponent": str(args.opponent)}) as manifest:
-        tc = replace(rc.train, seed=args.seed)
-        policy, curve = train_best_response(args.player, opponents, mix, rc.env, tc,
-                                            label=f"{args.player}_br")
+        policy, curve = train_best_response(args.player, opponents, mix, rc.env, rc.train,
+                                            args.seed, label=f"{args.player}_br")
         pol_path = out_dir / f"{policy.label}.policy"
         curve_path = out_dir / "learning_curve.csv"
         save_policy(policy, pol_path)
@@ -197,7 +196,7 @@ def cmd_solve(args) -> int:
         defs = default_defenders(rc.env)
     with _Manifest(out_dir, "solve", args.seed, rc,
                    {"init": args.init, "jobs": args.jobs}) as manifest:
-        state, eq = run_double_oracle(rc.env, advs, defs, replace(rc.do, seed=args.seed),
+        state, eq = run_double_oracle(rc.env, advs, defs, rc.do, args.seed,
                                       dqn_oracle(rc.env, rc.train), jobs=args.jobs)
         pol_dir = out_dir / "policies"
         pol_dir.mkdir(parents=True, exist_ok=True)

@@ -11,7 +11,7 @@ more than eps_do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,12 +27,10 @@ class DoConfig:
     eps_do: float = 1.0          # payoff-units slack for "no improvement"
     max_iterations: int = 10     # oracle-call pairs; 0 solves the initial game only
     eval_episodes: int = 50      # Monte-Carlo episodes per payoff cell
-    seed: int = 0
 
     def __post_init__(self):
         check_range(self, "[0, inf)", "eps_do", "max_iterations")
         check_range(self, "[1, inf)", "eval_episodes")
-        check_range(self, "(-inf, inf)", "seed")
 
 
 @dataclass(frozen=True)
@@ -66,34 +64,31 @@ def dqn_oracle(env_cfg: EnvConfig, tc: TrainConfig):
 
     def oracle(player: str, opponents: list[PurePolicy], mix: MixedStrategy,
                seed: int, label: str) -> PurePolicy:
-        policy, _ = train_best_response(
-            player, opponents, mix, env_cfg, replace(tc, seed=seed), label=label)
+        policy, _ = train_best_response(player, opponents, mix, env_cfg, tc, seed, label=label)
         return policy
 
     return oracle
 
 
 def run_double_oracle(env_cfg: EnvConfig, initial_adv: list[PurePolicy],
-                      initial_def: list[PurePolicy], do_cfg: DoConfig,
+                      initial_def: list[PurePolicy], do_cfg: DoConfig, seed: int,
                       oracle, jobs: int = 1) -> tuple[DoState, EquilibriumResult]:
     """Run the loop and return the final state and equilibrium.  `oracle`, e.g.
     `dqn_oracle`, maps (player, opponents, mix, seed, label) to a new policy."""
     game = build_game(initial_adv, initial_def, env_cfg, do_cfg.eval_episodes,
-                      derive_seed(do_cfg.seed, "game"), jobs=jobs)
+                      derive_seed(seed, "game"), jobs=jobs)
     eq = solve_msne(game)
     history = [DoRecord(0, eq.value_adv, eq.value_def, "", float("nan"), False, False)]
+    conv = {ADVERSARY: False, DEFENDER: False}
     for it in range(1, do_cfg.max_iterations + 1):
-        # a defender row carries the adversary flag of the row before it
-        conv = {ADVERSARY: history[-1].converged_adv}
         for player in (DEFENDER, ADVERSARY):
             # the player responds to the opponent's current equilibrium mixture
             opponents, opp_sigma = ((game.row_policies, eq.sigma_adv) if player == DEFENDER
                                     else (game.col_policies, eq.sigma_def))
             policy = oracle(player, list(opponents), MixedStrategy(opp_sigma),
-                            derive_seed(do_cfg.seed, "oracle", it, player),
+                            derive_seed(seed, "oracle", it, player),
                             f"{player[:3]}_br_{it:02d}")
-            game = extend_game(game, policy, env_cfg, derive_seed(do_cfg.seed, "game"),
-                               jobs=jobs)
+            game = extend_game(game, policy, env_cfg, derive_seed(seed, "game"), jobs=jobs)
             if player == DEFENDER:
                 br, value = float(eq.sigma_adv @ game.u_def[:, -1]), eq.value_def
             else:
@@ -102,8 +97,6 @@ def run_double_oracle(env_cfg: EnvConfig, initial_adv: list[PurePolicy],
             eq = solve_msne(game)
             history.append(DoRecord(len(history), eq.value_adv, eq.value_def, player,
                                     br, conv[ADVERSARY], conv[DEFENDER]))
-        if conv[ADVERSARY] and conv[DEFENDER]:
+        if all(conv.values()):
             break
-    last = history[-1]
-    return DoState(game, history, len(history) - 1,
-                   last.converged_adv and last.converged_def), eq
+    return DoState(game, history, len(history) - 1, all(conv.values())), eq

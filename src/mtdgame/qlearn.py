@@ -136,7 +136,6 @@ class TrainConfig:
     batch_size: int = 32
     episodes: int = 500
     replay_capacity: int = 5000
-    seed: int = 0
 
     def __post_init__(self):
         check_range(self, "(0, 1]", "epsilon_fraction")
@@ -144,7 +143,6 @@ class TrainConfig:
         check_range(self, "(0, inf)", "learning_rate")
         check_range(self, "[1, inf)", "batch_size", "episodes")
         check_range(self, f"[{self.batch_size}, inf)", "replay_capacity")
-        check_range(self, "(-inf, inf)", "seed")
 
 
 def network_input(player: str, obs: np.ndarray, cfg: EnvConfig) -> np.ndarray:
@@ -208,20 +206,17 @@ class QNetwork:
             start += fan_out
         return views
 
-    def forward(self, x: np.ndarray, inputs: list | None = None,
-                out: list[np.ndarray] | None = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, out: list[np.ndarray] | None = None) -> np.ndarray:
         """Action values of an input vector, or of each one in a stack of
-        them (..., input_dim).  A list passed as `inputs` receives each
-        layer's input, for backpropagation; arrays passed as `out`, one per
-        layer, receive each layer's output, and the result is `out[-1]`.
+        them (..., input_dim).  Arrays passed as `out`, one per layer,
+        receive each layer's output, and the result is `out[-1]`; the
+        layers' inputs, for backpropagation, are then `[x, *out[:-1]]`.
         Stacks shaped (n, 1, input_dim) give each row the same value bits
         as a call on that row alone; an (n, input_dim) matrix product may
         round differently."""
         h = x
         last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if inputs is not None:
-                inputs.append(h)
             h = np.matmul(h, w.T, out=None if out is None else out[k])
             h += b
             if k != last:
@@ -261,7 +256,8 @@ def loss_and_gradients(net: QNetwork, inputs: list[np.ndarray], q: np.ndarray,
     """Mean squared error on the taken actions' values, with its gradient.
 
     `inputs` and `q` are one forward pass's layer inputs and output
-    (`net.forward(x, inputs)`), at the parameters the gradient is for.
+    (`[x, *out[:-1]]` and `out[-1]` of `net.forward(x, out=out)`), at the
+    parameters the gradient is for.
     Only the chosen action's output contributes per sample; `actions`
     holds action indices, as integers or integral floats.  The
     gradient is one vector laid out like net.params: `work.grad`, which
@@ -477,7 +473,7 @@ class EpisodeRecord:
 
 def train_best_response(player: str, opponents: list[PurePolicy],
                         opponent_mix: MixedStrategy, env_cfg: EnvConfig,
-                        tc: TrainConfig, label: str = "qnet",
+                        tc: TrainConfig, seed: int, label: str = "qnet",
                         ) -> tuple[QNetworkPolicy, list[EpisodeRecord]]:
     """Train a Q-network for one player against a frozen opponent mixture.
 
@@ -498,23 +494,23 @@ def train_best_response(player: str, opponents: list[PurePolicy],
     obs_dim = 5 * m
     n_actions = m + 1
 
-    net = QNetwork(obs_dim, n_actions, spawn_rng(tc.seed, "init"))
+    net = QNetwork(obs_dim, n_actions, spawn_rng(seed, "init"))
     optimizer = AdamOptimizer(net.params, tc.learning_rate)
     # a run pushes total_steps rows, so a larger FIFO would never wrap either
-    buf = ReplayBuffer(min(tc.replay_capacity, total_steps), obs_dim, spawn_rng(tc.seed, "replay"))
+    buf = ReplayBuffer(min(tc.replay_capacity, total_steps), obs_dim, spawn_rng(seed, "replay"))
     work = Workspace(net, tc.batch_size)
     center = RewardCenter(_CENTER_STEP)
-    explore_rng = spawn_rng(tc.seed, "explore")
-    mix_rng = spawn_rng(tc.seed, "mixture")
+    explore_rng = spawn_rng(seed, "explore")
+    mix_rng = spawn_rng(seed, "mixture")
 
     # test_benchmark_tracer_installs_and_measures counts these MtdEnv.step calls
     env = MtdEnv(env_cfg)
     curve: list[EpisodeRecord] = []
     gstep = 0
     for ep in range(tc.episodes):
-        obs_a, obs_d = env.reset(derive_seed(tc.seed, "episode", ep))
+        obs_a, obs_d = env.reset(derive_seed(seed, "episode", ep))
         opponent = opponents[opponent_mix.sample(mix_rng)]
-        opp_rng = spawn_rng(tc.seed, "opp", ep)
+        opp_rng = spawn_rng(seed, "opp", ep)
         my_obs, opp_obs = (obs_a, obs_d) if player == ADVERSARY else (obs_d, obs_a)
         x, order = canonical_input(player, my_obs, env_cfg)
         disc = 0.0

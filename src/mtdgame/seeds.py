@@ -14,7 +14,11 @@ import numpy as np
 
 
 def derive_seed(master: int, *labels) -> int:
-    """Map (master seed, labels) to a 64-bit stream seed."""
+    """Map (master seed, labels) to a 64-bit stream seed.  The master seed
+    must be an int or a numpy integer, not a bool; this is the one place
+    the package checks a seed."""
+    if not isinstance(master, (int, np.integer)) or isinstance(master, bool):
+        raise ValueError(f"seed must be an integer, got {master!r}")
     h = hashlib.sha256()
     h.update(str(int(master)).encode())
     for lab in labels:

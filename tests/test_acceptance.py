@@ -164,9 +164,9 @@ def test_c3_nash_solver_property_suite():
 
 def loss_at(net, x, actions, targets):
     """Loss and gradient at one forward pass over the inputs x."""
-    inputs: list = []
-    q = net.forward(x, inputs)
-    return loss_and_gradients(net, inputs, q, actions, targets)
+    out = [np.empty((len(x), n)) for n in net.dims[1:]]
+    q = net.forward(x, out=out)
+    return loss_and_gradients(net, [x, *out[:-1]], q, actions, targets)
 
 
 def test_c4_gradient_check_against_finite_differences():
@@ -251,9 +251,9 @@ def test_c5_environment_invariant_fuzz():
 def best_response_payoff(player: str) -> float:
     """Desk-scale training run against an idle opponent, fixed protocol."""
     other = DEFENDER if player == ADVERSARY else ADVERSARY
-    tc = TrainConfig(episodes=50, seed=0)
     policy, _ = train_best_response(player, [NoOpPolicy(other)],
-                                    MixedStrategy(np.array([1.0])), BASE, tc)
+                                    MixedStrategy(np.array([1.0])), BASE,
+                                    TrainConfig(episodes=50), 0)
     if player == ADVERSARY:
         pay = evaluate_pair(policy, NoOpPolicy(DEFENDER), BASE, episodes=50, seed=99)
         return pay.u_adv
@@ -281,7 +281,7 @@ def test_c6b_defender_best_response_floor():
         f"trained defender reaches {value:.4f} vs idle adversary, floor is 97.0")
 
 
-DESK_DO = DoConfig(eps_do=1.0, max_iterations=5, eval_episodes=20, seed=0)
+DESK_DO = DoConfig(eps_do=1.0, max_iterations=5, eval_episodes=20)
 
 
 def run_desk_do(init: str):
@@ -291,7 +291,7 @@ def run_desk_do(init: str):
     else:
         advs = default_adversaries()
         defs = default_defenders(BASE)
-    return run_double_oracle(BASE, advs, defs, DESK_DO,
+    return run_double_oracle(BASE, advs, defs, DESK_DO, 0,
                              dqn_oracle(BASE, TrainConfig(episodes=30)))
 
 

@@ -129,13 +129,24 @@ def test_format_round_trip():
     assert format_config(again) == text
 
 
+def test_config_classes_match_the_config_file():
+    """Every field of the three config classes is set by exactly one key
+    (utenv, a shorthand for w_a and w_d, aside), and format_config writes
+    every key, so a field that no file can set does not exist."""
+    sections = {"env": EnvConfig, "train": TrainConfig, "do": DoConfig}
+    settable = [(section, f.name) for section, cls in sections.items() for f in fields(cls)]
+    assert sorted(KEYS.values()) == sorted(settable)
+    written = [line.partition("=")[0] for line in format_config(ResolvedConfig()).splitlines()]
+    assert written == list(KEYS)
+
+
 def test_every_setting_rejects_nan():
     """Every setting that is not a string is checked: NaN fails it, and the
     error names the setting."""
     cases = [(cls(), fields(cls)) for cls in (EnvConfig, TrainConfig, DoConfig)]
     cases += [(heuristic(*key), heuristic_params(cls)) for key, cls in HEURISTICS.items()]
     checked = [(obj, f.name) for obj, params in cases for f in params if f.type != "str"]
-    assert len(checked) == 32
+    assert len(checked) == 30
     for obj, name in checked:
         with pytest.raises(ConfigError, match=f"^{name} must"):
             replace(obj, **{name: math.nan})

@@ -24,7 +24,7 @@ def uniform_adv_oracle(player, opponents, mix, seed, label):
 
 
 def tiny_do(**kw):
-    base = dict(eps_do=1.0, max_iterations=3, eval_episodes=2, seed=0)
+    base = dict(eps_do=1.0, max_iterations=3, eval_episodes=2)
     base.update(kw)
     return DoConfig(**base)
 
@@ -53,8 +53,6 @@ def test_do_config_validation(short):
     with pytest.raises(ConfigError):
         tiny_do(max_iterations=0.5)
     with pytest.raises(ConfigError):
-        tiny_do(seed=True)
-    with pytest.raises(ConfigError):
         dqn_oracle(short, TrainConfig(batch_size=0))
     tiny_do()
 
@@ -65,7 +63,7 @@ def test_do_config_validation(short):
 def test_zero_iterations_solves_initial_game_only(short):
     state, eq = run_double_oracle(short, [NoOpPolicy(ADVERSARY)],
                                   [NoOpPolicy(DEFENDER)],
-                                  tiny_do(max_iterations=0), oracle=noop_oracle)
+                                  tiny_do(max_iterations=0), 0, oracle=noop_oracle)
     assert state.oracle_calls == 0
     assert not state.converged
     assert len(state.history) == 1
@@ -78,7 +76,7 @@ def test_zero_iterations_solves_initial_game_only(short):
 
 def test_mutual_best_response_terminates_immediately(short):
     state, eq = run_double_oracle(short, [NoOpPolicy(ADVERSARY)],
-                                  [NoOpPolicy(DEFENDER)], tiny_do(),
+                                  [NoOpPolicy(DEFENDER)], tiny_do(), 0,
                                   oracle=noop_oracle)
     assert state.converged
     assert state.oracle_calls == 2
@@ -92,7 +90,7 @@ def test_mutual_best_response_terminates_immediately(short):
 
 def test_improving_response_extends_the_game(short):
     state, eq = run_double_oracle(short, [NoOpPolicy(ADVERSARY)],
-                                  [NoOpPolicy(DEFENDER)], tiny_do(),
+                                  [NoOpPolicy(DEFENDER)], tiny_do(), 0,
                                   oracle=uniform_adv_oracle)
     # the probing response enters and lifts the adversary's value well above
     # the idle-pair equilibrium; two-episode payoff noise may legitimately
@@ -120,7 +118,7 @@ def test_oracle_receives_current_mixture(short):
         return NoOpPolicy(player, label=label)
 
     run_double_oracle(short, [NoOpPolicy(ADVERSARY)], [NoOpPolicy(DEFENDER)],
-                      tiny_do(), oracle=spy_oracle)
+                      tiny_do(), 0, oracle=spy_oracle)
     assert seen[0][0] == DEFENDER
     assert seen[1][0] == ADVERSARY
     assert seen[0][3] == "def_br_01"
@@ -133,7 +131,7 @@ def test_oracle_receives_current_mixture(short):
 
 def test_history_rows_round_numbered(short):
     state, _ = run_double_oracle(short, [NoOpPolicy(ADVERSARY)],
-                                 [NoOpPolicy(DEFENDER)], tiny_do(),
+                                 [NoOpPolicy(DEFENDER)], tiny_do(), 0,
                                  oracle=uniform_adv_oracle)
     assert [r.call for r in state.history] == list(range(len(state.history)))
     assert all(isinstance(r, DoRecord) for r in state.history)
@@ -142,7 +140,7 @@ def test_history_rows_round_numbered(short):
 def test_loop_is_deterministic(short):
     def run():
         state, eq = run_double_oracle(short, [NoOpPolicy(ADVERSARY)],
-                                      [NoOpPolicy(DEFENDER)], tiny_do(),
+                                      [NoOpPolicy(DEFENDER)], tiny_do(), 0,
                                       oracle=uniform_adv_oracle)
         return [(r.call, r.value_adv, r.value_def, r.trained) for r in state.history]
 
@@ -162,7 +160,7 @@ def test_history_rows_pin_every_field(short):
         return policy
 
     state, eq = run_double_oracle(short, [UniformAdversary()], [NoOpPolicy(DEFENDER)],
-                                  tiny_do(), oracle=scripted_oracle)
+                                  tiny_do(), 0, oracle=scripted_oracle)
     game = state.game
 
     def solve_block(rows, cols):
@@ -203,7 +201,7 @@ def test_history_rows_pin_every_field(short):
 def test_full_loop_with_learned_oracles(short):
     oracle = dqn_oracle(short, TrainConfig(episodes=1, batch_size=8, replay_capacity=32))
     state, eq = run_double_oracle(short, [NoOpPolicy(ADVERSARY)],
-                                  [NoOpPolicy(DEFENDER)], tiny_do(max_iterations=1), oracle)
+                                  [NoOpPolicy(DEFENDER)], tiny_do(max_iterations=1), 0, oracle)
     assert state.oracle_calls == 2
     assert isinstance(state.game.col_policies[-1], QNetworkPolicy)
     assert isinstance(state.game.row_policies[-1], QNetworkPolicy)

@@ -221,9 +221,9 @@ def test_forward_batch_consistent_with_single():
 
 def loss_at(net, x, actions, targets):
     """Loss and gradient at one forward pass over the inputs x."""
-    inputs: list = []
-    q = net.forward(x, inputs)
-    return loss_and_gradients(net, inputs, q, actions, targets)
+    out = [np.empty((len(x), n)) for n in net.dims[1:]]
+    q = net.forward(x, out=out)
+    return loss_and_gradients(net, [x, *out[:-1]], q, actions, targets)
 
 
 def check_against_finite_differences(hidden, seed):
@@ -655,7 +655,6 @@ def test_greedy_policy_maps_through_canonical_order():
     dict(episodes=2.5),
     dict(batch_size=True),
     dict(replay_capacity=math.nan),
-    dict(seed=1.5),
 ])
 def test_train_config_validation(bad):
     with pytest.raises(ConfigError):
@@ -671,7 +670,7 @@ def test_train_config_accepts_replay_capacity_2_32():
 
 
 def small_tc(**kw):
-    base = dict(episodes=2, batch_size=8, replay_capacity=64, seed=0)
+    base = dict(episodes=2, batch_size=8, replay_capacity=64)
     base.update(kw)
     return TrainConfig(**base)
 
@@ -679,7 +678,7 @@ def small_tc(**kw):
 def test_training_smoke_and_curve_shape(short):
     pol, curve = train_best_response(
         ADVERSARY, [NoOpPolicy(DEFENDER)], MixedStrategy(np.array([1.0])),
-        short, small_tc(), label="adv_smoke")
+        short, small_tc(), 0, label="adv_smoke")
     assert pol.player == ADVERSARY
     assert pol.label == "adv_smoke"
     assert [c.episode for c in curve] == [0, 1]
@@ -691,7 +690,7 @@ def test_training_is_deterministic(short):
     def run():
         pol, curve = train_best_response(
             ADVERSARY, [NoOpPolicy(DEFENDER)], MixedStrategy(np.array([1.0])),
-            short, small_tc())
+            short, small_tc(), 0)
         return pol, [(c.return_discounted, c.return_raw) for c in curve]
 
     p1, c1 = run()
@@ -706,7 +705,7 @@ def test_forced_full_exploration_matches_random_play(short):
     tc = small_tc(episodes=6, epsilon_final=1.0)
     _, curve = train_best_response(
         ADVERSARY, [NoOpPolicy(DEFENDER)], MixedStrategy(np.array([1.0])),
-        short, tc)
+        short, tc, 0)
     got = np.mean([c.return_discounted for c in curve])
 
     cfg = replace(short, horizon=50)
@@ -727,13 +726,13 @@ def test_forced_full_exploration_matches_random_play(short):
 def test_training_validates_opponents(short):
     with pytest.raises(ValueError):
         train_best_response(ADVERSARY, [NoOpPolicy(ADVERSARY)],
-                            MixedStrategy(np.array([1.0])), short, small_tc())
+                            MixedStrategy(np.array([1.0])), short, small_tc(), 0)
     with pytest.raises(ValueError):
         train_best_response(ADVERSARY, [NoOpPolicy(DEFENDER)],
-                            MixedStrategy(np.array([0.5, 0.5])), short, small_tc())
+                            MixedStrategy(np.array([0.5, 0.5])), short, small_tc(), 0)
     with pytest.raises(ValueError):
         train_best_response("referee", [NoOpPolicy(DEFENDER)],
-                            MixedStrategy(np.array([1.0])), short, small_tc())
+                            MixedStrategy(np.array([1.0])), short, small_tc(), 0)
 
 
 def test_training_opponent_mixture_is_used(short):
@@ -751,6 +750,6 @@ def test_training_opponent_mixture_is_used(short):
 
     tc = small_tc(episodes=12)
     train_best_response(ADVERSARY, [Spy("a"), Spy("b")],
-                        MixedStrategy(np.array([0.5, 0.5])), replace(short, horizon=10), tc)
+                        MixedStrategy(np.array([0.5, 0.5])), replace(short, horizon=10), tc, 0)
     assert set(seen) == {"a", "b"}
     assert len(seen) == 12

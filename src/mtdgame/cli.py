@@ -21,8 +21,6 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 import mtdgame
 from mtdgame.config import ResolvedConfig, format_config, load_config
 from mtdgame.double_oracle import dqn_oracle, run_double_oracle
@@ -293,7 +291,7 @@ def main(argv=None) -> int:
     except (ConfigError, PolicyFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalError, EquilibriumError, np.linalg.LinAlgError) as exc:
+    except (NumericalError, EquilibriumError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

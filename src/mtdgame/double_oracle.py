@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from mtdgame.env import ADVERSARY, DEFENDER, EnvConfig, check_range
 from mtdgame.nash import EmpiricalGame, EquilibriumResult, build_game, extend_game, solve_msne
 from mtdgame.policies import MixedStrategy, PurePolicy

@@ -2,14 +2,12 @@
 
 The empirical game holds Monte-Carlo payoff estimates for every pair of an
 adversary (row) policy and defender (column) policy.  solve_msne finds one
-mixed equilibrium with Lemke-Howson pivoting, falling back to support
-enumeration on small games, and always verifies the result with an
-independent regret check before returning it.
+mixed equilibrium with lexicographic Lemke-Howson pivoting and always
+verifies the result with an independent regret check before returning it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -125,12 +123,7 @@ class EquilibriumResult:
     value_def: float
     regret_adv: float
     regret_def: float
-    method: str
-
-
-def _result(game: EmpiricalGame, x: np.ndarray, y: np.ndarray,
-            method: str) -> EquilibriumResult:
-    return EquilibriumResult(x, y, *mixed_utility(game, x, y), *regret(game, x, y), method)
+    method = "lemke_howson"  # not annotated: a class constant, not a field
 
 
 # ---------------------------------------------------------------------------
@@ -209,59 +202,12 @@ def _lemke_howson(a_pos: np.ndarray, b_pos: np.ndarray, first_label: int,
     return x / x.sum(), y / y.sum()
 
 
-def _indifference(sub: np.ndarray) -> np.ndarray:
-    """Weights on a k x k block's columns, summing to 1, that make its rows
-    indifferent, then the common payoff: k + 1 values, or LinAlgError."""
-    k = len(sub)
-    left = np.zeros((k + 1, k + 1))
-    left[:k, :k] = sub
-    left[:k, k] = -1.0
-    left[k, :k] = 1.0
-    rhs = np.zeros(k + 1)
-    rhs[k] = 1.0
-    return np.linalg.solve(left, rhs)
-
-
-def _support_enumeration(u_a: np.ndarray, u_d: np.ndarray, tol: float):
-    """First equilibrium over equal-size supports in lexicographic order."""
-    m, n = u_a.shape
-    for k in range(1, min(m, n) + 1):
-        for rows in itertools.combinations(range(m), k):
-            a_rows = u_a[list(rows)]
-            d_rows = u_d[list(rows)]
-            for cols in itertools.combinations(range(n), k):
-                try:
-                    # y makes the chosen rows indifferent, x the chosen columns
-                    sol_y = _indifference(a_rows[:, list(cols)])
-                    sol_x = _indifference(d_rows[:, list(cols)].T)
-                except np.linalg.LinAlgError:
-                    continue
-                if (sol_y[:k] < -1e-9).any() or (sol_x[:k] < -1e-9).any():
-                    continue
-                x = np.zeros(m)
-                y = np.zeros(n)
-                x[list(rows)] = np.clip(sol_x[:k], 0.0, None)
-                y[list(cols)] = np.clip(sol_y[:k], 0.0, None)
-                if x.sum() <= 0 or y.sum() <= 0:
-                    continue
-                x /= x.sum()
-                y /= y.sum()
-                pa = u_a @ y
-                pd = x @ u_d
-                if pa.max() - x @ pa <= tol and pd.max() - pd @ y <= tol:
-                    return x, y
-    return None
-
-
-_SUPPORT_ENUM_LIMIT = 12
-
-
 def solve_msne(game: EmpiricalGame, tol: float | None = None) -> EquilibriumResult:
     """One mixed equilibrium of the empirical game, regret-verified.
 
     Deterministic: Lemke-Howson is tried from every starting label in order
-    and the first verified equilibrium wins.  tol defaults to 1e-6 of the
-    payoff scale.
+    and the first verified equilibrium wins; EquilibriumError if none
+    verifies.  tol defaults to 1e-6 of the payoff scale.
     """
     u_a, u_d = game.u_adv, game.u_def
     m, n = u_a.shape
@@ -275,15 +221,11 @@ def solve_msne(game: EmpiricalGame, tol: float | None = None) -> EquilibriumResu
     max_pivots = 200 + 20 * (m + n)
     for label in range(m + n):
         try:
-            result = _result(game, *_lemke_howson(a_pos, b_pos, label, max_pivots),
-                             "lemke_howson")
+            x, y = _lemke_howson(a_pos, b_pos, label, max_pivots)
         except _PivotFailure:
             continue
+        result = EquilibriumResult(x, y, *mixed_utility(game, x, y), *regret(game, x, y))
         if result.regret_adv <= tol and result.regret_def <= tol:
             return result
-    if min(m, n) <= _SUPPORT_ENUM_LIMIT:
-        found = _support_enumeration(u_a, u_d, tol)
-        if found is not None:
-            return _result(game, *found, "support_enumeration")
     raise EquilibriumError(
         f"no equilibrium within regret tolerance {tol:g} for a {m}x{n} game")

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import Field, dataclass, fields
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 
@@ -414,7 +413,7 @@ def evaluate_cells(advs: list[PurePolicy], defs: list[PurePolicy], seeds: list[l
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        done = zip(*pool.map(_lockstep, *zip(*parts), repeat(cfg), repeat(episodes)))
+        done = zip(*pool.map(_lockstep, *zip(*parts), [cfg] * jobs, [episodes] * jobs))
         return tuple(np.concatenate(part, axis=1 + axis) for part in done)
 
 

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -460,6 +461,26 @@ def run_cli_module(*args: str) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "mtdgame.cli", *args],
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+SRC_MODULES = Path(__file__).resolve().parents[1] / "src" / "mtdgame"
+# perfbench/layertrace.py wraps cli.save_mixture, which no command calls
+UNREFERENCED_IMPORTS_KEPT = {("cli.py", "save_mixture")}
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC_MODULES.glob("*.py")
+                                          if p.name != "__init__.py"))
+def test_every_import_is_referenced(module):
+    tree = ast.parse((SRC_MODULES / module).read_text(encoding="utf-8"))
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    referenced = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unreferenced = {name for name in imported - referenced
+                    if (module, name) not in UNREFERENCED_IMPORTS_KEPT}
+    assert not unreferenced, f"{module} imports {sorted(unreferenced)} and never uses them"
 
 
 def test_module_entry_point():

@@ -141,10 +141,26 @@ def test_single_column_game():
     assert r.value_adv == pytest.approx(1.0)
 
 
-def test_degenerate_duplicate_rows():
-    g = game_of([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
-                [[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
-    r = solve_msne(g)
+def degenerate_games():
+    """Degenerate games, the last three seeded, that Lemke-Howson must settle
+    on its own: ties everywhere, past size 12, and near-ties at payoff scale."""
+    rng = np.random.default_rng(26)
+    block = rng.integers(-3, 4, size=(2, 3, 3)).astype(float)
+    binary = rng.integers(0, 2, size=(2, 12, 12)).astype(float)
+    noise = 1e-7 * rng.normal(size=(2, 8, 9))
+    return {
+        "duplicate_rows": ([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                           [[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]]),
+        "constant_7x7": (np.full((7, 7), 3.0), np.full((7, 7), -1.0)),
+        "tiled_15x15": tuple(np.tile(block, (1, 5, 5))),
+        "binary_12x12": tuple(binary),
+        "near_ties_8x9": (47.0 + noise[0], 89.0 + noise[1]),
+    }
+
+
+@pytest.mark.parametrize("name", list(degenerate_games()))
+def test_degenerate_duplicate_rows(name):
+    r = solve_msne(game_of(*degenerate_games()[name]))
     assert r.regret_adv <= 1e-9 and r.regret_def <= 1e-9
 
 
@@ -158,21 +174,15 @@ def test_solver_is_deterministic():
     assert r1.method == r2.method
 
 
-def test_zero_tolerance_raises_on_irrational_equilibrium():
-    g = game_of([[1, -1], [-1, 2]], [[-1, 1], [1, -2]])
+@pytest.mark.parametrize("u", [
+    pytest.param([[1, -1], [-1, 2]], id="irrational"),
+    # Lemke-Howson ends on a mixed equilibrium with regret 4.4e-16, not on
+    # the exact pure one (row 0, column 1)
+    pytest.param([[2, 0], [-2, 0]], id="pure_missed"),
+])
+def test_zero_tolerance_raises_on_irrational_equilibrium(u):
     with pytest.raises(EquilibriumError):
-        solve_msne(g, tol=0.0)
-
-
-def test_zero_tolerance_falls_back_to_support_enumeration():
-    # Lemke-Howson ends on a mixed equilibrium with regret 4.4e-16; only the
-    # fallback finds the exact pure one (row 0, column 1)
-    u = [[2, 0], [-2, 0]]
-    res = solve_msne(game_of(u, -np.asarray(u)), tol=0.0)
-    assert res.method == "support_enumeration"
-    assert res.sigma_adv.tolist() == [1.0, 0.0]
-    assert res.sigma_def.tolist() == [0.0, 1.0]
-    assert res.regret_adv == 0.0 and res.regret_def == 0.0
+        solve_msne(game_of(u, -np.asarray(u)), tol=0.0)
 
 
 def test_random_bimatrices_pass_independent_regret_check():

@@ -454,13 +454,17 @@ def test_payoff_table_episodes_come_from_the_config(tmp_path, capsys):
     assert overridden[0] == "2" and overridden[1] != from_file[1]
 
 
-def run_cli_module(*args: str) -> subprocess.CompletedProcess:
-    """`python -m mtdgame.cli` in a subprocess, with this checkout's src
-    first on its PYTHONPATH."""
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """`python *args` in a subprocess, with this checkout's src first on its
+    PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "mtdgame.cli", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def run_cli_module(*args: str) -> subprocess.CompletedProcess:
+    return run_python("-m", "mtdgame.cli", *args)
 
 
 SRC_MODULES = Path(__file__).resolve().parents[1] / "src" / "mtdgame"
@@ -468,8 +472,7 @@ SRC_MODULES = Path(__file__).resolve().parents[1] / "src" / "mtdgame"
 UNREFERENCED_IMPORTS_KEPT = {("cli.py", "save_mixture")}
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in SRC_MODULES.glob("*.py")
-                                          if p.name != "__init__.py"))
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC_MODULES.glob("*.py")))
 def test_every_import_is_referenced(module):
     tree = ast.parse((SRC_MODULES / module).read_text(encoding="utf-8"))
     imported = {(alias.asname or alias.name).split(".")[0]
@@ -481,6 +484,52 @@ def test_every_import_is_referenced(module):
     unreferenced = {name for name in imported - referenced
                     if (module, name) not in UNREFERENCED_IMPORTS_KEPT}
     assert not unreferenced, f"{module} imports {sorted(unreferenced)} and never uses them"
+
+
+# Top-level definitions that nothing in src/ uses, each with why it stays
+UNUSED_DEFINITIONS_KEPT = {
+    # perfbench/layertrace.py looks these up by name (ROADMAP items 1 and 7)
+    ("policies.py", "evaluate_pair"),
+    ("qlearn.py", "SgdOptimizer"),
+    ("serialize.py", "save_mixture"),
+    # the reader of do_curve.csv that `report` and `solve --resume` will
+    # use (ROADMAP items 6(b) and 11)
+    ("serialize.py", "load_do_curve"),
+}
+
+
+def test_every_definition_is_used():
+    """Every top-level function and class of src/mtdgame is named somewhere
+    in src/ outside its own definition; an import alone does not count,
+    and a class registered with `@_heuristic` does.  A kept name that gains
+    a use must leave UNUSED_DEFINITIONS_KEPT."""
+    # each top-level statement of src/ with the names it references
+    tops = [(p.name, node, {n.id for n in ast.walk(node) if isinstance(n, ast.Name)})
+            for p in sorted(SRC_MODULES.glob("*.py"))
+            for node in ast.parse(p.read_text(encoding="utf-8")).body]
+
+    def registered(node):
+        return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_heuristic"
+                   for d in node.decorator_list)
+
+    def used(defn):
+        return any(defn.name in names for _, top, names in tops if top is not defn)
+
+    unused = {(module, node.name) for module, node, _ in tops
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not registered(node) and not used(node)}
+    assert unused - UNUSED_DEFINITIONS_KEPT == set(), "defined and never used in src/"
+    assert UNUSED_DEFINITIONS_KEPT - unused == set(), "used now: drop from the kept list"
+
+
+def test_bare_import_loads_no_submodule():
+    """The package root holds only `__version__`: importing it loads no
+    submodule and not numpy."""
+    proc = run_python("-c", "import json, sys, mtdgame; print(json.dumps("
+                      "[sorted(m for m in sys.modules if m.startswith(('mtdgame', 'numpy'))),"
+                      " mtdgame.__version__]))")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [["mtdgame"], "0.1.0"]
 
 
 def test_module_entry_point():

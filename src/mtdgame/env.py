@@ -47,6 +47,7 @@ _EXP_CLAMP = 500.0
 
 # Raw 64-bit words a lockstep generator takes at a time.
 BLOCK_WORDS = 64
+_PAIR = np.arange(2)[:, None]  # offsets of a uniform pair's two words
 
 
 class ConfigError(ValueError):
@@ -297,16 +298,16 @@ class BlockStream:
 
     def _take(self, rows: np.ndarray, halves: int) -> np.ndarray:
         """Flat positions, in halves, of each row's next `halves` halves."""
-        for b in rows[self.cursor[rows] > 2 * BLOCK_WORDS - halves].tolist():
-            self.block[b] = self.rngs[b].bit_generator.random_raw(BLOCK_WORDS)
-            self.cursor[b] = 0
         at = self.cursor[rows]
+        for i in (at > 2 * BLOCK_WORDS - halves).nonzero()[0].tolist():
+            self.block[rows[i]] = self.rngs[rows[i]].bit_generator.random_raw(BLOCK_WORDS)
+            at[i] = 0
         self.cursor[rows] = at + halves
         return at + rows * (2 * BLOCK_WORDS)
 
     def uniform_pairs(self, rows: np.ndarray) -> np.ndarray:
         """Each row's next two `random()` doubles, (word >> 11) * 2**-53, as (2, rows)."""
-        words = self.block.take((self._take(rows, 4) >> 1) + np.arange(2)[:, None])
+        words = self.block.take((self._take(rows, 4) >> 1) + _PAIR)
         return (words >> 11) * 2.0**-53
 
     def integers(self, rows: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -333,14 +334,19 @@ class MtdBatchEnv:
     `MtdEnv` reset with `seeds[b]` give identical observations and rewards.
     Actions are one server index per episode, -1 for no-op.  Rewards and
     compromise chances come from `MtdEnv`'s tables.  An observation stack is
-    a view of one C-contiguous (episodes, M) plane per column.
+    a view of one C-contiguous (episodes, M) plane per column; both players'
+    planes are written together into one (2, 5, episodes, M) array.
     """
 
     def __init__(self, config: EnvConfig):
         self.cfg = config
         self.tau = 0
         self.stream = None
-        self._u_adv, self._u_def, self._compromise = map(np.array, _tables(config))
+        u_adv, u_def, self._compromise = map(np.array, _tables(config))
+        # both rewards keyed controlled * (M + 1) + down, NaN where the two exceed M
+        c, d = np.indices(u_adv.shape)
+        m = config.num_servers
+        self._rewards = np.where(c + d <= m, [u_adv, u_def[m - c - d, d]], np.nan).reshape(2, -1)
 
     def reset(self, seeds) -> tuple[np.ndarray, np.ndarray]:
         """Start one fresh episode per seed; returns (episodes, M, 5)
@@ -348,11 +354,13 @@ class MtdBatchEnv:
         n, m = len(seeds), self.cfg.num_servers
         self.stream = BlockStream([np.random.default_rng(s) for s in seeds])
         self.tau = 0
+        # rows paired by the observation column they feed, adversary first
         self._flat = np.zeros((9, n * m), dtype=np.int64)
-        (self.probes, self.adv_owned, self.up_at, self.adv_progress, self.adv_last_probe,
-         self.adv_up_at, self.def_probes_seen, self.def_last_probe,
-         self.def_last_reimage) = self._flat.reshape(9, n, m)
-        return self.observe(ADVERSARY), self.observe(DEFENDER)
+        self._state = self._flat.reshape(9, n, m)
+        (self.adv_up_at, self.up_at, self.adv_progress, self.def_probes_seen,
+         self.adv_last_probe, self.def_last_reimage, self.probes, self.adv_owned,
+         self.def_last_probe) = self._state
+        return tuple(self._planes().transpose(0, 2, 3, 1))
 
     @property
     def done(self) -> bool:
@@ -366,8 +374,7 @@ class MtdBatchEnv:
             raise RuntimeError("call reset() before step()")
         if self.done:
             raise RuntimeError("episodes are over, call reset()")
-        cfg = self.cfg
-        m = cfg.num_servers
+        m = self.cfg.num_servers
         for targets in (adv_targets, def_targets):
             if not isinstance(targets, np.ndarray):
                 raise TypeError(f"expected an array of server indices, got {targets!r}")
@@ -376,29 +383,38 @@ class MtdBatchEnv:
                     or np.minimum.reduce(targets, initial=0) < -1
                     or np.maximum.reduce(targets, initial=0) >= m):
                 raise ValueError("expected one integer server index or -1 per episode")
-        (probes, adv_owned, up_at, adv_progress, adv_last_probe, adv_up_at,
-         def_probes_seen, def_last_probe, def_last_reimage) = self._flat
+        planes, rewards = self._step(adv_targets, def_targets)
+        return (*planes.transpose(0, 2, 3, 1), *rewards)
+
+    def _step(self, adv_targets: np.ndarray, def_targets: np.ndarray,
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """`step` for targets already known to be one index in [-1, M) per
+        episode, before the horizon: returns both players' (2, 5, episodes, M)
+        observation planes and their (2, episodes) rewards, adversary first."""
+        cfg = self.cfg
+        m = cfg.num_servers
+        (adv_up_at, up_at, adv_progress, def_probes_seen, adv_last_probe,
+         def_last_reimage, probes, adv_owned, def_last_probe) = self._flat
         clock = self.tau
         resolve = clock + 1
 
         # 1) adversary probes; only a probe on an up server draws, twice
-        rows = (adv_targets >= 0).nonzero()[0]
-        cells = rows * m + adv_targets[rows]
+        probing = (adv_targets >= 0).nonzero()[0]
+        cells = probing * m + adv_targets[probing]
+        adv_last_probe[cells] = resolve
         up = up_at[cells] <= clock
-        r, c = rows[up], cells[up]
+        r, c = probing[up], cells[up]
         if r.size:
-            probes[c] += 1
+            probes[c] = k = probes[c] + 1
             hit, seen = self.stream.uniform_pairs(r)
-            adv_owned[c] |= hit < self._compromise[probes[c]]
+            adv_owned[c] |= hit < self._compromise[k]
             adv_progress[c] += 1
-            adv_last_probe[c] = resolve
             c = c[seen >= cfg.miss_prob]
             def_probes_seen[c] += 1
             def_last_probe[c] = resolve
         c = cells[~up]
         adv_up_at[c] = up_at[c]
         adv_progress[c] = 0
-        adv_last_probe[c] = resolve
 
         # 2) defender reimages of up servers
         rows = (def_targets >= 0).nonzero()[0]
@@ -419,30 +435,29 @@ class MtdBatchEnv:
         self.tau = resolve
 
         # 4) rewards on the post-transition state
-        n_down = np.add.reduce(resolve < self.up_at, axis=1)
-        n_adv = np.add.reduce(self.adv_owned, axis=1)
-        reward_adv = self._u_adv[n_adv, n_down]
-        reward_adv[adv_targets >= 0] -= cfg.probe_cost
-        reward_def = self._u_def[m - n_adv - n_down, n_down]
-        return self.observe(ADVERSARY), self.observe(DEFENDER), reward_adv, reward_def
+        key = np.add.reduce(self.adv_owned * (m + 1) + (resolve < self.up_at), axis=1)
+        rewards = self._rewards.take(key, axis=1)
+        rewards[0, probing] -= cfg.probe_cost
+        return self._planes(), rewards
+
+    def _planes(self) -> np.ndarray:
+        """Both players' observation planes, (2, 5, episodes, M), adversary first."""
+        tau, state = self.tau, self._state
+        planes = np.empty((2, 5, *state.shape[1:]), dtype=np.int64)
+        np.less_equal(state[0:2], tau, out=planes[:, 0])
+        np.subtract(state[0:2], tau, out=planes[:, 1])
+        np.maximum(planes[:, 1], 0, out=planes[:, 1])
+        np.copyto(planes[:, 2], state[2:4])
+        np.subtract(tau, state[4:6], out=planes[:, 4])
+        np.copyto(planes[0, 3], state[7])
+        np.subtract(tau, state[8], out=planes[1, 3])
+        return planes
 
     def observe(self, player: str) -> np.ndarray:
         """The player's (episodes, M, 5) stack: a view of one (episodes, M) plane per column."""
         if self.stream is None:
             raise RuntimeError("call reset() first")
-        tau = self.tau
-        if player == ADVERSARY:
-            up_at, progress, col3, last = (self.adv_up_at, self.adv_progress,
-                                           self.adv_owned, self.adv_last_probe)
-        elif player == DEFENDER:
-            up_at, progress, last = self.up_at, self.def_probes_seen, self.def_last_reimage
-            col3 = tau - self.def_last_probe
-        else:
+        side = {ADVERSARY: 0, DEFENDER: 1}.get(player)
+        if side is None:
             raise ValueError(f"unknown player {player!r}")
-        planes = np.empty((5, *up_at.shape), dtype=np.int64)
-        np.less_equal(up_at, tau, out=planes[0])
-        np.maximum(up_at - tau, 0, out=planes[1])
-        planes[2] = progress
-        planes[3] = col3
-        np.subtract(tau, last, out=planes[4])
-        return planes.transpose(1, 2, 0)
+        return self._planes()[side].transpose(1, 2, 0)

@@ -152,19 +152,17 @@ def _lex_pivot(tab: np.ndarray, basis: list[int], col: int,
     if rows.size == 0:
         raise _PivotFailure("unbounded pivot direction")
     best = rows[0]
+    # the lex columns hold the basis inverse, whose rows are independent, so
+    # some column tells two rows apart; on a tie within tolerance the earlier stays
     for r in rows[1:]:
         cb, cr = pivot_col[best], pivot_col[r]
-        decided = False
         for c in (tab.shape[1] - 1, *lex_cols):
             a = tab[r, c] / cr
             b = tab[best, c] / cb
             if not math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12):
                 if a < b:
                     best = r
-                decided = True
                 break
-        if not decided and basis[r] < basis[best]:
-            best = r
     piv = tab[best] / tab[best, col]
     colv = tab[:, col].copy()
     colv[best] = 0.0

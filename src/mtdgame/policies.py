@@ -156,8 +156,8 @@ def _pick_rows(candidates: np.ndarray, score: np.ndarray | None,
     rows = (count > 1).nonzero()[0]
     if rows.size:
         # the server of the drawn candidate, counting from 0, in each row of rows
-        before = np.cumsum(candidates[rows], axis=1) <= stream.integers(rows, count[rows])[:, None]
-        picks[rows] = before.sum(axis=1)
+        before = candidates[rows].cumsum(axis=1) <= stream.integers(rows, count[rows])[:, None]
+        picks[rows] = np.add.reduce(before, axis=1)
     return picks
 
 
@@ -426,7 +426,8 @@ def _lockstep(advs, defs, seeds, cfg: EnvConfig, episodes: int):
                       for row in seeds], dtype=np.uint64)
     in_order, by_defender = seeds.ravel().tolist(), seeds.transpose(1, 0, 2).ravel().tolist()
     env = MtdBatchEnv(cfg)
-    obs_a, obs_d = env.reset([derive_seed(s, "env") for s in in_order])
+    env.reset([derive_seed(s, "env") for s in in_order])
+    planes = env._planes()
     stream = BlockStream([spawn_rng(s, "adv") for s in in_order]
                          + [spawn_rng(s, "def") for s in by_defender])
     mask = np.empty((2, seeds.size, m), dtype=bool)
@@ -436,18 +437,19 @@ def _lockstep(advs, defs, seeds, cfg: EnvConfig, episodes: int):
     ret = np.zeros((2, seeds.size))
     g = 1.0
     for t in range(cfg.horizon):
+        obs_a = planes[0].reshape(5, rows, -1, m).transpose(1, 2, 3, 0)
         # one copy of the defender's planes, regrouped by defender, gives each defender a slice
-        planes_d = obs_d.transpose(2, 0, 1).reshape(5, rows, cols, -1).transpose(0, 2, 1, 3)
+        planes_d = planes[1].reshape(5, rows, cols, -1).transpose(0, 2, 1, 3)
         obs_d = planes_d.reshape(5, cols, -1, m).transpose(1, 2, 3, 0)
-        for obs, (policies, side_mask, side_score) in zip(
-                (obs_a.reshape(rows, -1, m, 5), obs_d), sides):
+        for obs, (policies, side_mask, side_score) in zip((obs_a, obs_d), sides):
             for k, policy in enumerate(policies):
                 side_mask[k], policy_score = policy.choices(obs[k], t) or (False, None)
                 side_score[k] = 0 if policy_score is None else policy_score
         acts = _pick_rows(mask.reshape(-1, m), score.reshape(-1, m), stream).reshape(2, -1)
         def_acts = acts[1].reshape(cols, rows, episodes).transpose(1, 0, 2).ravel()
-        obs_a, obs_d, *rewards = env.step(acts[0], def_acts)
-        ret += g * np.array(rewards)
+        # _pick_rows gives each episode one index in [-1, M): the core takes them unchecked
+        planes, rewards = env._step(acts[0], def_acts)
+        ret += g * rewards
         g *= cfg.discount
     ret = ret.reshape(2, *seeds.shape)
     se = ret.std(axis=3, ddof=1) / math.sqrt(episodes) if episodes > 1 else np.zeros(ret.shape[:3])

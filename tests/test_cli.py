@@ -175,6 +175,15 @@ def test_count_flags_below_one_are_usage_errors(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_count_flag_that_is_no_integer_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["payoff-table", "--t", "abc", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "expected int, got 'abc'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_payoff_table_writes_default_grid(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "T=50\n")
     out = tmp_path / "table"

@@ -169,6 +169,11 @@ def test_step_requires_reset(baseline):
         env.step(-1, -1)
 
 
+def test_observe_requires_reset(baseline):
+    with pytest.raises(RuntimeError, match="reset"):
+        MtdEnv(baseline).observe(ADVERSARY)
+
+
 def test_episode_ends_at_horizon(short):
     env = fresh(short)
     for _ in range(short.horizon):
@@ -525,3 +530,16 @@ def test_batch_observations_are_column_planes(n):
     for obs in (*stacks, *batch.step(targets, targets[::-1])[:2]):
         assert obs.shape == (n, 4, 5) and obs.dtype == np.int64
         assert all(obs[..., c].flags.c_contiguous for c in range(5))
+
+
+def test_batch_observe_gives_each_player_its_half(short):
+    """`observe` returns the stacks `reset` and `step` return, one player's
+    half of the joint planes, and names any other player as unknown."""
+    batch = MtdBatchEnv(short)
+    stacks = batch.reset([3, 4, 5])
+    for _ in range(2):
+        for player, stack in zip((ADVERSARY, DEFENDER), stacks, strict=True):
+            np.testing.assert_array_equal(batch.observe(player), stack)
+        stacks = batch.step(np.array([0, 1, -1]), np.array([1, -1, 1]))[:2]
+    with pytest.raises(ValueError, match="^unknown player 'nobody'$"):
+        batch.observe("nobody")

@@ -60,6 +60,11 @@ def test_game_rejects_duplicate_labels():
         game_of(np.zeros((2, 1)), np.zeros((2, 1)), rows=("x", "x"))
 
 
+def test_game_rejects_duplicate_column_labels():
+    with pytest.raises(ValueError, match="^duplicate column labels$"):
+        game_of(np.zeros((1, 2)), np.zeros((1, 2)), cols=("x", "x"))
+
+
 # ------------------------------------------------------------ mixed utility
 
 
@@ -293,6 +298,12 @@ def test_extend_game_rejects_duplicates_and_label_free_games(short):
                              g.se_adv, g.se_def, g.episodes)
     with pytest.raises(ValueError):
         extend_game(stripped, UniformAdversary(), short, seed=0)
+
+
+def test_extend_game_rejects_a_policy_of_neither_side(short):
+    g = build_game([NoOpPolicy(ADVERSARY)], [NoOpPolicy(DEFENDER)], short, episodes=1, seed=0)
+    with pytest.raises(ValueError, match="^unknown player 'nobody'$"):
+        extend_game(g, NoOpPolicy("nobody"), short, seed=0)
 
 
 def test_solve_empirical_noop_game(baseline):

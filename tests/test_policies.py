@@ -393,6 +393,35 @@ def test_act_batch_matches_act_row_by_row(policy, catch_up):
     assert acted > 0 or isinstance(policy, NoOpPolicy)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 12])
+def test_pick_rows_gives_a_top_candidate_or_minus_one(m):
+    """Over seeded random masks and scores, with rows of no candidate, rows
+    of every server, ties and an empty batch: `_pick_rows` gives -1 exactly
+    where a row has no candidate, else one of the row's top scorers.  So its
+    picks lie in [-1, M), which `MtdBatchEnv._step` takes unchecked."""
+    rng = np.random.default_rng(m)
+    tied = 0
+    for n in (0, 1, 6, 40):
+        stream = BlockStream([np.random.default_rng(b) for b in range(n)])
+        for _ in range(25):
+            # per row: no candidate, every server, or a random half
+            density = rng.choice([0.0, 0.5, 1.0], size=(n, 1))
+            mask = rng.random((n, m)) < density
+            score = rng.integers(0, 3, (n, m)) if rng.random() < 0.7 else None
+            picks = _pick_rows(mask, score, stream)
+            assert picks.shape == (n,) and picks.dtype.kind == "i"
+            for row, pick in zip(range(n), picks.tolist(), strict=True):
+                if not mask[row].any():
+                    assert pick == -1
+                    continue
+                assert 0 <= pick < m and mask[row, pick]
+                top = mask[row] if score is None else mask[row] & (
+                    score[row] == score[row][mask[row]].max())
+                assert top[pick]
+                tied += top.sum() > 1
+    assert tied > 0 or m == 1   # ties were drawn
+
+
 def test_choices_and_picks_ignore_the_observation_layout():
     """On the env's plane-backed stacks and on C-contiguous copies of them,
     every policy's choices are equal arrays, and `_pick_rows` over them

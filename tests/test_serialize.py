@@ -236,6 +236,24 @@ def test_network_layers_must_chain(baseline, tmp_path):
             load_policy(p, baseline)
 
 
+def test_network_bias_rows_and_layers_are_checked(baseline, tmp_path):
+    """A bias row one value too long or too short, and a network file with
+    no layer after its header, are each rejected with their own message."""
+    net = QNetwork(5 * baseline.num_servers, baseline.num_servers + 1,
+                   np.random.default_rng(3), hidden=(3,))
+    p = tmp_path / "net.policy"
+    save_policy(QNetworkPolicy(ADVERSARY, net, baseline, "n"), p)
+    lines = p.read_text(encoding="utf-8").splitlines()
+    # line 1 is the first layer's shape, 2-4 its weights, 5 its biases
+    for bias in (lines[5] + " 0.0", lines[5].rsplit(" ", 1)[0]):
+        p.write_text("\n".join([*lines[:5], bias, *lines[6:]]) + "\n", encoding="utf-8")
+        with pytest.raises(PolicyFormatError, match="bias shape mismatch"):
+            load_policy(p, baseline)
+    p.write_text(lines[0] + "\n", encoding="utf-8")
+    with pytest.raises(PolicyFormatError, match="network has no layers"):
+        load_policy(p, baseline)
+
+
 @pytest.mark.parametrize("key", list(HEURISTICS), ids="-".join)
 def test_registry_entry_bare_line_gets_class_defaults(key, baseline, tmp_path):
     player, name = key

@@ -94,7 +94,8 @@ class EnvConfig:
     discount: float = 0.99
 
     def __post_init__(self):
-        check_range(self, "[1, inf)", "num_servers", "downtime", "horizon")
+        check_range(self, "[1, inf)", "num_servers")
+        check_range(self, f"[1, {2**62})", "downtime", "horizon")  # clocks fit an int64
         check_range(self, "[0, 1]", "miss_prob", "weight_adv", "weight_def")
         check_range(self, "(0, inf)", "probe_gain", "reward_slope")
         check_range(self, "[0, inf)", "probe_cost")
@@ -135,21 +136,24 @@ def utility(player: str, n_control: int, n_down: int, cfg: EnvConfig) -> float:
 
 
 @lru_cache(maxsize=16)
-def _tables(cfg: EnvConfig) -> tuple[tuple, tuple, tuple]:
+def _tables(cfg: EnvConfig) -> tuple[tuple, tuple]:
     """Rewards and compromise chances, computed once per config.
 
-    Returns `(u_adv, u_def, compromise)`: `u_adv[c][d]` is
-    `utility(ADVERSARY, c, d, cfg)` for c servers controlled and d down, and
-    `u_def` likewise; `compromise[k]` is the chance that a probe lands when
-    it is the k-th since the last reimage, `compromise_probability(k, gain)`.
-    A server is probed at most once a step, so k never exceeds the horizon.
+    Returns `(rewards, compromise)`.  `rewards[c * (M + 1) + d]` is the pair
+    `(utility(ADVERSARY, c, d, cfg), utility(DEFENDER, M - c - d, d, cfg))`
+    for c servers the adversary controls and d down, so the defender
+    controls the rest; keys with c + d > M, which no state reaches, hold NaN.
+    `compromise[k]` is the chance that a probe lands when it is the k-th
+    since the last reimage, `compromise_probability(k, gain)`.  A server is
+    probed at most once a step, so k never exceeds the horizon.
     """
     m = cfg.num_servers
-    u_adv, u_def = (tuple(tuple(utility(player, c, d, cfg) for d in range(m + 1))
-                          for c in range(m + 1)) for player in (ADVERSARY, DEFENDER))
+    rewards = tuple((utility(ADVERSARY, c, d, cfg), utility(DEFENDER, m - c - d, d, cfg))
+                    if c + d <= m else (math.nan, math.nan)
+                    for c in range(m + 1) for d in range(m + 1))
     compromise = tuple(compromise_probability(k, cfg.probe_gain)
                        for k in range(cfg.horizon + 1))
-    return u_adv, u_def, compromise
+    return rewards, compromise
 
 
 class MtdEnv:
@@ -164,7 +168,7 @@ class MtdEnv:
         self.cfg = config
         self.tau = 0
         self._ready = False
-        self._u_adv, self._u_def, self._compromise = _tables(config)
+        self._rewards, self._compromise = _tables(config)
 
     def reset(self, seed) -> tuple[np.ndarray, np.ndarray]:
         """Start a fresh episode: all servers up, clean, and unprobed."""
@@ -258,9 +262,8 @@ class MtdEnv:
         self.tau = resolve
 
         # 4) rewards on the post-transition state
-        n_adv, n_def, n_down = self.counts()
-        u_a = self._u_adv[n_adv][n_down]
-        u_d = self._u_def[n_def][n_down]
+        n_adv, _, n_down = self.counts()
+        u_a, u_d = self._rewards[n_adv * (m + 1) + n_down]
         if adv_target >= 0:
             u_a -= cfg.probe_cost
         return self.observe(ADVERSARY), self.observe(DEFENDER), u_a, u_d
@@ -333,43 +336,35 @@ class MtdBatchEnv:
     that runs it ahead by its block's unused tail, so episode b here and an
     `MtdEnv` reset with `seeds[b]` give identical observations and rewards.
     Actions are one server index per episode, -1 for no-op.  Rewards and
-    compromise chances come from `MtdEnv`'s tables.  An observation stack is
-    a view of one C-contiguous (episodes, M) plane per column; both players'
-    planes are written together into one (2, 5, episodes, M) array.
+    compromise chances come from `MtdEnv`'s tables.  `reset` and `step`
+    return both players' observations as one (2, 5, episodes, M) array of
+    C-contiguous (episodes, M) planes, adversary first;
+    `planes[p].transpose(1, 2, 0)` is player p's (episodes, M, 5) stack.
     """
 
     def __init__(self, config: EnvConfig):
         self.cfg = config
         self.tau = 0
         self.stream = None
-        u_adv, u_def, self._compromise = map(np.array, _tables(config))
-        # both rewards keyed controlled * (M + 1) + down, NaN where the two exceed M
-        c, d = np.indices(u_adv.shape)
-        m = config.num_servers
-        self._rewards = np.where(c + d <= m, [u_adv, u_def[m - c - d, d]], np.nan).reshape(2, -1)
+        self._rewards, self._compromise = map(np.array, _tables(config))
 
-    def reset(self, seeds) -> tuple[np.ndarray, np.ndarray]:
-        """Start one fresh episode per seed; returns (episodes, M, 5)
-        observation stacks for the adversary and the defender."""
+    def reset(self, seeds) -> np.ndarray:
+        """Start one fresh episode per seed; returns the (2, 5, episodes, M) planes."""
         n, m = len(seeds), self.cfg.num_servers
         self.stream = BlockStream([np.random.default_rng(s) for s in seeds])
         self.tau = 0
-        # rows paired by the observation column they feed, adversary first
+        # rows paired by the observation column they feed, adversary first, named in `_step`
         self._flat = np.zeros((9, n * m), dtype=np.int64)
         self._state = self._flat.reshape(9, n, m)
-        (self.adv_up_at, self.up_at, self.adv_progress, self.def_probes_seen,
-         self.adv_last_probe, self.def_last_reimage, self.probes, self.adv_owned,
-         self.def_last_probe) = self._state
-        return tuple(self._planes().transpose(0, 2, 3, 1))
+        return self._planes()
 
     @property
     def done(self) -> bool:
         return self.tau >= self.cfg.horizon
 
     def step(self, adv_targets: np.ndarray, def_targets: np.ndarray,
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Advance every episode one step; returns (obs_adv, obs_def,
-        reward_adv, reward_def)."""
+             ) -> tuple[np.ndarray, np.ndarray]:
+        """Check the targets, then advance every episode one step as `_step` does."""
         if self.stream is None:
             raise RuntimeError("call reset() before step()")
         if self.done:
@@ -383,8 +378,7 @@ class MtdBatchEnv:
                     or np.minimum.reduce(targets, initial=0) < -1
                     or np.maximum.reduce(targets, initial=0) >= m):
                 raise ValueError("expected one integer server index or -1 per episode")
-        planes, rewards = self._step(adv_targets, def_targets)
-        return (*planes.transpose(0, 2, 3, 1), *rewards)
+        return self._step(adv_targets, def_targets)
 
     def _step(self, adv_targets: np.ndarray, def_targets: np.ndarray,
               ) -> tuple[np.ndarray, np.ndarray]:
@@ -435,8 +429,8 @@ class MtdBatchEnv:
         self.tau = resolve
 
         # 4) rewards on the post-transition state
-        key = np.add.reduce(self.adv_owned * (m + 1) + (resolve < self.up_at), axis=1)
-        rewards = self._rewards.take(key, axis=1)
+        key = np.add.reduce((adv_owned * (m + 1) + (resolve < up_at)).reshape(-1, m), axis=1)
+        rewards = self._rewards.T.take(key, axis=1)
         rewards[0, probing] -= cfg.probe_cost
         return self._planes(), rewards
 
@@ -452,12 +446,3 @@ class MtdBatchEnv:
         np.copyto(planes[0, 3], state[7])
         np.subtract(tau, state[8], out=planes[1, 3])
         return planes
-
-    def observe(self, player: str) -> np.ndarray:
-        """The player's (episodes, M, 5) stack: a view of one (episodes, M) plane per column."""
-        if self.stream is None:
-            raise RuntimeError("call reset() first")
-        side = {ADVERSARY: 0, DEFENDER: 1}.get(player)
-        if side is None:
-            raise ValueError(f"unknown player {player!r}")
-        return self._planes()[side].transpose(1, 2, 0)

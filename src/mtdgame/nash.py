@@ -15,6 +15,7 @@ import numpy as np
 
 from mtdgame.env import ADVERSARY, DEFENDER, EnvConfig
 from mtdgame.policies import PurePolicy, evaluate_cells
+from mtdgame.qlearn import NumericalError
 from mtdgame.seeds import derive_seed
 
 
@@ -61,6 +62,7 @@ def build_game(adv_policies: list[PurePolicy], def_policies: list[PurePolicy],
     """Evaluate every policy pair and assemble the empirical game.
 
     `evaluate_cells` steps the whole grid at once: adversaries are rows, defenders columns.
+    A cell whose mean or standard error is not finite raises NumericalError.
     """
     if not adv_policies or not def_policies:
         raise ValueError("both policy sets must be nonempty")
@@ -69,6 +71,10 @@ def build_game(adv_policies: list[PurePolicy], def_policies: list[PurePolicy],
     u, se = evaluate_cells(adv_policies, def_policies,
                            [[derive_seed(seed, "pair", a.label, d.label) for d in def_policies]
                             for a in adv_policies], env_cfg, episodes, jobs)
+    for side, i, j in np.argwhere(~(np.isfinite(u) & np.isfinite(se)))[:1]:
+        raise NumericalError(f"{(ADVERSARY, DEFENDER)[side]} payoff of cell "
+                             f"({adv_policies[i].label}, {def_policies[j].label}) is "
+                             f"{u[side, i, j]} with standard error {se[side, i, j]}")
     return EmpiricalGame(
         row_labels=tuple(p.label for p in adv_policies),
         col_labels=tuple(p.label for p in def_policies),

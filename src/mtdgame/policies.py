@@ -426,8 +426,7 @@ def _lockstep(advs, defs, seeds, cfg: EnvConfig, episodes: int):
                       for row in seeds], dtype=np.uint64)
     in_order, by_defender = seeds.ravel().tolist(), seeds.transpose(1, 0, 2).ravel().tolist()
     env = MtdBatchEnv(cfg)
-    env.reset([derive_seed(s, "env") for s in in_order])
-    planes = env._planes()
+    planes = env.reset([derive_seed(s, "env") for s in in_order])
     stream = BlockStream([spawn_rng(s, "adv") for s in in_order]
                          + [spawn_rng(s, "def") for s in by_defender])
     mask = np.empty((2, seeds.size, m), dtype=bool)

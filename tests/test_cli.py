@@ -266,6 +266,30 @@ def test_failed_run_finalizes_manifest_as_error(tmp_path, capsys):
     assert doc["artifacts"] == []
 
 
+def test_payoff_table_downtime_past_the_int64_clock(tmp_path, capsys):
+    """A downtime whose reimage clock would not fit an int64 is a
+    configuration error under the file's key, before any cell is played."""
+    cfg = write_cfg(tmp_path, "T=30\ndelta=9223372036854775807\n")
+    rc = main(["payoff-table", "--config", cfg, "--episodes", "2", "--out", str(tmp_path / "g")])
+    assert rc == EXIT_CONFIG
+    assert f"key delta: must lie in [1, {2**62})" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the returns overflow on purpose
+def test_payoff_table_non_finite_cell_is_a_numerical_failure(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "c_a=1e308\n")
+    out = tmp_path / "g"
+    rc = main(["payoff-table", "--config", cfg, "--episodes", "2", "--t", "5",
+               "--out", str(out)])
+    assert rc == EXIT_NUMERICAL
+    assert "adversary payoff of cell (" in capsys.readouterr().err
+    doc = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert doc["status"] == "error"
+    assert doc["error"].startswith("NumericalError: adversary payoff of cell (")
+    assert doc["artifacts"] == [] and not (out / "game.csv").exists()
+
+
 def test_train_br_side_mismatch(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "T=50\n")
     rc = main(["train-br", "--config", cfg, "--player", "defender",

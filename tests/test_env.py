@@ -19,6 +19,7 @@ from mtdgame.env import (
     EnvConfig,
     MtdBatchEnv,
     MtdEnv,
+    _tables,
     compromise_probability,
     logistic,
     utility,
@@ -128,6 +129,9 @@ def test_utility_unknown_player():
     dict(miss_prob="0.5"),
     dict(miss_prob=None),
     dict(probe_gain=True),
+    dict(downtime=2**62),
+    dict(horizon=2**62),
+    dict(downtime=2**63 - 1),
 ])
 def test_config_validation_rejects(bad):
     with pytest.raises(ConfigError):
@@ -140,6 +144,19 @@ def test_config_baseline_validates():
     assert cfg == EnvConfig(num_servers=5, miss_prob=0.5, probe_cost=1.0)
     stored = (cfg.num_servers, cfg.miss_prob, cfg.probe_cost)
     assert [type(v) for v in stored] == [int, float, float]
+
+
+def test_largest_downtime_keeps_every_clock_in_int64():
+    """At the largest downtime a reimage's clock still fits the lockstep
+    env's int64 state, and both envs show the same time to up."""
+    cfg = EnvConfig(num_servers=2, downtime=2**62 - 1, horizon=3)
+    batch, env = MtdBatchEnv(cfg), MtdEnv(cfg)
+    batch.reset([7])
+    env.reset(7)
+    for t in range(cfg.horizon):
+        planes, _ = batch.step(np.array([-1]), np.array([0]))
+        obs_d = env.step(-1, 0)[1]
+        assert planes[1, COL_TIME_TO_UP, 0, 0] == obs_d[0, COL_TIME_TO_UP] == 2**62 - 1 - t
 
 
 # ------------------------------------------------------------------- reset
@@ -453,7 +470,7 @@ def test_batch_env_matches_scalar_env(m):
                     horizon=80)
     seeds = [derive_seed(m, "batch", b) for b in range(6)]
     batch = MtdBatchEnv(cfg)
-    obs_a, obs_d = batch.reset(seeds)
+    obs_a, obs_d = batch.reset(seeds).transpose(0, 2, 3, 1)
     envs = [MtdEnv(cfg) for _ in seeds]
     for env, seed, oa, od in zip(envs, seeds, obs_a, obs_d):
         ra, rd = env.reset(seed)
@@ -466,7 +483,8 @@ def test_batch_env_matches_scalar_env(m):
         deff = np.where(rng.random(len(seeds)) < 0.2, rng.integers(0, m, len(seeds)), -1)
         # a probe of an up server draws twice
         draws += 2 * ((adv >= 0) & (obs_d[np.arange(len(seeds)), adv, COL_STATUS] == 1))
-        obs_a, obs_d, rew_a, rew_d = batch.step(adv, deff)
+        planes, (rew_a, rew_d) = batch.step(adv, deff)
+        obs_a, obs_d = planes.transpose(0, 2, 3, 1)
         for b, env in enumerate(envs):
             one_a, one_d, one_ra, one_rd = env.step(int(adv[b]), int(deff[b]))
             np.testing.assert_array_equal(obs_a[b], one_a)
@@ -482,12 +500,30 @@ def test_batch_env_matches_scalar_env(m):
     assert all(env.done for env in envs)
 
 
+@pytest.mark.parametrize("m", range(1, 13))
+def test_reward_table_is_keyed_by_controlled_and_down(m):
+    """Key c * (M + 1) + d holds the adversary's utility of controlling c
+    servers with d down and the defender's of controlling the M - c - d
+    others; keys with c + d > M hold NaN.  Off-default weights, slope and
+    threshold keep entries of different keys from coinciding by accident."""
+    cfg = EnvConfig(num_servers=m, reward_slope=3.0, reward_thresh=0.4,
+                    weight_adv=0.3, weight_def=0.8)
+    rewards = _tables(cfg)[0]
+    assert len(rewards) == (m + 1) ** 2
+    for c in range(m + 1):
+        for d in range(m + 1):
+            u_a, u_d = rewards[c * (m + 1) + d]
+            if c + d <= m:
+                assert u_a == utility(ADVERSARY, c, d, cfg)
+                assert u_d == utility(DEFENDER, m - c - d, d, cfg)
+            else:
+                assert math.isnan(u_a) and math.isnan(u_d)
+
+
 def test_batch_env_rejects_bad_actions(short):
     batch = MtdBatchEnv(short)
     with pytest.raises(RuntimeError, match="reset"):
         batch.step(np.array([-1, -1]), np.array([-1, -1]))
-    with pytest.raises(RuntimeError, match="reset"):
-        batch.observe(ADVERSARY)
     batch.reset([1, 2])
     for adv, deff in (([0, 10], [-1, -1]), ([-2, 0], [-1, -1]), ([0], [0]),
                       ([1.5, 0.0], [-1, -1]), ([-1, -1], [1.0, 0.0]),
@@ -497,7 +533,7 @@ def test_batch_env_rejects_bad_actions(short):
     for adv, deff in ((None, np.array([-1, -1])), (np.array([-1, -1]), [0, 1])):
         with pytest.raises(TypeError):
             batch.step(adv, deff)
-    assert batch.tau == 0 and not batch.probes.any() and not batch.up_at.any()
+    assert batch.tau == 0 and not batch._state.any()
     # the first and last server and the no-op pass, in any integer dtype
     for dtype in (np.int64, np.int8, np.uint8):
         batch.step(np.array([0, 9], dtype=dtype), np.array([9, 0], dtype=dtype))
@@ -511,12 +547,12 @@ def test_batch_env_rejects_bad_actions(short):
     with pytest.raises(RuntimeError):
         batch.step(np.array([-1, -1]), np.array([-1, -1]))
     # a batch of no episodes steps to the horizon
-    obs_a, obs_d = batch.reset([])
-    assert obs_a.shape == obs_d.shape == (0, 10, 5)
+    planes = batch.reset([])
+    assert planes.shape == (2, 5, 0, 10)
     nothing = np.array([], dtype=np.int64)
     while not batch.done:
-        obs_a, obs_d, rew_a, rew_d = batch.step(nothing, nothing)
-    assert obs_a.shape == obs_d.shape == (0, 10, 5) and rew_a.shape == rew_d.shape == (0,)
+        planes, rewards = batch.step(nothing, nothing)
+    assert planes.shape == (2, 5, 0, 10) and rewards.shape == (2, 0)
 
 
 @pytest.mark.parametrize("n", [0, 1, 7])
@@ -525,21 +561,10 @@ def test_batch_observations_are_column_planes(n):
     is one C-contiguous (n, M) plane, at reset and after a step."""
     cfg = EnvConfig(num_servers=4, horizon=3)
     batch = MtdBatchEnv(cfg)
-    stacks = batch.reset(list(range(n)))
+    at_reset = batch.reset(list(range(n)))
     targets = np.arange(n) % 5 - 1
-    for obs in (*stacks, *batch.step(targets, targets[::-1])[:2]):
-        assert obs.shape == (n, 4, 5) and obs.dtype == np.int64
-        assert all(obs[..., c].flags.c_contiguous for c in range(5))
+    for planes in (at_reset, batch.step(targets, targets[::-1])[0]):
+        for obs in planes.transpose(0, 2, 3, 1):
+            assert obs.shape == (n, 4, 5) and obs.dtype == np.int64
+            assert all(obs[..., c].flags.c_contiguous for c in range(5))
 
-
-def test_batch_observe_gives_each_player_its_half(short):
-    """`observe` returns the stacks `reset` and `step` return, one player's
-    half of the joint planes, and names any other player as unknown."""
-    batch = MtdBatchEnv(short)
-    stacks = batch.reset([3, 4, 5])
-    for _ in range(2):
-        for player, stack in zip((ADVERSARY, DEFENDER), stacks, strict=True):
-            np.testing.assert_array_equal(batch.observe(player), stack)
-        stacks = batch.step(np.array([0, 1, -1]), np.array([1, -1, 1]))[:2]
-    with pytest.raises(ValueError, match="^unknown player 'nobody'$"):
-        batch.observe("nobody")

@@ -374,7 +374,8 @@ def test_act_batch_matches_act_row_by_row(policy, catch_up):
     cfg = EnvConfig(num_servers=6, downtime=3, probe_gain=0.15, miss_prob=0.2, horizon=150)
     n = 12
     env = MtdBatchEnv(cfg)
-    obs = env.reset([derive_seed(5, "obs", b) for b in range(n)])[policy.player != ADVERSARY]
+    side = int(policy.player != ADVERSARY)
+    obs = env.reset([derive_seed(5, "obs", b) for b in range(n)]).transpose(0, 2, 3, 1)[side]
     row_rngs = [np.random.default_rng(b) for b in range(n)]
     stream = BlockStream([np.random.default_rng(b) for b in range(n)])
     play = np.random.default_rng(9)
@@ -388,7 +389,7 @@ def test_act_batch_matches_act_row_by_row(policy, catch_up):
         acted += sum(a >= 0 for a in want)
         adv = np.where(play.random(n) < 0.8, play.integers(0, 6, n), -1)
         deff = np.where(play.random(n) < 0.15, play.integers(0, 6, n), -1)
-        obs = env.step(adv, deff)[policy.player != ADVERSARY]
+        obs = env.step(adv, deff)[0].transpose(0, 2, 3, 1)[side]
     catch_up(row_rngs, stream)
     assert acted > 0 or isinstance(policy, NoOpPolicy)
 
@@ -434,11 +435,11 @@ def test_choices_and_picks_ignore_the_observation_layout():
     streams = [[BlockStream([np.random.default_rng(b) for b in range(n)]) for _ in "ab"]
                for _ in policies]
     env = MtdBatchEnv(cfg)
-    stacks = env.reset([derive_seed(6, "obs", b) for b in range(n)])
+    stacks = env.reset([derive_seed(6, "obs", b) for b in range(n)]).transpose(0, 2, 3, 1)
     play = np.random.default_rng(9)
     while not env.done:
         for policy, (plane_stream, copy_stream) in zip(policies, streams):
-            obs = stacks[policy.player != ADVERSARY]
+            obs = stacks[int(policy.player != ADVERSARY)]
             dense = np.ascontiguousarray(obs)
             assert not obs.flags.c_contiguous and dense.flags.c_contiguous
             got, want = policy.choices(obs, env.tau), policy.choices(dense, env.tau)
@@ -453,7 +454,7 @@ def test_choices_and_picks_ignore_the_observation_layout():
             np.testing.assert_array_equal(plane_stream.cursor, copy_stream.cursor)
         adv = np.where(play.random(n) < 0.8, play.integers(0, 6, n), -1)
         deff = np.where(play.random(n) < 0.15, play.integers(0, 6, n), -1)
-        stacks = env.step(adv, deff)[:2]
+        stacks = env.step(adv, deff)[0].transpose(0, 2, 3, 1)
     # ties were drawn: some stream left its first, still unfilled, block
     assert any((plane_stream.cursor != 2 * BLOCK_WORDS).any() for plane_stream, _ in streams)
 

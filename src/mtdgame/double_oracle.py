@@ -88,9 +88,9 @@ def run_double_oracle(env_cfg: EnvConfig, initial_adv: list[PurePolicy],
                             f"{player[:3]}_br_{it:02d}")
             game = extend_game(game, policy, env_cfg, derive_seed(seed, "game"), jobs=jobs)
             if player == DEFENDER:
-                br, value = float(eq.sigma_adv @ game.u_def[:, -1]), eq.value_def
+                br, value = float(eq.sigma_adv @ game.u[1][:, -1]), eq.value_def
             else:
-                br, value = float(game.u_adv[-1] @ eq.sigma_def), eq.value_adv
+                br, value = float(game.u[0][-1] @ eq.sigma_def), eq.value_adv
             conv[player] = converged(br, value, do_cfg.eps_do)
             eq = solve_msne(game)
             history.append(DoRecord(len(history), eq.value_adv, eq.value_def, player,

@@ -94,8 +94,9 @@ class EnvConfig:
     discount: float = 0.99
 
     def __post_init__(self):
-        check_range(self, "[1, inf)", "num_servers")
-        check_range(self, f"[1, {2**62})", "downtime", "horizon")  # clocks fit an int64
+        check_range(self, "[1, 1024]", "num_servers")  # _tables holds (M + 1)**2 rewards
+        check_range(self, f"[1, {2**20}]", "horizon")   # and T + 1 compromise chances
+        check_range(self, f"[1, {2**62})", "downtime")  # clocks fit an int64
         check_range(self, "[0, 1]", "miss_prob", "weight_adv", "weight_def")
         check_range(self, "(0, inf)", "probe_gain", "reward_slope")
         check_range(self, "[0, inf)", "probe_cost")

@@ -25,30 +25,32 @@ class EquilibriumError(RuntimeError):
 
 @dataclass(frozen=True)
 class EmpiricalGame:
-    """Estimated payoff matrices over ordered policy sets.
+    """Estimated payoffs over ordered policy sets.
 
-    Rows index adversary policies, columns defender policies.  Instances
-    are never mutated; extending the sets produces a new game.
+    Rows index adversary policies, columns defender policies.  `u` holds the
+    mean payoffs and `se` their standard errors, each a (2, rows, cols) array
+    with the adversary first, as `evaluate_cells` returns them.  A cell that
+    is not finite raises NumericalError.  Instances are never mutated;
+    extending the sets produces a new game.
     """
 
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
-    u_adv: np.ndarray
-    u_def: np.ndarray
-    se_adv: np.ndarray
-    se_def: np.ndarray
+    u: np.ndarray
+    se: np.ndarray
     episodes: int
     row_policies: tuple[PurePolicy, ...] | None = None
     col_policies: tuple[PurePolicy, ...] | None = None
 
     def __post_init__(self):
-        shape = (len(self.row_labels), len(self.col_labels))
-        for name in ("u_adv", "u_def", "se_adv", "se_def"):
-            mat = getattr(self, name)
-            if mat.shape != shape:
-                raise ValueError(f"{name} has shape {mat.shape}, expected {shape}")
-            if not np.isfinite(mat).all():
-                raise ValueError(f"{name} contains non-finite entries")
+        shape = (2, len(self.row_labels), len(self.col_labels))
+        for name, arr in (("u", self.u), ("se", self.se)):
+            if arr.shape != shape:
+                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+        for side, i, j in np.argwhere(~(np.isfinite(self.u) & np.isfinite(self.se)))[:1]:
+            raise NumericalError(f"{(ADVERSARY, DEFENDER)[side]} payoff of cell "
+                                 f"({self.row_labels[i]}, {self.col_labels[j]}) is "
+                                 f"{self.u[side, i, j]} with standard error {self.se[side, i, j]}")
         if len(set(self.row_labels)) != len(self.row_labels):
             raise ValueError("duplicate row labels")
         if len(set(self.col_labels)) != len(self.col_labels):
@@ -71,15 +73,10 @@ def build_game(adv_policies: list[PurePolicy], def_policies: list[PurePolicy],
     u, se = evaluate_cells(adv_policies, def_policies,
                            [[derive_seed(seed, "pair", a.label, d.label) for d in def_policies]
                             for a in adv_policies], env_cfg, episodes, jobs)
-    for side, i, j in np.argwhere(~(np.isfinite(u) & np.isfinite(se)))[:1]:
-        raise NumericalError(f"{(ADVERSARY, DEFENDER)[side]} payoff of cell "
-                             f"({adv_policies[i].label}, {def_policies[j].label}) is "
-                             f"{u[side, i, j]} with standard error {se[side, i, j]}")
     return EmpiricalGame(
         row_labels=tuple(p.label for p in adv_policies),
         col_labels=tuple(p.label for p in def_policies),
-        u_adv=u[0], u_def=u[1], se_adv=se[0], se_def=se[1],
-        episodes=episodes,
+        u=u, se=se, episodes=episodes,
         row_policies=tuple(adv_policies), col_policies=tuple(def_policies),
     )
 
@@ -97,8 +94,8 @@ def extend_game(game: EmpiricalGame, policy: PurePolicy, env_cfg: EnvConfig,
         raise ValueError(f"duplicate {('row', 'column')[axis]} label {policy.label!r}")
     sets[axis] = (policy,)
     new = build_game(*sets, env_cfg, game.episodes, seed, jobs=jobs)
-    grown = {name: np.concatenate([getattr(game, name), getattr(new, name)], axis=axis)
-             for name in ("u_adv", "u_def", "se_adv", "se_def")}
+    grown = {name: np.concatenate([getattr(game, name), getattr(new, name)], axis=1 + axis)
+             for name in ("u", "se")}
     for name in (("row_labels", "row_policies"), ("col_labels", "col_policies"))[axis]:
         grown[name] = getattr(game, name) + getattr(new, name)
     return replace(game, **grown)
@@ -107,15 +104,15 @@ def extend_game(game: EmpiricalGame, policy: PurePolicy, env_cfg: EnvConfig,
 def mixed_utility(game: EmpiricalGame, sigma_adv: np.ndarray,
                   sigma_def: np.ndarray) -> tuple[float, float]:
     """Expected payoffs of a mixed strategy profile."""
-    return (float(sigma_adv @ game.u_adv @ sigma_def),
-            float(sigma_adv @ game.u_def @ sigma_def))
+    return (float(sigma_adv @ game.u[0] @ sigma_def),
+            float(sigma_adv @ game.u[1] @ sigma_def))
 
 
 def regret(game: EmpiricalGame, sigma_adv: np.ndarray,
            sigma_def: np.ndarray) -> tuple[float, float]:
     """Best pure-deviation gain for each player, floored at zero."""
-    pa = game.u_adv @ sigma_def
-    pd = sigma_adv @ game.u_def
+    pa = game.u[0] @ sigma_def
+    pd = sigma_adv @ game.u[1]
     reg_a = float(pa.max() - sigma_adv @ pa)
     reg_d = float(pd.max() - pd @ sigma_def)
     return max(reg_a, 0.0), max(reg_d, 0.0)
@@ -213,11 +210,10 @@ def solve_msne(game: EmpiricalGame, tol: float | None = None) -> EquilibriumResu
     and the first verified equilibrium wins; EquilibriumError if none
     verifies.  tol defaults to 1e-6 of the payoff scale.
     """
-    u_a, u_d = game.u_adv, game.u_def
+    u_a, u_d = game.u
     m, n = u_a.shape
     if tol is None:
-        scale = max(1.0, float(np.abs(u_a).max()), float(np.abs(u_d).max()))
-        tol = 1e-6 * scale
+        tol = 1e-6 * max(1.0, float(np.abs(game.u).max()))
     # Shifting each player's payoffs by a constant changes no equilibria;
     # Lemke-Howson needs positive matrices.
     a_pos = u_a - u_a.min() + 1.0

@@ -343,17 +343,6 @@ class MixedStrategy:
         return i if i < self.weights.size else int(np.flatnonzero(self.weights)[-1])
 
 
-@dataclass(frozen=True)
-class PairPayoff:
-    """Monte-Carlo estimate of one policy pair's discounted returns."""
-
-    u_adv: float
-    u_def: float
-    se_adv: float
-    se_def: float
-    episodes: int
-
-
 def run_episode(adv: PurePolicy, deff: PurePolicy, cfg: EnvConfig,
                 seed: int, on_step=None) -> tuple[float, float]:
     """One full episode; returns both players' discounted returns.
@@ -419,6 +408,7 @@ def evaluate_cells(advs: list[PurePolicy], defs: list[PurePolicy], seeds: list[l
         return tuple(np.concatenate(part, axis=1 + axis) for part in done)
 
 
+@np.errstate(all="ignore")  # overflow shows as a non-finite cell, which EmpiricalGame reports
 def _lockstep(advs, defs, seeds, cfg: EnvConfig, episodes: int):
     # episodes step by adversary, then defender; the defenders pick by defender, then adversary
     rows, cols, m = len(advs), len(defs), cfg.num_servers
@@ -456,7 +446,9 @@ def _lockstep(advs, defs, seeds, cfg: EnvConfig, episodes: int):
 
 
 def evaluate_pair(adv: PurePolicy, deff: PurePolicy, cfg: EnvConfig,
-                  episodes: int, seed: int) -> PairPayoff:
-    """Average discounted return of a policy pair over seeded episodes: a 1x1 grid."""
+                  episodes: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Average discounted returns of a policy pair over seeded episodes, a 1x1
+    grid of `evaluate_cells`: the means and the standard errors, each a (2,)
+    array, adversary first."""
     u, se = evaluate_cells([adv], [deff], [[seed]], cfg, episodes)
-    return PairPayoff(*map(float, (*u[:, 0, 0], *se[:, 0, 0])), int(episodes))
+    return u[:, 0, 0], se[:, 0, 0]

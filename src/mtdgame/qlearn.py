@@ -473,6 +473,7 @@ class EpisodeRecord:
     return_raw: float
 
 
+@np.errstate(all="ignore")  # divergence shows as a non-finite loss or parameter, checked below
 def train_best_response(player: str, opponents: list[PurePolicy],
                         opponent_mix: MixedStrategy, env_cfg: EnvConfig,
                         tc: TrainConfig, seed: int, label: str = "qnet",

@@ -243,7 +243,7 @@ GAME_HEADER = ["adv_policy", "def_policy", "u_a", "u_d", "se_a", "se_d"]
 
 
 def save_game(game: EmpiricalGame, path: str | Path) -> None:
-    mats = (game.u_adv, game.u_def, game.se_adv, game.se_def)
+    mats = (*game.u, *game.se)
     _write_csv(path, GAME_HEADER, (
         [rl, cl, *(repr(float(mat[i, j])) for mat in mats)]
         for i, rl in enumerate(game.row_labels)
@@ -271,16 +271,13 @@ def load_game(path: str | Path) -> EmpiricalGame:
             raise PolicyFormatError(f"{path}: bad cell in row {rec}") from None
     if not cells:
         raise PolicyFormatError(f"{path}: empty game")
-    u_a = np.empty((len(rows), len(cols)))
-    u_d = np.empty_like(u_a)
-    s_a = np.empty_like(u_a)
-    s_d = np.empty_like(u_a)
+    table = np.empty((4, len(rows), len(cols)))  # the columns u_a, u_d, se_a, se_d
     for i, rl in enumerate(rows):
         for j, cl in enumerate(cols):
             if (rl, cl) not in cells:
                 raise PolicyFormatError(f"{path}: missing cell ({rl}, {cl})")
-            u_a[i, j], u_d[i, j], s_a[i, j], s_d[i, j] = cells[(rl, cl)]
-    return EmpiricalGame(tuple(rows), tuple(cols), u_a, u_d, s_a, s_d, 0)
+            table[:, i, j] = cells[(rl, cl)]
+    return EmpiricalGame(tuple(rows), tuple(cols), table[:2], table[2:], 0)
 
 
 def save_equilibrium(result: EquilibriumResult, row_labels, col_labels,

@@ -44,11 +44,11 @@ def test_c1_idle_pair_analytic_payoff():
     game = build_game([NoOpPolicy(ADVERSARY)], [NoOpPolicy(DEFENDER)],
                       BASE, episodes=1, seed=0)
     elapsed = time.monotonic() - t0
-    assert abs(game.u_adv[0, 0] - 26.8929) <= 1e-3
-    assert abs(game.u_def[0, 0] - 98.1972) <= 1e-3
+    assert abs(game.u[0][0, 0] - 26.8929) <= 1e-3
+    assert abs(game.u[1][0, 0] - 98.1972) <= 1e-3
     exact_a, exact_d = analytic_idle_pair(BASE)
-    assert abs(game.u_adv[0, 0] - exact_a) <= 1e-9
-    assert abs(game.u_def[0, 0] - exact_d) <= 1e-9
+    assert abs(game.u[0][0, 0] - exact_a) <= 1e-9
+    assert abs(game.u[1][0, 0] - exact_d) <= 1e-9
     assert elapsed < 1.0, f"idle cell took {elapsed:.2f}s, budget 1s"
 
 
@@ -95,20 +95,20 @@ def test_c2_heuristic_grid_reproduction(tmp_path):
     for i, rl in enumerate(game.row_labels):
         for j, cl in enumerate(game.col_labels):
             ref_a, ref_d = GRID_REFERENCE[(rl, cl)]
-            da = game.u_adv[i, j] - ref_a
-            dd = game.u_def[i, j] - ref_d
+            da = game.u[0][i, j] - ref_a
+            dd = game.u[1][i, j] - ref_d
             if "control_threshold" in (rl, cl):
                 soft_report.append(f"  soft {rl}/{cl}: diff ({da:+.2f}, {dd:+.2f})")
                 continue
             if max(abs(da), abs(dd)) > 5.0:
-                failures.append(f"{rl}/{cl}: got ({game.u_adv[i, j]:.2f}, "
-                                f"{game.u_def[i, j]:.2f}), want ({ref_a}, {ref_d})")
+                failures.append(f"{rl}/{cl}: got ({game.u[0][i, j]:.2f}, "
+                                f"{game.u[1][i, j]:.2f}), want ({ref_a}, {ref_d})")
     print("\n".join(["control-threshold cells (report only):", *soft_report]))
     assert not failures, "cells over +/-5.0: " + "; ".join(failures)
     i = game.row_labels.index("noop")
     j = game.col_labels.index("noop")
-    assert abs(game.u_adv[i, j] - 26.8929) <= 1e-3
-    assert abs(game.u_def[i, j] - 98.1972) <= 1e-3
+    assert abs(game.u[0][i, j] - 26.8929) <= 1e-3
+    assert abs(game.u[1][i, j] - 98.1972) <= 1e-3
     assert elapsed < 600.0, f"grid took {elapsed:.0f}s, budget 600s"
     save_game(game, tmp_path / "game.csv")
     assert hashlib.sha256((tmp_path / "game.csv").read_bytes()).hexdigest() == C2_GAME_SHA256
@@ -124,15 +124,14 @@ def regret_of(u_a, u_d, sa, sd):
 def test_c3_nash_solver_property_suite():
     t0 = time.monotonic()
     rng = np.random.default_rng(31337)
-    zeros = np.zeros((2, 2))
+    zeros = np.zeros((2, 2, 2))
     for trial in range(500):
         m, n = rng.integers(2, 7, size=2)
         u_a = rng.random((m, n))
         u_d = rng.random((m, n))
         rows = tuple(f"r{i}" for i in range(m))
         cols = tuple(f"c{j}" for j in range(n))
-        z = np.zeros((m, n))
-        game = EmpiricalGame(rows, cols, u_a, u_d, z, z, 0)
+        game = EmpiricalGame(rows, cols, np.stack([u_a, u_d]), np.zeros((2, m, n)), 0)
         eq = solve_msne(game)
         assert (eq.sigma_adv >= -1e-12).all() and (eq.sigma_def >= -1e-12).all()
         assert abs(eq.sigma_adv.sum() - 1) <= 1e-9
@@ -142,8 +141,8 @@ def test_c3_nash_solver_property_suite():
             f"trial {trial}: regret ({ra:.2e}, {rd:.2e})"
 
     pennies = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    eq = solve_msne(EmpiricalGame(("h", "t"), ("h", "t"), pennies, -pennies,
-                                  zeros, zeros, 0))
+    eq = solve_msne(EmpiricalGame(("h", "t"), ("h", "t"), np.stack([pennies, -pennies]),
+                                  zeros, 0))
     np.testing.assert_allclose(eq.sigma_adv, 0.5, atol=1e-12)
     np.testing.assert_allclose(eq.sigma_def, 0.5, atol=1e-12)
     assert abs(eq.value_adv) <= 1e-12
@@ -151,8 +150,8 @@ def test_c3_nash_solver_property_suite():
 
     dilemma_a = np.array([[-1.0, -3.0], [0.0, -2.0]])
     dilemma_b = np.array([[-1.0, 0.0], [-3.0, -2.0]])
-    eq = solve_msne(EmpiricalGame(("c", "d"), ("c", "d"), dilemma_a, dilemma_b,
-                                  zeros, zeros, 0))
+    eq = solve_msne(EmpiricalGame(("c", "d"), ("c", "d"), np.stack([dilemma_a, dilemma_b]),
+                                  zeros, 0))
     np.testing.assert_array_equal(eq.sigma_adv, [0.0, 1.0])
     np.testing.assert_array_equal(eq.sigma_def, [0.0, 1.0])
     assert eq.value_adv == -2.0 and eq.value_def == -2.0
@@ -255,10 +254,10 @@ def best_response_payoff(player: str) -> float:
                                     MixedStrategy(np.array([1.0])), BASE,
                                     TrainConfig(episodes=50), 0)
     if player == ADVERSARY:
-        pay = evaluate_pair(policy, NoOpPolicy(DEFENDER), BASE, episodes=50, seed=99)
-        return pay.u_adv
-    pay = evaluate_pair(NoOpPolicy(ADVERSARY), policy, BASE, episodes=50, seed=99)
-    return pay.u_def
+        u, _ = evaluate_pair(policy, NoOpPolicy(DEFENDER), BASE, episodes=50, seed=99)
+        return float(u[0])
+    u, _ = evaluate_pair(NoOpPolicy(ADVERSARY), policy, BASE, episodes=50, seed=99)
+    return float(u[1])
 
 
 @pytest.mark.slow
@@ -296,8 +295,7 @@ def run_desk_do(init: str):
 
 
 def check_noise_tolerant_monotonicity(state):
-    slack = DESK_DO.eps_do + 2 * max(state.game.se_adv.max(),
-                                     state.game.se_def.max())
+    slack = DESK_DO.eps_do + 2 * state.game.se.max()
     for prev, cur in zip(state.history, state.history[1:]):
         if cur.trained == "defender":
             assert cur.value_adv <= prev.value_adv + slack, \
@@ -357,8 +355,8 @@ def test_c8_subcommand_reruns_are_byte_identical(tmp_path, capsys):
                "--opponent", str(mix_dir / "mixture.txt"), "--seed", "7"],
               ["adversary_br.policy", "learning_curve.csv"])
     pennies = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    z = np.zeros((2, 2))
-    save_game(EmpiricalGame(("h", "t"), ("h", "t"), pennies, -pennies, z, z, 0),
+    save_game(EmpiricalGame(("h", "t"), ("h", "t"), np.stack([pennies, -pennies]),
+                            np.zeros((2, 2, 2)), 0),
               tmp_path / "pennies.csv")
     run_twice(["nash", "--game", str(tmp_path / "pennies.csv")],
               ["equilibrium.csv"])

@@ -251,7 +251,6 @@ def test_train_br_sizes_replay_to_the_run(tmp_path):
             assert train("huge", f"T=5\n{batch}replay_capacity={capacity}\n") == default
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the run diverges on purpose
 def test_failed_run_finalizes_manifest_as_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "T=50\nlearning_rate=1e300\n")
     out = tmp_path / "br"
@@ -276,7 +275,6 @@ def test_payoff_table_downtime_past_the_int64_clock(tmp_path, capsys):
     assert not (tmp_path / "g").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the returns overflow on purpose
 def test_payoff_table_non_finite_cell_is_a_numerical_failure(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c_a=1e308\n")
     out = tmp_path / "g"
@@ -288,6 +286,27 @@ def test_payoff_table_non_finite_cell_is_a_numerical_failure(tmp_path, capsys):
     assert doc["status"] == "error"
     assert doc["error"].startswith("NumericalError: adversary payoff of cell (")
     assert doc["artifacts"] == [] and not (out / "game.csv").exists()
+
+
+def test_parallel_numerical_failure_prints_one_line(tmp_path):
+    """Workers that overflow warn nothing: stderr is the one error line."""
+    cfg = write_cfg(tmp_path, "c_a=1e308\n")
+    proc = run_cli_module("payoff-table", "--config", cfg, "--episodes", "2", "--t", "5",
+                          "--jobs", "2", "--out", str(tmp_path / "g"))
+    assert proc.returncode == EXIT_NUMERICAL
+    assert proc.stderr == ("numerical failure: adversary payoff of cell (uniform, noop) is -inf "
+                           "with standard error nan\n")
+
+
+def test_server_count_past_its_bound_is_a_config_error(tmp_path, capsys):
+    """A server count whose tables would not fit is rejected under its key
+    before any network or table is built."""
+    cfg = write_cfg(tmp_path, "M=99999999999999999999\nT=5\n")
+    rc = main(["train-br", "--config", cfg, "--player", "adversary", "--ne", "1",
+               "--opponent", opponent_mixture(tmp_path, DEFENDER), "--out", str(tmp_path / "x")])
+    assert rc == EXIT_CONFIG
+    assert "key M: must lie in [1, 1024], got 99999999999999999999" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_train_br_side_mismatch(tmp_path, capsys):
@@ -323,7 +342,7 @@ def test_train_br_malformed_mixture(tmp_path, capsys):
 def test_nash_solves_saved_game(tmp_path, capsys):
     pennies = np.array([[1.0, -1.0], [-1.0, 1.0]])
     game = EmpiricalGame(("heads", "tails"), ("heads", "tails"),
-                         pennies, -pennies, np.zeros((2, 2)), np.zeros((2, 2)), 0)
+                         np.stack([pennies, -pennies]), np.zeros((2, 2, 2)), 0)
     save_game(game, tmp_path / "game.csv")
     out = tmp_path / "eq"
     rc = main(["nash", "--game", str(tmp_path / "game.csv"), "--out", str(out)])
@@ -343,8 +362,7 @@ def test_nash_missing_game_file(tmp_path, capsys):
 
 def test_nash_zero_tolerance_failure(tmp_path, capsys):
     u = np.array([[1.0, -1.0], [-1.0, 2.0]])
-    game = EmpiricalGame(("a", "b"), ("c", "d"), u, -u,
-                         np.zeros((2, 2)), np.zeros((2, 2)), 0)
+    game = EmpiricalGame(("a", "b"), ("c", "d"), np.stack([u, -u]), np.zeros((2, 2, 2)), 0)
     save_game(game, tmp_path / "game.csv")
     rc = main(["nash", "--game", str(tmp_path / "game.csv"),
                "--out", str(tmp_path / "eq"), "--tol", "0.0"])
@@ -396,7 +414,7 @@ def test_bad_paths_and_encodings(argv, tmp_path, capsys):
     (tmp_path / "afile").write_text("x\n", encoding="utf-8")
     (tmp_path / "latin1.txt").write_bytes("# caf\xe9\nM=4\n".encode("latin-1"))
     u = np.eye(2)
-    save_game(EmpiricalGame(("a", "b"), ("c", "d"), u, -u, 0 * u, 0 * u, 0),
+    save_game(EmpiricalGame(("a", "b"), ("c", "d"), np.stack([u, -u]), np.zeros((2, 2, 2)), 0),
               tmp_path / "game.csv")
     assert main([a.format(d=tmp_path) for a in argv]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: ")

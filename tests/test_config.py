@@ -73,6 +73,8 @@ def test_horizon_and_discount_flow_into_training():
     "gamma=1.0\n",
     "M=0\n",
     "M=ten\n",
+    "M=1025\n",
+    "T=1048577\n",
     "nosuchkey=1\n",
     "just a line without equals\n",
     "ne=0\n",

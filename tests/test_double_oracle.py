@@ -70,8 +70,8 @@ def test_zero_iterations_solves_initial_game_only(short):
     first = state.history[0]
     assert first.call == 0 and first.trained == ""
     assert math.isnan(first.br_payoff)
-    assert state.game.u_adv.shape == (1, 1)
-    assert eq.value_adv == pytest.approx(state.game.u_adv[0, 0])
+    assert state.game.u[0].shape == (1, 1)
+    assert eq.value_adv == pytest.approx(state.game.u[0][0, 0])
 
 
 def test_mutual_best_response_terminates_immediately(short):
@@ -100,7 +100,7 @@ def test_improving_response_extends_the_game(short):
     idle_value = 0.268941 * (1 - 0.99 ** 50) / 0.01
     assert eq.value_adv > idle_value + 2.0
     hist = state.history
-    max_se = max(state.game.se_adv.max(), state.game.se_def.max())
+    max_se = state.game.se.max()
     slack = 1.0 + 2.0 * max_se
     for prev, cur in zip(hist, hist[1:]):
         if cur.trained == ADVERSARY:
@@ -165,8 +165,8 @@ def test_history_rows_pin_every_field(short):
 
     def solve_block(rows, cols):
         block = EmpiricalGame(game.row_labels[:rows], game.col_labels[:cols],
-                              *(getattr(game, name)[:rows, :cols].copy()
-                                for name in ("u_adv", "u_def", "se_adv", "se_def")),
+                              *(getattr(game, name)[:, :rows, :cols].copy()
+                                for name in ("u", "se")),
                               game.episodes)
         return solve_msne(block)
 
@@ -185,11 +185,11 @@ def test_history_rows_pin_every_field(short):
         assert (row.converged_adv, row.converged_def) == (conv_a, conv_d)
         if trained == DEFENDER:
             before = solve_block(r, c - 1)
-            br = float(before.sigma_adv @ game.u_def[:r, c - 1])
+            br = float(before.sigma_adv @ game.u[1][:r, c - 1])
             assert conv_d == (br <= before.value_def + 1.0)
         elif trained == ADVERSARY:
             before = solve_block(r - 1, c)
-            br = float(game.u_adv[r - 1, :c] @ before.sigma_def)
+            br = float(game.u[0][r - 1, :c] @ before.sigma_def)
             assert conv_a == (br <= before.value_adv + 1.0)
         else:
             br = float("nan")
@@ -206,7 +206,7 @@ def test_full_loop_with_learned_oracles(short):
     assert isinstance(state.game.col_policies[-1], QNetworkPolicy)
     assert isinstance(state.game.row_policies[-1], QNetworkPolicy)
     assert state.game.col_policies[-1].label == "def_br_01"
-    assert state.game.u_adv.shape == (2, 2)
+    assert state.game.u[0].shape == (2, 2)
 
 
 def test_dqn_oracle_threads_seed_and_label(short):

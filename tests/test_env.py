@@ -131,6 +131,9 @@ def test_utility_unknown_player():
     dict(probe_gain=True),
     dict(downtime=2**62),
     dict(horizon=2**62),
+    dict(num_servers=1025),
+    dict(num_servers=99999999999999999999),
+    dict(horizon=2**20 + 1),
     dict(downtime=2**63 - 1),
 ])
 def test_config_validation_rejects(bad):
@@ -140,6 +143,7 @@ def test_config_validation_rejects(bad):
 
 def test_config_baseline_validates():
     EnvConfig()
+    EnvConfig(num_servers=1024, horizon=2**20, downtime=2**62 - 1)  # each at its largest
     cfg = EnvConfig(num_servers=np.int64(5), miss_prob=np.float32(0.5), probe_cost=1)
     assert cfg == EnvConfig(num_servers=5, miss_prob=0.5, probe_cost=1.0)
     stored = (cfg.num_servers, cfg.miss_prob, cfg.probe_cost)

@@ -23,6 +23,7 @@ from mtdgame.policies import (
     UniformDefender,
     evaluate_cells,
 )
+from mtdgame.qlearn import NumericalError
 
 
 def game_of(u_a, u_d, rows=None, cols=None) -> EmpiricalGame:
@@ -31,8 +32,7 @@ def game_of(u_a, u_d, rows=None, cols=None) -> EmpiricalGame:
     m, n = u_a.shape
     rows = tuple(rows) if rows else tuple(f"r{i}" for i in range(m))
     cols = tuple(cols) if cols else tuple(f"c{j}" for j in range(n))
-    zero = np.zeros_like(u_a)
-    return EmpiricalGame(rows, cols, u_a, u_d, zero, zero, episodes=1)
+    return EmpiricalGame(rows, cols, np.stack([u_a, u_d]), np.zeros((2, m, n)), episodes=1)
 
 
 MATCHING_PENNIES = ([[1, -1], [-1, 1]], [[-1, 1], [1, -1]])
@@ -43,16 +43,27 @@ PRISONERS = ([[-1, -3], [0, -2]], [[-1, 0], [-3, -2]])
 
 
 def test_game_validates_shapes():
-    with pytest.raises(ValueError):
-        EmpiricalGame(("a",), ("b",), np.zeros((2, 1)), np.zeros((1, 1)),
-                      np.zeros((1, 1)), np.zeros((1, 1)), 1)
+    """u and se are each (2, rows, cols), the adversary first."""
+    ok = np.zeros((2, 1, 2))
+    for u, se, name in ((np.zeros((1, 2)), ok, "u"), (np.zeros((2, 2, 1)), ok, "u"),
+                        (ok, np.zeros((1, 1, 2)), "se"), (ok, np.zeros((2, 1, 3)), "se")):
+        with pytest.raises(ValueError, match=f"^{name} has shape"):
+            EmpiricalGame(("a",), ("b", "c"), u, se, 1)
+    assert EmpiricalGame(("a",), ("b", "c"), ok, ok, 1).u is ok
 
 
 def test_game_rejects_non_finite():
-    bad = np.array([[np.nan]])
-    with pytest.raises(ValueError):
-        EmpiricalGame(("a",), ("b",), bad, np.zeros((1, 1)),
-                      np.zeros((1, 1)), np.zeros((1, 1)), 1)
+    """The first non-finite mean or standard error, side by side, is a
+    NumericalError that names its cell by the labels."""
+    u, se = np.zeros((2, 2, 3)), np.zeros((2, 2, 3))
+    u[1, 1, 2] = np.nan
+    with pytest.raises(NumericalError, match=r"^defender payoff of cell \(r1, c2\) is nan "
+                                             r"with standard error 0\.0$"):
+        EmpiricalGame(("r0", "r1"), ("c0", "c1", "c2"), u, se, 1)
+    se[0, 0, 1] = np.inf
+    with pytest.raises(NumericalError, match=r"^adversary payoff of cell \(r0, c1\) is 0\.0 "
+                                             r"with standard error inf$"):
+        EmpiricalGame(("r0", "r1"), ("c0", "c1", "c2"), u, se, 1)
 
 
 def test_game_rejects_duplicate_labels():
@@ -221,9 +232,9 @@ def test_build_game_single_noop_cell(baseline):
     g = build_game([NoOpPolicy(ADVERSARY)], [NoOpPolicy(DEFENDER)],
                    baseline, episodes=2, seed=0)
     assert g.row_labels == ("noop",) and g.col_labels == ("noop",)
-    assert g.u_adv[0, 0] == pytest.approx(26.8929, abs=1e-3)
-    assert g.u_def[0, 0] == pytest.approx(98.1972, abs=1e-3)
-    assert g.se_adv[0, 0] == 0.0
+    assert g.u[0][0, 0] == pytest.approx(26.8929, abs=1e-3)
+    assert g.u[1][0, 0] == pytest.approx(98.1972, abs=1e-3)
+    assert g.se[0][0, 0] == 0.0
 
 
 def test_build_game_rejects_empty_sets(baseline):
@@ -236,8 +247,8 @@ def test_cell_values_depend_on_labels_not_position(short):
     defs = [NoOpPolicy(DEFENDER), UniformDefender()]
     full = build_game(advs, defs, short, episodes=2, seed=5)
     sub = build_game([advs[1]], [defs[1]], short, episodes=2, seed=5)
-    assert full.u_adv[1, 1] == sub.u_adv[0, 0]
-    assert full.u_def[1, 1] == sub.u_def[0, 0]
+    assert full.u[0][1, 1] == sub.u[0][0, 0]
+    assert full.u[1][1, 1] == sub.u[1][0, 0]
 
 
 def test_build_game_deterministic(short):
@@ -245,8 +256,7 @@ def test_build_game_deterministic(short):
     defs = [NoOpPolicy(DEFENDER)]
     g1 = build_game(advs, defs, short, episodes=3, seed=9)
     g2 = build_game(advs, defs, short, episodes=3, seed=9)
-    np.testing.assert_array_equal(g1.u_adv, g2.u_adv)
-    np.testing.assert_array_equal(g1.u_def, g2.u_def)
+    np.testing.assert_array_equal(g1.u, g2.u)
 
 
 def test_parallel_build_matches_serial(short):
@@ -254,8 +264,7 @@ def test_parallel_build_matches_serial(short):
     defs = [NoOpPolicy(DEFENDER), UniformDefender()]
     serial = build_game(advs, defs, short, episodes=2, seed=4, jobs=1)
     parallel = build_game(advs, defs, short, episodes=2, seed=4, jobs=2)
-    np.testing.assert_array_equal(serial.u_adv, parallel.u_adv)
-    np.testing.assert_array_equal(serial.u_def, parallel.u_def)
+    np.testing.assert_array_equal(serial.u, parallel.u)
 
 
 def test_extend_game_keeps_old_cells_and_counts_new_evaluations(short, monkeypatch):
@@ -275,17 +284,33 @@ def test_extend_game_keeps_old_cells_and_counts_new_evaluations(short, monkeypat
 
     g2 = extend_game(g, UniformDefender(period=8, label="slow"), short, seed=1)
     assert len(calls) == 2          # one new column, one cell per existing row
-    np.testing.assert_array_equal(g2.u_adv[:, :3], g.u_adv)
+    np.testing.assert_array_equal(g2.u[0][:, :3], g.u[0])
     assert g2.col_labels == (*g.col_labels, "slow")
     calls.clear()
 
     g3 = extend_game(g2, MaxProbeAdversary(), short, seed=1)
     assert len(calls) == 4          # one new row across all four columns
-    np.testing.assert_array_equal(g3.u_adv[:2], g2.u_adv)
-    np.testing.assert_array_equal(g3.u_def[:2], g2.u_def)
+    np.testing.assert_array_equal(g3.u[0][:2], g2.u[0])
+    np.testing.assert_array_equal(g3.u[1][:2], g2.u[1])
     assert g3.row_labels == (*g2.row_labels, "maxprobe")
     # grand total for one policy per side: rows + columns + 1
     assert 2 + 4 == len(g.row_labels) + len(g.col_labels) + 1
+
+
+@pytest.mark.parametrize("policy", [MaxProbeAdversary(), UniformDefender(period=8, label="slow")],
+                         ids=["row", "column"])
+def test_extend_game_equals_the_game_built_over_the_grown_sets(short, policy):
+    """A new row or column lands where building the grown game puts it, in
+    both the means and the standard errors."""
+    advs = [NoOpPolicy(ADVERSARY), UniformAdversary()]
+    defs = [NoOpPolicy(DEFENDER), UniformDefender(), UniformDefender(period=2, label="fast")]
+    grown = extend_game(build_game(advs, defs, short, episodes=3, seed=2), policy, short, seed=2)
+    sets = (advs + [policy], defs) if policy.player == ADVERSARY else (advs, defs + [policy])
+    built = build_game(*sets, short, episodes=3, seed=2)
+    assert (grown.row_policies, grown.col_policies) == (built.row_policies, built.col_policies)
+    assert (grown.row_labels, grown.col_labels) == (built.row_labels, built.col_labels)
+    np.testing.assert_array_equal(grown.u, built.u, strict=True)
+    np.testing.assert_array_equal(grown.se, built.se, strict=True)
 
 
 def test_extend_game_rejects_duplicates_and_label_free_games(short):
@@ -294,8 +319,7 @@ def test_extend_game_rejects_duplicates_and_label_free_games(short):
     g = build_game(advs, defs, short, episodes=1, seed=0)
     with pytest.raises(ValueError):
         extend_game(g, NoOpPolicy(ADVERSARY), short, seed=0)
-    stripped = EmpiricalGame(g.row_labels, g.col_labels, g.u_adv, g.u_def,
-                             g.se_adv, g.se_def, g.episodes)
+    stripped = EmpiricalGame(g.row_labels, g.col_labels, g.u, g.se, g.episodes)
     with pytest.raises(ValueError):
         extend_game(stripped, UniformAdversary(), short, seed=0)
 

@@ -302,29 +302,28 @@ def test_mixture_top_draw_stays_in_range():
 
 
 def test_noop_pair_matches_closed_form(baseline):
-    pp = evaluate_pair(NoOpPolicy(ADVERSARY), NoOpPolicy(DEFENDER), baseline,
-                       episodes=3, seed=0)
+    u, se = evaluate_pair(NoOpPolicy(ADVERSARY), NoOpPolicy(DEFENDER), baseline,
+                          episodes=3, seed=0)
     horizon_sum = (1.0 - baseline.discount ** baseline.horizon) / (1.0 - baseline.discount)
-    assert pp.u_adv == pytest.approx(0.2689414213699951 * horizon_sum, abs=1e-9)
-    assert pp.u_def == pytest.approx(0.9820137900379085 * horizon_sum, abs=1e-9)
-    assert pp.se_adv == 0.0 and pp.se_def == 0.0
-    assert pp.episodes == 3
+    assert u[0] == pytest.approx(0.2689414213699951 * horizon_sum, abs=1e-9)
+    assert u[1] == pytest.approx(0.9820137900379085 * horizon_sum, abs=1e-9)
+    assert se[0] == 0.0 and se[1] == 0.0
 
 
 def test_zero_discount_keeps_first_reward_only(baseline):
     cfg = replace(baseline, discount=0.0)
-    pp = evaluate_pair(NoOpPolicy(ADVERSARY), NoOpPolicy(DEFENDER), cfg,
-                       episodes=1, seed=0)
-    assert pp.u_adv == pytest.approx(0.268941, abs=1e-6)
-    assert pp.u_def == pytest.approx(0.982014, abs=1e-6)
+    u, _ = evaluate_pair(NoOpPolicy(ADVERSARY), NoOpPolicy(DEFENDER), cfg,
+                         episodes=1, seed=0)
+    assert u[0] == pytest.approx(0.268941, abs=1e-6)
+    assert u[1] == pytest.approx(0.982014, abs=1e-6)
 
 
 def test_uniform_adversary_beats_idle_defender(baseline):
-    pp = evaluate_pair(UniformAdversary(), NoOpPolicy(DEFENDER), baseline,
-                       episodes=10, seed=0)
-    assert 68.0 < pp.u_adv < 90.0
-    assert pp.u_def < 70.0
-    assert pp.se_adv > 0.0
+    u, se = evaluate_pair(UniformAdversary(), NoOpPolicy(DEFENDER), baseline,
+                          episodes=10, seed=0)
+    assert 68.0 < u[0] < 90.0
+    assert u[1] < 70.0
+    assert se[0] > 0.0
 
 
 def test_run_episode_deterministic(baseline):
@@ -341,6 +340,11 @@ def test_evaluate_pair_argument_checks(baseline):
         evaluate_pair(NoOpPolicy(DEFENDER), NoOpPolicy(ADVERSARY), baseline, 1, 0)
     with pytest.raises(ValueError):
         evaluate_pair(NoOpPolicy(ADVERSARY), NoOpPolicy(DEFENDER), baseline, 0, 0)
+    # numpy integer counts play like Python ones, and a pair is the 1x1 grid's cell
+    pair = (NoOpPolicy(ADVERSARY), NoOpPolicy(DEFENDER))
+    u, se = evaluate_cells(*([p] for p in pair), [[0]], baseline, np.int64(2), jobs=np.int32(1))
+    assert [a.tolist() for a in evaluate_pair(*pair, baseline, 2, 0)] == [
+        u[:, 0, 0].tolist(), se[:, 0, 0].tolist()]
 
 
 # ------------------------------------------------------- batched evaluation
@@ -495,7 +499,7 @@ def grid_seeds(master, advs, defs):
 
 
 def cell(u, se, i, j):
-    """Cell (i, j) of `evaluate_cells`'s arrays as (u_adv, u_def, se_adv, se_def)."""
+    """Cell (i, j) of `evaluate_cells`'s arrays as (u[0], u[1], se[0], se[1])."""
     return (*u[:, i, j].tolist(), *se[:, i, j].tolist())
 
 
@@ -594,12 +598,3 @@ def test_evaluate_cells_rejects_seeds_off_the_grid(short, seeds):
     with pytest.raises(ValueError, match="^seeds must be a 2x2 grid$"):
         evaluate_cells(advs, defs, seeds, short, 1)
 
-
-def test_evaluate_pair_stores_counts_as_int(short):
-    pair = (NoOpPolicy(ADVERSARY), NoOpPolicy(DEFENDER), short)
-    pp = evaluate_pair(*pair, np.int64(2), 0)
-    assert type(pp.episodes) is int and pp.episodes == 2
-    assert all(type(v) is float for v in (pp.u_adv, pp.u_def, pp.se_adv, pp.se_def))
-    assert evaluate_pair(*pair, 2, 0) == pp
-    u, se = evaluate_cells(*([p] for p in pair[:2]), [[0]], short, np.int64(2), jobs=np.int32(1))
-    assert cell(u, se, 0, 0) == (pp.u_adv, pp.u_def, pp.se_adv, pp.se_def)

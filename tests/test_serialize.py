@@ -386,9 +386,8 @@ def test_mixture_rejects_mixed_players(baseline, tmp_path):
 
 def small_game():
     u_a = np.array([[1.0, 2.5], [0.125, -3.0], [4.0, 0.1]])
-    return EmpiricalGame(("r0", "r1", "r2"), ("c0", "c1"),
-                         u_a, -u_a, np.full_like(u_a, 0.5),
-                         np.full_like(u_a, 0.25), 20)
+    return EmpiricalGame(("r0", "r1", "r2"), ("c0", "c1"), np.stack([u_a, -u_a]),
+                         np.stack([np.full_like(u_a, 0.5), np.full_like(u_a, 0.25)]), 20)
 
 
 def test_game_round_trip(tmp_path):
@@ -398,10 +397,8 @@ def test_game_round_trip(tmp_path):
     back = load_game(p)
     assert back.row_labels == game.row_labels
     assert back.col_labels == game.col_labels
-    np.testing.assert_array_equal(back.u_adv, game.u_adv)
-    np.testing.assert_array_equal(back.u_def, game.u_def)
-    np.testing.assert_array_equal(back.se_adv, game.se_adv)
-    np.testing.assert_array_equal(back.se_def, game.se_def)
+    np.testing.assert_array_equal(back.u, game.u)
+    np.testing.assert_array_equal(back.se, game.se)
     assert back.episodes == 0
     q = tmp_path / "again.csv"
     save_game(back, q)

@@ -194,12 +194,13 @@ def cmd_solve(args) -> int:
         defs = default_defenders(rc.env)
     with _Manifest(out_dir, "solve", args.seed, rc,
                    {"init": args.init, "jobs": args.jobs}) as manifest:
-        state, eq = run_double_oracle(rc.env, advs, defs, rc.do, args.seed,
-                                      dqn_oracle(rc.env, rc.train), jobs=args.jobs)
+        game, history, eq = run_double_oracle(rc.env, advs, defs, rc.do, args.seed,
+                                              dqn_oracle(rc.env, rc.train), jobs=args.jobs)
+        converged = history[-1].converged_adv and history[-1].converged_def
         pol_dir = out_dir / "policies"
         pol_dir.mkdir(parents=True, exist_ok=True)
         artifacts = []
-        for policy in state.game.row_policies + state.game.col_policies:
+        for policy in game.row_policies + game.col_policies:
             p = pol_dir / f"{policy.player}_{policy.label}.policy"
             save_policy(policy, p)
             artifacts.append(p)
@@ -207,15 +208,15 @@ def cmd_solve(args) -> int:
         curve_path = out_dir / "do_curve.csv"
         eq_path = out_dir / "equilibrium.csv"
         cfg_path = out_dir / "config.txt"
-        save_game(state.game, game_path)
-        save_do_curve(state.history, curve_path)
-        save_equilibrium(eq, state.game.row_labels, state.game.col_labels, eq_path)
+        save_game(game, game_path)
+        save_do_curve(history, curve_path)
+        save_equilibrium(eq, game.row_labels, game.col_labels, eq_path)
         cfg_path.write_text(format_config(rc), encoding="utf-8")
-        status = "ok" if state.converged else "not_converged"
+        status = "ok" if converged else "not_converged"
         manifest.finish([game_path, curve_path, eq_path, cfg_path, *artifacts], status)
-    print(f"oracle calls: {state.oracle_calls}, converged: {state.converged}, "
+    print(f"oracle calls: {len(history) - 1}, converged: {converged}, "
           f"value: adversary {eq.value_adv:.4f} defender {eq.value_def:.4f}")
-    return EXIT_OK if state.converged else EXIT_NO_CONVERGENCE
+    return EXIT_OK if converged else EXIT_NO_CONVERGENCE
 
 
 def _at_least(parse, low):

@@ -6,7 +6,7 @@ against the adversary's equilibrium mixture, re-solves, then trains an
 adversary best response against the updated defender mixture.  New policies
 join their set unconditionally; convergence is declared when both trained
 responses in the same iteration fail to improve on the equilibrium value by
-more than eps_do.
+more than eps_do.  `replay_history` rebuilds a run's history from its game.
 """
 
 from __future__ import annotations
@@ -44,14 +44,6 @@ class DoRecord:
     converged_def: bool
 
 
-@dataclass
-class DoState:
-    game: EmpiricalGame
-    history: list[DoRecord]
-    oracle_calls: int
-    converged: bool
-
-
 def converged(br_payoff: float, eq_value: float, eps_do: float) -> bool:
     """True when the trained response fails to improve by more than eps_do."""
     return br_payoff <= eq_value + eps_do
@@ -68,16 +60,53 @@ def dqn_oracle(env_cfg: EnvConfig, tc: TrainConfig):
     return oracle
 
 
+def _record_call(game, eq, history, player, eps_do):
+    """Append the record of a `player` oracle call whose policy is `game`'s last
+    column (defender) or row (adversary), answering `eq`; return the re-solved
+    equilibrium.  The other player's flag carries over from the last record."""
+    if player == DEFENDER:
+        br, value = float(eq.sigma_adv @ game.u[1][:, -1]), eq.value_def
+    else:
+        br, value = float(game.u[0][-1] @ eq.sigma_def), eq.value_adv
+    flags = {ADVERSARY: history[-1].converged_adv, DEFENDER: history[-1].converged_def}
+    flags[player] = converged(br, value, eps_do)
+    eq = solve_msne(game)
+    history.append(DoRecord(len(history), eq.value_adv, eq.value_def, player, br,
+                            flags[ADVERSARY], flags[DEFENDER]))
+    return eq
+
+
+def replay_history(game: EmpiricalGame, n_adv: int, n_def: int,
+                   eps_do: float) -> tuple[list[DoRecord], EquilibriumResult]:
+    """The history and final equilibrium of the loop run that ended in `game`
+    and started from its first n_adv rows and n_def columns.  ValueError if
+    no run alternating defender and adversary calls grows one into the other."""
+    rows, cols = game.u.shape[1:]
+    if not (1 <= n_adv <= rows and 1 <= n_def <= cols
+            and (cols - n_def) - (rows - n_adv) in (0, 1)):
+        raise ValueError(f"no run grows a {n_adv}x{n_def} start into a {rows}x{cols} game")
+
+    def block(r, c):
+        return EmpiricalGame(game.row_labels[:r], game.col_labels[:c],
+                             game.u[:, :r, :c].copy(), game.se[:, :r, :c].copy(), game.episodes)
+
+    eq = solve_msne(block(n_adv, n_def))
+    history = [DoRecord(0, eq.value_adv, eq.value_def, "", float("nan"), False, False)]
+    for k in range(rows + cols - n_adv - n_def):  # even k: a defender call adds a column
+        eq = _record_call(block(n_adv + (k + 1) // 2, n_def + k // 2 + 1), eq, history,
+                          (DEFENDER, ADVERSARY)[k % 2], eps_do)
+    return history, eq
+
+
 def run_double_oracle(env_cfg: EnvConfig, initial_adv: list[PurePolicy],
-                      initial_def: list[PurePolicy], do_cfg: DoConfig, seed: int,
-                      oracle, jobs: int = 1) -> tuple[DoState, EquilibriumResult]:
-    """Run the loop and return the final state and equilibrium.  `oracle`, e.g.
-    `dqn_oracle`, maps (player, opponents, mix, seed, label) to a new policy."""
+                      initial_def: list[PurePolicy], do_cfg: DoConfig, seed: int, oracle,
+                      jobs: int = 1) -> tuple[EmpiricalGame, list[DoRecord], EquilibriumResult]:
+    """Run the loop and return the final game, history and equilibrium; the run
+    converged if the last record has both flags.  `oracle`, e.g. `dqn_oracle`,
+    maps (player, opponents, mix, seed, label) to a new policy."""
     game = build_game(initial_adv, initial_def, env_cfg, do_cfg.eval_episodes,
                       derive_seed(seed, "game"), jobs=jobs)
-    eq = solve_msne(game)
-    history = [DoRecord(0, eq.value_adv, eq.value_def, "", float("nan"), False, False)]
-    conv = {ADVERSARY: False, DEFENDER: False}
+    history, eq = replay_history(game, len(initial_adv), len(initial_def), do_cfg.eps_do)
     for it in range(1, do_cfg.max_iterations + 1):
         for player in (DEFENDER, ADVERSARY):
             # the player responds to the opponent's current equilibrium mixture
@@ -87,14 +116,7 @@ def run_double_oracle(env_cfg: EnvConfig, initial_adv: list[PurePolicy],
                             derive_seed(seed, "oracle", it, player),
                             f"{player[:3]}_br_{it:02d}")
             game = extend_game(game, policy, env_cfg, derive_seed(seed, "game"), jobs=jobs)
-            if player == DEFENDER:
-                br, value = float(eq.sigma_adv @ game.u[1][:, -1]), eq.value_def
-            else:
-                br, value = float(game.u[0][-1] @ eq.sigma_def), eq.value_adv
-            conv[player] = converged(br, value, do_cfg.eps_do)
-            eq = solve_msne(game)
-            history.append(DoRecord(len(history), eq.value_adv, eq.value_def, player,
-                                    br, conv[ADVERSARY], conv[DEFENDER]))
-        if all(conv.values()):
+            eq = _record_call(game, eq, history, player, do_cfg.eps_do)
+        if history[-1].converged_adv and history[-1].converged_def:
             break
-    return DoState(game, history, len(history) - 1, all(conv.values())), eq
+    return game, history, eq

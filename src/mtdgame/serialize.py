@@ -9,7 +9,6 @@ fixed newline to make reruns byte-identical.
 from __future__ import annotations
 
 import csv
-import math
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +28,9 @@ from mtdgame.policies import (
 from mtdgame.qlearn import EpisodeRecord, QNetwork, QNetworkPolicy
 
 MAGIC = "MTDPOLICY"
-# Version 2: network outputs index the canonical server order
-# (qlearn.canonical_input); version 1 networks indexed servers directly.
-FORMAT_VERSION = 2
+# Version 3 headers end with the label (version 2 networks took the file's
+# stem); version 1 networks indexed servers, not qlearn.canonical_input's order.
+FORMAT_VERSION = 3
 
 
 class PolicyFormatError(ValueError):
@@ -49,11 +48,11 @@ def _heuristic_line(policy: PurePolicy) -> str:
     return " ".join(["heuristic", policy.player, name, *parts])
 
 
-def _read_label(text: str) -> str:
+def _read_label(text: str, where: str = "") -> str:
     """A label as a policy file token and a file name: nonempty, without
-    whitespace, `/` or `\\`, and neither `.` nor `..`."""
+    whitespace, `/` or `\\`, and neither `.` nor `..`.  `where` prefixes the error."""
     if text.split() != [text] or "/" in text or "\\" in text or text in (".", ".."):
-        raise PolicyFormatError(f"label {text!r} is empty or contains whitespace, / or \\, "
+        raise PolicyFormatError(f"{where}label {text!r} is empty or contains whitespace, / or \\, "
                                 "or is . or ..")
     return text
 
@@ -61,7 +60,8 @@ def _read_label(text: str) -> str:
 def _policy_text(policy: PurePolicy) -> str:
     if not isinstance(policy, QNetworkPolicy):
         return _heuristic_line(policy) + "\n"
-    lines = [f"{MAGIC} {FORMAT_VERSION} qnet {policy.player} {policy.cfg.num_servers}"]
+    lines = [f"{MAGIC} {FORMAT_VERSION} qnet {policy.player} {policy.cfg.num_servers} "
+             f"{_read_label(policy.label)}"]
     net = policy.net
     for w, b in zip(net.weights, net.biases):
         lines.append(f"{w.shape[0]} {w.shape[1]}")
@@ -124,10 +124,10 @@ def _check_no_trailing(path, rest):
 
 def _load_qnet(path, lines, env_cfg):
     head = lines[0].split()
-    if (len(head) != 5 or head[1] != str(FORMAT_VERSION) or head[2] != "qnet"
+    if (len(head) != 6 or head[1] != str(FORMAT_VERSION) or head[2] != "qnet"
             or not (head[4].isascii() and head[4].isdigit())):
         raise PolicyFormatError(f"{path}: bad network header {lines[0]!r}")
-    player = head[3]
+    player, label = head[3], _read_label(head[5], f"{path}: ")
     if player not in (ADVERSARY, DEFENDER):
         raise PolicyFormatError(f"{path}: unknown player {player!r}")
     m = int(head[4])
@@ -161,7 +161,7 @@ def _load_qnet(path, lines, env_cfg):
         raise PolicyFormatError(f"{path}: {dims[-1]} outputs, {m} servers need {m + 1}")
     net = QNetwork(dims[0], dims[-1], None, tuple(dims[1:-1]))
     net.params[:] = np.concatenate(values)
-    return QNetworkPolicy(player, net, env_cfg, path.stem)
+    return QNetworkPolicy(player, net, env_cfg, label)
 
 
 def save_mixture(policies: list[PurePolicy], mix: MixedStrategy,
@@ -227,18 +227,6 @@ def _write_csv(path: str | Path, header: list[str], rows, footer: str = "") -> N
         fh.write(footer)
 
 
-def _read_csv(path: str | Path, header: list[str]) -> list[list[str]]:
-    """The rows of a CSV file that starts with `header`, each as long as it."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if rows[:1] != [header]:
-        raise PolicyFormatError(f"{path}: unexpected header {rows[:1]}")
-    for rec in rows[1:]:
-        if len(rec) != len(header):
-            raise PolicyFormatError(f"{path}: malformed row {rec}")
-    return rows[1:]
-
-
 GAME_HEADER = ["adv_policy", "def_policy", "u_a", "u_d", "se_a", "se_d"]
 
 
@@ -257,7 +245,13 @@ def load_game(path: str | Path) -> EmpiricalGame:
     rows: list[str] = []
     cols: list[str] = []
     cells = {}
-    for rec in _read_csv(path, GAME_HEADER):
+    with open(path, encoding="utf-8", newline="") as fh:
+        records = list(csv.reader(fh))
+    if records[:1] != [GAME_HEADER]:
+        raise PolicyFormatError(f"{path}: unexpected header {records[:1]}")
+    for rec in records[1:]:
+        if len(rec) != len(GAME_HEADER):
+            raise PolicyFormatError(f"{path}: malformed row {rec}")
         rl, cl = rec[0], rec[1]
         if (rl, cl) in cells:
             raise PolicyFormatError(f"{path}: duplicate cell ({rl}, {cl})")
@@ -313,22 +307,3 @@ def save_trace(rows: list[list], path: str | Path) -> None:
     """One row per step of a simulated episode, as `cli simulate` records it."""
     _write_csv(path, ["tau", "adv_action", "def_action", "reward_adv", "reward_def",
                       "n_control_adv", "n_control_def", "n_down"], rows)
-
-
-def load_do_curve(path: str | Path) -> list[DoRecord]:
-    """Read `save_do_curve`'s file: rows 0, 1, 2, ... in order, the initial
-    row with no new policy and a nan payoff, every later row naming the
-    player it trained and its finite payoff, and 0/1 convergence flags."""
-    out = []
-    for i, rec in enumerate(_read_csv(path, DO_CURVE_HEADER)):
-        it, value_a, value_d, trained, payoff, conv_a, conv_d = rec
-        try:
-            payoff = parse_finite(payoff) if i else float(payoff)
-            if (it != str(i) or math.isnan(payoff) != (i == 0) or {conv_a, conv_d} - {"0", "1"}
-                    or trained not in ((ADVERSARY, DEFENDER) if i else ("",))):
-                raise ValueError
-            out.append(DoRecord(i, parse_finite(value_a), parse_finite(value_d), trained,
-                                payoff, conv_a == "1", conv_d == "1"))
-        except ValueError:
-            raise PolicyFormatError(f"{path}: bad value in row {rec}") from None
-    return out

@@ -16,7 +16,7 @@ import pytest
 
 from mtdgame.cli import main
 from mtdgame.env import ADVERSARY, COL_CONTROL, COL_STATUS, DEFENDER, EnvConfig, MtdEnv
-from mtdgame.double_oracle import DoConfig, dqn_oracle, run_double_oracle
+from mtdgame.double_oracle import DoConfig, dqn_oracle, replay_history, run_double_oracle
 from mtdgame.nash import EmpiricalGame, build_game, solve_msne
 from mtdgame.policies import (
     MixedStrategy,
@@ -294,9 +294,9 @@ def run_desk_do(init: str):
                              dqn_oracle(BASE, TrainConfig(episodes=30)))
 
 
-def check_noise_tolerant_monotonicity(state):
-    slack = DESK_DO.eps_do + 2 * state.game.se.max()
-    for prev, cur in zip(state.history, state.history[1:]):
+def check_noise_tolerant_monotonicity(game, history):
+    slack = DESK_DO.eps_do + 2 * game.se.max()
+    for prev, cur in zip(history, history[1:]):
         if cur.trained == "defender":
             assert cur.value_adv <= prev.value_adv + slack, \
                 f"call {cur.call}: adversary value rose past slack after defender oracle"
@@ -311,11 +311,19 @@ def check_noise_tolerant_monotonicity(state):
 def test_c7_double_oracle_desk_run():
     results = {}
     for init in ("heuristics", "noop"):
-        state, eq = run_desk_do(init)
-        assert state.converged, f"{init} start did not converge within budget"
-        assert state.oracle_calls <= 10, \
-            f"{init} start used {state.oracle_calls} oracle calls, budget 10"
-        check_noise_tolerant_monotonicity(state)
+        game, history, eq = run_desk_do(init)
+        calls = len(history) - 1
+        assert history[-1].converged_adv and history[-1].converged_def, \
+            f"{init} start did not converge within budget"
+        assert calls <= 10, f"{init} start used {calls} oracle calls, budget 10"
+        check_noise_tolerant_monotonicity(game, history)
+        start = ((1, 1) if init == "noop"
+                 else (len(default_adversaries()), len(default_defenders(BASE))))
+        again, eq_again = replay_history(game, *start, DESK_DO.eps_do)
+        assert [repr(r) for r in again] == [repr(r) for r in history], \
+            f"{init} start: the history replayed from the game differs"
+        assert (np.array_equal(eq_again.sigma_adv, eq.sigma_adv)
+                and np.array_equal(eq_again.sigma_def, eq.sigma_def))
         results[init] = (eq.value_adv, eq.value_def)
     ha, hd = results["heuristics"]
     na, nd = results["noop"]

@@ -16,14 +16,18 @@ from mtdgame.cli import (
     EXIT_OK,
     main,
 )
+from mtdgame.config import load_config
+from mtdgame.double_oracle import replay_history
 from mtdgame.env import ADVERSARY, DEFENDER, EnvConfig
-from mtdgame.nash import EmpiricalGame
-from mtdgame.policies import MixedStrategy, NoOpPolicy
+from mtdgame.nash import EmpiricalGame, build_game
+from mtdgame.policies import MixedStrategy, NoOpPolicy, default_adversaries, default_defenders
 from mtdgame.qlearn import QNetwork, QNetworkPolicy
+from mtdgame.seeds import derive_seed
 from mtdgame.serialize import (
-    load_do_curve,
     load_game,
     load_policy,
+    save_do_curve,
+    save_equilibrium,
     save_game,
     save_mixture,
     save_policy,
@@ -423,6 +427,59 @@ def test_bad_paths_and_encodings(argv, tmp_path, capsys):
 SOLVE_CFG = "T=50\nne=1\nmax_iterations=1\neval_episodes=2\neps_do=1.0\n"
 
 
+def replayed(out):
+    """The history and equilibrium of the solve in `out`, rebuilt from its
+    game.csv, the start sets of its manifest's `--init` and its config.txt's
+    eps_do."""
+    rc = load_config(out / "config.txt")
+    init = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["args"]["init"]
+    sizes = ((len(default_adversaries()), len(default_defenders(rc.env)))
+             if init == "heuristics" else (1, 1))
+    return replay_history(load_game(out / "game.csv"), *sizes, rc.do.eps_do)
+
+
+@pytest.fixture(scope="module", params=["heuristics", "noop"])
+def desk_solve(request, tmp_path_factory):
+    """A desk solve from each start, run once for the tests that read it."""
+    cfg = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    cfg.write_text(SOLVE_CFG, encoding="utf-8")
+    out = tmp_path_factory.mktemp("solve") / request.param
+    code = main(["solve", "--config", str(cfg), "--init", request.param, "--seed", "3",
+                 "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_NO_CONVERGENCE)
+    return out
+
+
+def test_solve_history_replays_from_game_csv(desk_solve, tmp_path):
+    """do_curve.csv and equilibrium.csv are a function of game.csv."""
+    out = desk_solve
+    history, eq = replayed(out)
+    game = load_game(out / "game.csv")
+    save_do_curve(history, tmp_path / "do_curve.csv")
+    save_equilibrium(eq, game.row_labels, game.col_labels, tmp_path / "equilibrium.csv")
+    for name in ("do_curve.csv", "equilibrium.csv"):
+        assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_solve_policies_rebuild_game_csv(desk_solve, tmp_path):
+    """Every saved policy reloads under its own label, so evaluating them
+    again in game.csv's order, at the run's seed, gives game.csv's bytes."""
+    out = desk_solve
+    rc = load_config(out / "config.txt")
+    seed = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["seed"]
+    policies = {}
+    for path in (out / "policies").iterdir():
+        policy = load_policy(path, rc.env)
+        policies[policy.player, policy.label] = policy
+    game = load_game(out / "game.csv")
+    assert len(policies) == len(game.row_labels) + len(game.col_labels)
+    rebuilt = build_game([policies[ADVERSARY, label] for label in game.row_labels],
+                         [policies[DEFENDER, label] for label in game.col_labels],
+                         rc.env, rc.do.eval_episodes, derive_seed(seed, "game"))
+    save_game(rebuilt, tmp_path / "game.csv")
+    assert (tmp_path / "game.csv").read_bytes() == (out / "game.csv").read_bytes()
+
+
 def test_solve_writes_full_artifact_set(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SOLVE_CFG)
     out = tmp_path / "solve"
@@ -432,7 +489,7 @@ def test_solve_writes_full_artifact_set(tmp_path, capsys):
                  "manifest.json"):
         assert (out / name).exists()
     assert any((out / "policies").iterdir())
-    history = load_do_curve(out / "do_curve.csv")
+    history, _ = replayed(out)
     assert history[0].call == 0 and history[0].trained == ""
     doc = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     expected = "ok" if rc == EXIT_OK else "not_converged"
@@ -449,7 +506,7 @@ def test_solve_zero_iterations_reports_initial_equilibrium(tmp_path, capsys):
     assert rc == EXIT_NO_CONVERGENCE
     doc = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert doc["status"] == "not_converged"
-    history = load_do_curve(out / "do_curve.csv")
+    history, _ = replayed(out)
     assert len(history) == 1
     lines = (out / "equilibrium.csv").read_text(encoding="utf-8").splitlines()
     rows = [ln.split(",") for ln in lines[1:3]]
@@ -543,9 +600,6 @@ UNUSED_DEFINITIONS_KEPT = {
     ("policies.py", "evaluate_pair"),
     ("qlearn.py", "SgdOptimizer"),
     ("serialize.py", "save_mixture"),
-    # the reader of do_curve.csv that `report` and `solve --resume` will
-    # use (ROADMAP items 6(b) and 11)
-    ("serialize.py", "load_do_curve"),
 }
 
 

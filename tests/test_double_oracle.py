@@ -5,11 +5,26 @@ import math
 import numpy as np
 import pytest
 
+from mtdgame import double_oracle
 from mtdgame.env import ADVERSARY, DEFENDER, ConfigError
 from mtdgame.nash import EmpiricalGame, solve_msne
-from mtdgame.policies import MixedStrategy, NoOpPolicy, UniformAdversary, heuristic
+from mtdgame.policies import (
+    MixedStrategy,
+    NoOpPolicy,
+    UniformAdversary,
+    default_adversaries,
+    default_defenders,
+    heuristic,
+)
 from mtdgame.qlearn import QNetworkPolicy, TrainConfig
-from mtdgame.double_oracle import DoConfig, DoRecord, converged, dqn_oracle, run_double_oracle
+from mtdgame.double_oracle import (
+    DoConfig,
+    DoRecord,
+    converged,
+    dqn_oracle,
+    replay_history,
+    run_double_oracle,
+)
 
 
 def noop_oracle(player, opponents, mix, seed, label):
@@ -21,6 +36,11 @@ def uniform_adv_oracle(player, opponents, mix, seed, label):
     if player == ADVERSARY:
         return UniformAdversary(label=label)
     return NoOpPolicy(DEFENDER, label=label)
+
+
+def stopped(history):
+    """A run converged when its last record has both flags."""
+    return history[-1].converged_adv and history[-1].converged_def
 
 
 def tiny_do(**kw):
@@ -61,48 +81,45 @@ def test_do_config_validation(short):
 
 
 def test_zero_iterations_solves_initial_game_only(short):
-    state, eq = run_double_oracle(short, [NoOpPolicy(ADVERSARY)],
-                                  [NoOpPolicy(DEFENDER)],
-                                  tiny_do(max_iterations=0), 0, oracle=noop_oracle)
-    assert state.oracle_calls == 0
-    assert not state.converged
-    assert len(state.history) == 1
-    first = state.history[0]
+    game, history, eq = run_double_oracle(short, [NoOpPolicy(ADVERSARY)],
+                                          [NoOpPolicy(DEFENDER)],
+                                          tiny_do(max_iterations=0), 0, oracle=noop_oracle)
+    assert not stopped(history)
+    assert len(history) == 1
+    first = history[0]
     assert first.call == 0 and first.trained == ""
     assert math.isnan(first.br_payoff)
-    assert state.game.u[0].shape == (1, 1)
-    assert eq.value_adv == pytest.approx(state.game.u[0][0, 0])
+    assert game.u[0].shape == (1, 1)
+    assert eq.value_adv == pytest.approx(game.u[0][0, 0])
 
 
 def test_mutual_best_response_terminates_immediately(short):
-    state, eq = run_double_oracle(short, [NoOpPolicy(ADVERSARY)],
-                                  [NoOpPolicy(DEFENDER)], tiny_do(), 0,
-                                  oracle=noop_oracle)
-    assert state.converged
-    assert state.oracle_calls == 2
-    assert len(state.history) == 3
-    values = {(r.value_adv, r.value_def) for r in state.history}
+    game, history, eq = run_double_oracle(short, [NoOpPolicy(ADVERSARY)],
+                                          [NoOpPolicy(DEFENDER)], tiny_do(), 0,
+                                          oracle=noop_oracle)
+    assert stopped(history)
+    assert len(history) == 3
+    values = {(r.value_adv, r.value_def) for r in history}
     assert len(values) == 1  # an idle best response never moves the equilibrium
-    assert state.history[1].trained == DEFENDER
-    assert state.history[2].trained == ADVERSARY
-    assert state.history[2].converged_adv and state.history[2].converged_def
+    assert history[1].trained == DEFENDER
+    assert history[2].trained == ADVERSARY
+    assert history[2].converged_adv and history[2].converged_def
 
 
 def test_improving_response_extends_the_game(short):
-    state, eq = run_double_oracle(short, [NoOpPolicy(ADVERSARY)],
-                                  [NoOpPolicy(DEFENDER)], tiny_do(), 0,
-                                  oracle=uniform_adv_oracle)
+    game, history, eq = run_double_oracle(short, [NoOpPolicy(ADVERSARY)],
+                                          [NoOpPolicy(DEFENDER)], tiny_do(), 0,
+                                          oracle=uniform_adv_oracle)
     # the probing response enters and lifts the adversary's value well above
     # the idle-pair equilibrium; two-episode payoff noise may legitimately
     # keep fresh copies "improving", so convergence itself is not asserted
-    assert len(state.game.row_policies) >= 2
-    assert state.oracle_calls == len(state.history) - 1 <= 6
+    assert len(game.row_policies) >= 2
+    assert len(history) - 1 <= 6
     idle_value = 0.268941 * (1 - 0.99 ** 50) / 0.01
     assert eq.value_adv > idle_value + 2.0
-    hist = state.history
-    max_se = state.game.se.max()
+    max_se = game.se.max()
     slack = 1.0 + 2.0 * max_se
-    for prev, cur in zip(hist, hist[1:]):
+    for prev, cur in zip(history, history[1:]):
         if cur.trained == ADVERSARY:
             assert cur.value_adv >= prev.value_adv - slack
         if cur.trained == DEFENDER:
@@ -130,19 +147,19 @@ def test_oracle_receives_current_mixture(short):
 
 
 def test_history_rows_round_numbered(short):
-    state, _ = run_double_oracle(short, [NoOpPolicy(ADVERSARY)],
-                                 [NoOpPolicy(DEFENDER)], tiny_do(), 0,
-                                 oracle=uniform_adv_oracle)
-    assert [r.call for r in state.history] == list(range(len(state.history)))
-    assert all(isinstance(r, DoRecord) for r in state.history)
+    _, history, _ = run_double_oracle(short, [NoOpPolicy(ADVERSARY)],
+                                      [NoOpPolicy(DEFENDER)], tiny_do(), 0,
+                                      oracle=uniform_adv_oracle)
+    assert [r.call for r in history] == list(range(len(history)))
+    assert all(isinstance(r, DoRecord) for r in history)
 
 
 def test_loop_is_deterministic(short):
     def run():
-        state, eq = run_double_oracle(short, [NoOpPolicy(ADVERSARY)],
-                                      [NoOpPolicy(DEFENDER)], tiny_do(), 0,
-                                      oracle=uniform_adv_oracle)
-        return [(r.call, r.value_adv, r.value_def, r.trained) for r in state.history]
+        _, history, _ = run_double_oracle(short, [NoOpPolicy(ADVERSARY)],
+                                          [NoOpPolicy(DEFENDER)], tiny_do(), 0,
+                                          oracle=uniform_adv_oracle)
+        return [(r.call, r.value_adv, r.value_def, r.trained) for r in history]
 
     assert run() == run()
 
@@ -159,9 +176,8 @@ def test_history_rows_pin_every_field(short):
         policy.label = label
         return policy
 
-    state, eq = run_double_oracle(short, [UniformAdversary()], [NoOpPolicy(DEFENDER)],
-                                  tiny_do(), 0, oracle=scripted_oracle)
-    game = state.game
+    game, history, eq = run_double_oracle(short, [UniformAdversary()], [NoOpPolicy(DEFENDER)],
+                                          tiny_do(), 0, oracle=scripted_oracle)
 
     def solve_block(rows, cols):
         block = EmpiricalGame(game.row_labels[:rows], game.col_labels[:cols],
@@ -174,10 +190,10 @@ def test_history_rows_pin_every_field(short):
     steps = [((1, 1), ""), ((1, 2), DEFENDER), ((2, 2), ADVERSARY),
              ((2, 3), DEFENDER), ((3, 3), ADVERSARY)]
     flags = [(False, False), (False, False), (True, False), (True, True), (True, True)]
-    assert state.converged and state.oracle_calls == 4
-    assert len(state.history) == len(steps)
+    assert stopped(history)
+    assert len(history) == len(steps)
     for call, (row, ((r, c), trained), (conv_a, conv_d)) in enumerate(
-            zip(state.history, steps, flags)):
+            zip(history, steps, flags)):
         now = solve_block(r, c)
         assert (row.call, row.trained) == (call, trained)
         assert (row.value_adv, row.value_def) == pytest.approx(
@@ -194,19 +210,67 @@ def test_history_rows_pin_every_field(short):
         else:
             br = float("nan")
         assert row.br_payoff == pytest.approx(br, rel=1e-12, nan_ok=True)
-    assert (eq.value_adv, eq.value_def) == (state.history[-1].value_adv,
-                                            state.history[-1].value_def)
+    assert (eq.value_adv, eq.value_def) == (history[-1].value_adv,
+                                            history[-1].value_def)
+
+
+def assert_same_run(replayed, history, eq):
+    """A replayed history and equilibrium equal the loop's, bit for bit."""
+    again, eq_again = replayed
+    assert [repr(r) for r in again] == [repr(r) for r in history]  # repr: nan equals nan
+    assert np.array_equal(eq_again.sigma_adv, eq.sigma_adv)
+    assert np.array_equal(eq_again.sigma_def, eq.sigma_def)
+    assert ((eq_again.value_adv, eq_again.value_def, eq_again.regret_adv, eq_again.regret_def)
+            == (eq.value_adv, eq.value_def, eq.regret_adv, eq.regret_def))
+
+
+RUNS = {  # (loop settings, oracle, records the run writes, whether it converges)
+    "zero": (tiny_do(max_iterations=0), noop_oracle, 1, False),
+    "capped": (tiny_do(eps_do=0.0, max_iterations=1), uniform_adv_oracle, 3, False),
+    "converged": (tiny_do(eps_do=1e6), noop_oracle, 3, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUNS))
+@pytest.mark.parametrize("start", ["heuristics", "noop"])
+def test_replay_history_rebuilds_the_run(start, case, short, monkeypatch):
+    """The loop's history is a function of its game: replay_history on the
+    finished game gives the same records and equilibrium, and the loop
+    solves once per record."""
+    advs, defs = (([NoOpPolicy(ADVERSARY)], [NoOpPolicy(DEFENDER)]) if start == "noop"
+                  else (default_adversaries(), default_defenders(short)))
+    do_cfg, oracle, records, stops = RUNS[case]
+    solves = []
+    monkeypatch.setattr(double_oracle, "solve_msne",
+                        lambda game: solves.append(game.u.shape) or solve_msne(game))
+    game, history, eq = run_double_oracle(short, advs, defs, do_cfg, 0, oracle)
+    assert len(solves) == len(history) == records
+    assert stopped(history) == stops
+    assert_same_run(replay_history(game, len(advs), len(defs), do_cfg.eps_do), history, eq)
+
+
+@pytest.mark.parametrize("n_adv,n_def", [(0, 1), (3, 1), (1, 0), (1, 4), (2, 1), (1, 3)],
+                         ids=["no-rows", "too-many-rows", "no-columns", "too-many-columns",
+                              "two-columns-ahead", "a-row-ahead"])
+def test_replay_history_rejects_sizes_no_run_gives(n_adv, n_def):
+    """A 2x3 game grows by alternating calls, defender first, from 2x3, 2x2,
+    1x2 or 1x1 only."""
+    game = EmpiricalGame(("a", "b"), ("c", "d", "e"), np.zeros((2, 2, 3)),
+                         np.zeros((2, 2, 3)), 0)
+    with pytest.raises(ValueError, match="no run grows"):
+        replay_history(game, n_adv, n_def, 1.0)
 
 
 def test_full_loop_with_learned_oracles(short):
     oracle = dqn_oracle(short, TrainConfig(episodes=1, batch_size=8, replay_capacity=32))
-    state, eq = run_double_oracle(short, [NoOpPolicy(ADVERSARY)],
-                                  [NoOpPolicy(DEFENDER)], tiny_do(max_iterations=1), 0, oracle)
-    assert state.oracle_calls == 2
-    assert isinstance(state.game.col_policies[-1], QNetworkPolicy)
-    assert isinstance(state.game.row_policies[-1], QNetworkPolicy)
-    assert state.game.col_policies[-1].label == "def_br_01"
-    assert state.game.u[0].shape == (2, 2)
+    game, history, eq = run_double_oracle(short, [NoOpPolicy(ADVERSARY)],
+                                          [NoOpPolicy(DEFENDER)], tiny_do(max_iterations=1), 0,
+                                          oracle)
+    assert len(history) - 1 == 2
+    assert isinstance(game.col_policies[-1], QNetworkPolicy)
+    assert isinstance(game.row_policies[-1], QNetworkPolicy)
+    assert game.col_policies[-1].label == "def_br_01"
+    assert game.u[0].shape == (2, 2)
 
 
 def test_dqn_oracle_threads_seed_and_label(short):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -24,7 +22,6 @@ from mtdgame.policies import (
 from mtdgame.qlearn import EpisodeRecord, QNetwork, QNetworkPolicy
 from mtdgame.serialize import (
     PolicyFormatError,
-    load_do_curve,
     load_game,
     load_mixture,
     load_policy,
@@ -114,13 +111,20 @@ def test_qnet_round_trip_is_exact(baseline, tmp_path):
     np.testing.assert_array_equal(net.forward(x), loaded.net.forward(x))
 
 
-def test_qnet_label_defaults_to_filename(baseline, tmp_path):
+def test_qnet_label_comes_from_the_header(baseline, tmp_path):
+    """A network reloads under the label it was saved with, whatever its file
+    is called, and a label that cannot be a header token cannot be saved."""
     rng = np.random.default_rng(0)
     net = QNetwork(5 * baseline.num_servers, baseline.num_servers + 1, rng,
                    hidden=(4,))
-    p = tmp_path / "trained_adv.policy"
-    save_policy(QNetworkPolicy(DEFENDER, net, baseline, "whatever"), p)
-    assert load_policy(p, baseline).label == "trained_adv"
+    p = tmp_path / "defender_def_br_01.policy"
+    save_policy(QNetworkPolicy(DEFENDER, net, baseline, "def_br_01"), p)
+    assert p.read_text(encoding="utf-8").partition("\n")[0] == \
+        f"MTDPOLICY 3 qnet defender {baseline.num_servers} def_br_01"
+    assert load_policy(p, baseline).label == "def_br_01"
+    for label in ("two words", "", "a/b"):
+        with pytest.raises(PolicyFormatError, match="label"):
+            save_policy(QNetworkPolicy(DEFENDER, net, baseline, label), p)
 
 
 def test_qnet_server_count_mismatch(baseline, tmp_path):
@@ -135,7 +139,7 @@ def test_qnet_server_count_mismatch(baseline, tmp_path):
 
 
 # a one-layer ten-server adversary network, as save_policy writes it
-ZERO_NET = "MTDPOLICY 2 qnet adversary 10\n11 50\n" + ("0.0 " * 49 + "0.0\n") * 11 + \
+ZERO_NET = "MTDPOLICY 3 qnet adversary 10 zero\n11 50\n" + ("0.0 " * 49 + "0.0\n") * 11 + \
     "0.0 " * 10 + "0.0\n"
 
 
@@ -150,17 +154,25 @@ def test_policy_files_may_end_in_blank_lines(baseline, tmp_path):
         load_policy(p, baseline)
 
 
+# Version 2 headers are rejected whatever follows them; each has a version 3
+# counterpart below that fails for its own reason.
 @pytest.mark.parametrize("text", [
     "",
     "BOGUS adversary noop\n",
     "MTDPOLICY 1 qnet adversary 10\n",
     "MTDPOLICY 2 qnet nobody 10\n",
+    "MTDPOLICY 3 qnet nobody 10 n\n",
+    "MTDPOLICY 3 qnet adversary 10\n",
+    "MTDPOLICY 3 qnet adversary 10 ..\n",
+    "MTDPOLICY 3 qnet adversary 10 n extra\n",
     "heuristic adversary\n",
     "heuristic adversary nosuch\n",
     "heuristic defender pcp period\n",
     "MTDPOLICY 2 qnet adversary 10\n3 50\n1.0 2.0\n",
+    "MTDPOLICY 3 qnet adversary 10 n\n3 50\n1.0 2.0\n",
     "heuristic defender pcp period=abc\n",
     "MTDPOLICY 2 qnet adversary ten\n",
+    "MTDPOLICY 3 qnet adversary ten n\n",
     "heuristic defender pcp perod=8\n",
     "heuristic adversary uniform period=0\n",
     "heuristic adversary control_threshold threshold=nan\n",
@@ -176,6 +188,7 @@ def test_policy_files_may_end_in_blank_lines(baseline, tmp_path):
     "heuristic adversary uniform period=2\nheuristic defender pcp\ngarbage here\n",
     pytest.param(ZERO_NET + "\n\nthis is not a layer\n", id="net-then-text"),
     "MTDPOLICY 2 qnet adversary \u00b2\n",
+    "MTDPOLICY 3 qnet adversary \u00b2 n\n",
 ])
 def test_malformed_policy_files(text, baseline, tmp_path):
     p = tmp_path / "bad.policy"
@@ -199,18 +212,29 @@ def test_qnet_non_finite_parameter_rejected(value, line, baseline, tmp_path):
         load_policy(p, baseline)
 
 
-def test_version_1_network_file_rejected(baseline, tmp_path):
-    # version 1 networks index servers directly, not in canonical order
+def older_network_file(version, baseline, tmp_path):
+    """A network file with the header versions 1 and 2 wrote: no label."""
     net = QNetwork(5 * baseline.num_servers, baseline.num_servers + 1,
                    np.random.default_rng(3), hidden=(3,))
     p = tmp_path / "net.policy"
     save_policy(QNetworkPolicy(ADVERSARY, net, baseline, "n"), p)
     head, _, body = p.read_text(encoding="utf-8").partition("\n")
-    assert head.split()[:2] == ["MTDPOLICY", "2"]
-    p.write_text(head.replace("MTDPOLICY 2 ", "MTDPOLICY 1 ", 1) + "\n" + body,
+    assert head == f"MTDPOLICY 3 qnet adversary {baseline.num_servers} n"
+    p.write_text(f"MTDPOLICY {version} qnet adversary {baseline.num_servers}\n{body}",
                  encoding="utf-8")
+    return p
+
+
+def test_version_1_network_file_rejected(baseline, tmp_path):
+    # version 1 networks index servers directly, not in canonical order
     with pytest.raises(PolicyFormatError, match="header"):
-        load_policy(p, baseline)
+        load_policy(older_network_file(1, baseline, tmp_path), baseline)
+
+
+def test_version_2_network_file_rejected(baseline, tmp_path):
+    # version 2 networks took their label from the file name
+    with pytest.raises(PolicyFormatError, match="header"):
+        load_policy(older_network_file(2, baseline, tmp_path), baseline)
 
 
 def test_network_layers_must_chain(baseline, tmp_path):
@@ -474,7 +498,7 @@ def test_learning_curve_file(tmp_path):
     assert lines[2] == "100,1,13.25,15.0"
 
 
-def test_do_curve_round_trip(tmp_path):
+def test_do_curve_file_layout(tmp_path):
     history = [
         DoRecord(0, 26.0, 98.0, "", float("nan"), False, False),
         DoRecord(1, 30.5, 90.25, "defender", 91.125, False, True),
@@ -482,40 +506,8 @@ def test_do_curve_round_trip(tmp_path):
     ]
     p = tmp_path / "do_curve.csv"
     save_do_curve(history, p)
-    back = load_do_curve(p)
-    assert len(back) == 3
-    assert math.isnan(back[0].br_payoff)
-    assert back[0].call == 0 and back[0].trained == ""
-    assert back[1:] == history[1:]
-
-
-HEADER = "iteration,value_a,value_d,new_policy_player,new_policy_payoff,converged_a,converged_d\n"
-
-
-ROW_0 = "0,26.0,98.0,,nan,0,0\n"
-
-
-@pytest.mark.parametrize("text,match", [
-    ("", "header"),
-    ("a,b,c\n", "header"),
-    (HEADER + "0,26.0,98.0,,nan,0\n", "malformed"),
-    (HEADER + "0,26.0,nan,,nan,0,0\n", "bad value"),
-    (HEADER + "1,26.0,98.0,,nan,0,0\n", "bad value"),
-    (HEADER + ROW_0 + "2,30.5,90.25,defender,91.125,0,1\n", "bad value"),
-    (HEADER + "0,26.0,98.0,defender,nan,0,0\n", "bad value"),
-    (HEADER + ROW_0 + "1,30.5,90.25,,91.125,0,1\n", "bad value"),
-    (HEADER + ROW_0 + "1,30.5,90.25,martian,91.125,0,1\n", "bad value"),
-    (HEADER + "0,26.0,98.0,,5.0,0,0\n", "bad value"),
-    (HEADER + ROW_0 + "1,30.5,90.25,defender,inf,0,1\n", "bad value"),
-    (HEADER + ROW_0 + "1,30.5,90.25,defender,nan,0,1\n", "bad value"),
-    (HEADER + ROW_0 + "1,30.5,90.25,defender,91.125,7,1\n", "bad value"),
-    (HEADER + ROW_0 + "1,30.5,90.25,defender,91.125,0,-3\n", "bad value"),
-], ids=["empty", "wrong-header", "short-row", "non-finite-value", "first-iteration-1",
-        "skipped-iteration", "player-on-initial-row", "no-player-later", "unknown-player",
-        "finite-initial-payoff", "infinite-payoff", "nan-payoff-later", "flag-7",
-        "flag-minus-3"])
-def test_do_curve_malformed(text, match, tmp_path):
-    p = tmp_path / "do_curve.csv"
-    p.write_text(text, encoding="utf-8")
-    with pytest.raises(PolicyFormatError, match=match):
-        load_do_curve(p)
+    assert p.read_text(encoding="utf-8") == (
+        "iteration,value_a,value_d,new_policy_player,new_policy_payoff,converged_a,converged_d\n"
+        "0,26.0,98.0,,nan,0,0\n"
+        "1,30.5,90.25,defender,91.125,0,1\n"
+        "2,30.5,90.25,adversary,30.75,1,1\n")
